@@ -27,15 +27,15 @@ from . import valuation
 from .eigenpairs import eigenpair, ergodic_residual, residual_grid
 from .models import (
     MODEL_KINDS,
-    OU_COMPLETE,
     ConfigError,
     Model,
     UnsupportedModelError,
     ValidationError,
+    config_block,
+    config_number,
     initial_state,
     load_config,
     model_from_config,
-    sensitivity_parameters,
 )
 
 _TOP_KEYS = MODEL_KINDS + ("preferences", "sim", "sweep", "output")
@@ -66,54 +66,45 @@ def parse_run_config(cfg: dict) -> RunConfig:
     model = model_from_config(cfg)
     sim_cfg = None
     if "sim" in cfg:
-        block = cfg["sim"]
-        if not isinstance(block, dict):
-            raise ConfigError("sim block must be an object")
-        bad = sorted(set(block) - set(_SIM_KEYS))
-        if bad:
-            raise ConfigError(f"unknown key '{bad[0]}' in sim block")
+        block = config_block(cfg["sim"], _SIM_KEYS, "sim")
         missing = [k for k in ("T", "n_steps", "n_paths", "seed") if k not in block]
         if missing:
             raise ConfigError(f"missing key '{missing[0]}' in sim block")
+        scheme = block.get("scheme", model.spec.schemes[0])
+        if scheme not in model.spec.schemes:
+            raise ConfigError(f"sim.scheme must be one of {model.spec.schemes} "
+                              f"for {model.kind}")
         try:
             sim_cfg = sim.SimConfig(
-                T=float(block["T"]),
-                n_steps=int(block["n_steps"]),
-                n_paths=int(block["n_paths"]),
-                seed=int(block["seed"]),
-                scheme=block.get("scheme", _default_scheme(model)),
+                T=config_number(block["T"], "sim.T"),
+                n_steps=_config_integer(block["n_steps"], "sim.n_steps"),
+                n_paths=_config_integer(block["n_paths"], "sim.n_paths"),
+                seed=_config_integer(block["seed"], "sim.seed"),
+                scheme=scheme,
             )
         except ValueError as exc:
             raise ConfigError(f"invalid sim block: {exc}") from exc
     sweep_parameter = sweep_values = sweep_T = None
     if "sweep" in cfg:
-        block = cfg["sweep"]
-        if not isinstance(block, dict):
-            raise ConfigError("sweep block must be an object")
-        bad = sorted(set(block) - set(_SWEEP_KEYS))
-        if bad:
-            raise ConfigError(f"unknown key '{bad[0]}' in sweep block")
+        block = config_block(cfg["sweep"], _SWEEP_KEYS, "sweep")
         sweep_parameter = block.get("parameter")
         if sweep_parameter is not None:
-            valid = sensitivity_parameters(model.kind) + ["chi", "s0"]
+            valid = list(model.spec.sensitivity_params) + ["chi", "s0"]
             if sweep_parameter not in valid:
                 raise ConfigError(
                     f"sweep parameter '{sweep_parameter}' does not exist for "
                     f"{model.kind}"
                 )
         if "values" in block:
-            sweep_values = [float(v) for v in block["values"]]
+            sweep_values = _config_numbers(block["values"], "sweep.values")
         if "T_grid" in block:
-            sweep_T = [float(v) for v in block["T_grid"]]
+            sweep_T = _config_numbers(block["T_grid"], "sweep.T_grid")
+            if not all(0.0 <= t < math.inf for t in sweep_T):
+                raise ConfigError("sweep.T_grid horizons must be finite and >= 0")
     out_path = None
     out_format = "json"
     if "output" in cfg:
-        block = cfg["output"]
-        if not isinstance(block, dict):
-            raise ConfigError("output block must be an object")
-        bad = sorted(set(block) - set(_OUTPUT_KEYS))
-        if bad:
-            raise ConfigError(f"unknown key '{bad[0]}' in output block")
+        block = config_block(cfg["output"], _OUTPUT_KEYS, "output")
         out_path = block.get("path")
         out_format = block.get("format", "json")
         if out_format not in ("json", "csv"):
@@ -123,8 +114,23 @@ def parse_run_config(cfg: dict) -> RunConfig:
                      out_path=out_path, out_format=out_format)
 
 
-def _default_scheme(model: Model) -> str:
-    return "full_truncation_euler" if model.kind == "heston" else "exact_gaussian"
+def _config_integer(value, where: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{where} must be an integer")
+
+
+def _config_numbers(values, where: str) -> list[float]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list of numbers")
+    return [config_number(v, where) for v in values]
+
+
+def _positive_increasing(grid: list[float], where: str) -> None:
+    if any(b <= a for a, b in zip([0.0] + grid, grid)):
+        raise ConfigError(f"{where} must be positive and strictly increasing")
 
 
 # --- deterministic serialization ----------------------------------------------
@@ -206,7 +212,7 @@ def cmd_value(rc: RunConfig, workers: int | None) -> int:
     horizons = rc.sweep_T_grid or [_require_sim(rc).T]
     rows = []
     for T in horizons:
-        if model.kind == OU_COMPLETE:
+        if not model.spec.has_path:
             cfg = _require_sim(rc).with_(T=T)
             v, se = sim.simulate_phat_value(model, None, T, cfg, workers)
             growth = None if T == 0 else -math.log(v) / T
@@ -230,22 +236,25 @@ def cmd_value(rc: RunConfig, workers: int | None) -> int:
 
 def _riccati_grid(rc: RunConfig) -> np.ndarray:
     if rc.sweep_T_grid:
-        grid = [0.0] + [t for t in rc.sweep_T_grid if t > 0.0]
-        return np.asarray(grid)
+        grid = [t for t in rc.sweep_T_grid if t > 0.0]
+        _positive_increasing(grid, "sweep.T_grid")
+        return np.asarray([0.0] + grid)
     return np.linspace(0.0, 50.0, 501)
+
+
+def _closed_and_oracle_gap(model: Model, grid: np.ndarray):
+    """(closed path, sup over grid and columns of |closed - RK4 oracle|)."""
+    closed = coeff.build_path(model, grid)
+    oracle = coeff.riccati_oracle(model, grid)
+    sup = max(float(np.max(np.abs(getattr(closed, f) - getattr(oracle, f))))
+              for f in model.spec.path_fields)
+    return closed, sup
 
 
 def cmd_riccati(rc: RunConfig, workers: int | None) -> int:
     model = rc.model
-    if model.kind == OU_COMPLETE:
-        raise ConfigError("riccati needs a factor model (kim_omberg or heston)")
     grid = _riccati_grid(rc)
-    closed = coeff.build_path(model, grid)
-    oracle = coeff.riccati_oracle(model, grid)
-    sup = float(np.max(np.abs(closed.beta - oracle.beta)))
-    sup = max(sup, float(np.max(np.abs(closed.gamma - oracle.gamma))))
-    if closed.Lambda is not None:
-        sup = max(sup, float(np.max(np.abs(closed.Lambda - oracle.Lambda))))
+    closed, sup = _closed_and_oracle_gap(model, grid)
     if rc.out_format == "csv":
         _emit(to_csv(closed.to_csv_rows()), rc.out_path)
     else:
@@ -278,6 +287,7 @@ def cmd_sensitivities(rc: RunConfig, workers: int | None) -> int:
 def cmd_diagnose(rc: RunConfig, workers: int | None) -> int:
     if rc.sweep_parameter is None or not rc.sweep_T_grid:
         raise ConfigError("diagnose needs sweep.parameter and sweep.T_grid")
+    _positive_increasing(rc.sweep_T_grid, "sweep.T_grid")
     rows = sens.convergence_diagnostic(rc.model, rc.sweep_parameter,
                                        rc.sweep_T_grid, sim_config=rc.sim)
     if rc.out_format == "csv":
@@ -295,7 +305,7 @@ def cmd_simulate(rc: RunConfig, workers: int | None) -> int:
     cfg = _require_sim(rc)
     chi = initial_state(model)
     horizons = rc.sweep_T_grid or [cfg.T]
-    if model.kind == OU_COMPLETE:
+    if not model.spec.has_path:
         rows = []
         for T in horizons:
             v, se = sim.simulate_phat_value(model, None, T, cfg.with_(T=T), workers)
@@ -346,14 +356,8 @@ def _verify_checks(model: Model, cfg: sim.SimConfig,
     checks.append(_check("eigenpair_residual_grid", max_r < 1e-8,
                          {"max_abs_residual": max_r, "n_points": int(grid.size)}))
 
-    if model.kind != OU_COMPLETE:
-        grid50 = np.linspace(0.0, 50.0, 501)
-        closed = coeff.build_path(model, grid50)
-        oracle = coeff.riccati_oracle(model, grid50)
-        sup = float(np.max(np.abs(closed.beta - oracle.beta)))
-        sup = max(sup, float(np.max(np.abs(closed.gamma - oracle.gamma))))
-        if closed.Lambda is not None:
-            sup = max(sup, float(np.max(np.abs(closed.Lambda - oracle.Lambda))))
+    if model.spec.has_path:
+        _, sup = _closed_and_oracle_gap(model, np.linspace(0.0, 50.0, 501))
         checks.append(_check("riccati_oracle_agreement", sup < 1e-6,
                              {"sup_abs_diff": sup}))
 
@@ -394,7 +398,7 @@ def _verify_checks(model: Model, cfg: sim.SimConfig,
         {"flagged": flagged,
          "rows": [e.as_dict() for e in report.entries]}))
 
-    if model.kind != OU_COMPLETE:
+    if model.spec.has_path:
         g50 = valuation.dual_value(model, chi, DIAG_T).growth_rate_estimate
         lam = ep.lam
         growth_ok = abs(g50 - lam) <= 0.05 * max(abs(lam), 1e-8)

@@ -18,8 +18,9 @@ yields the Riccati equation
 (with alpha2 = sigma1^2 + sigma2^2/(1-q) as in Kim-Omberg) whose closed form
 is the sinh/cosh display, and gamma(t) = k m_bar * integral of beta.
 
-``riccati_oracle`` integrates the governing ODE systems with classical RK4
-at a fixed step as an independent verification path for the closed forms.
+The per-kind formulas live in the model's spec.  ``riccati_oracle``
+integrates the governing ODE systems with classical RK4 at a fixed step as
+an independent verification path for the closed forms.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import HESTON, KIM_OMBERG, Model, UnsupportedModelError
+from .models import Model, ModelSpec, UnsupportedModelError
 
 H_ODE = 1e-3          # fixed RK4 step of the oracle
 TOL_ODE = 1e-8        # half-step Richardson gate of the oracle
@@ -57,57 +58,29 @@ class CoefficientPath:
         return rows
 
 
-def _mixing_rate(model: Model) -> float:
-    c = model.constants
-    if model.kind == KIM_OMBERG:
-        return 2.0 * c.alpha4
-    if model.kind == HESTON:
-        return c.beta2
-    raise UnsupportedModelError("no coefficient path for the complete-market model")
-
-
-def ko_beta(model: Model, t):
-    """Closed-form Kim-Omberg beta(t) (vectorized in t)."""
-    c = model.constants
-    pa = model.params
-    t = np.asarray(t, dtype=float)
-    n = model.q * (1.0 - model.q) * (pa.mu / pa.varsigma) ** 2
-    e = np.exp(-2.0 * c.alpha4 * t)
-    out = n * (1.0 - e) / (c.alpha4 + c.alpha1 + (c.alpha4 - c.alpha1) * e)
-    return out if out.ndim else float(out)
-
-
-def heston_beta(model: Model, t):
-    """Closed-form Heston beta(t), evaluated in overflow-safe form.
-
-    The sinh/cosh display is rewritten with exp(beta2 t / 2) factored out,
-    which is exact and stable for arbitrarily large t.
-    """
-    c = model.constants
-    pa = model.params
-    t = np.asarray(t, dtype=float)
-    n = model.q * (1.0 - model.q) * (pa.mu / pa.varsigma) ** 2
-    e = np.exp(-c.beta2 * t)
-    out = n * (1.0 - e) / (c.beta2 * (1.0 + e) + c.beta1 * (1.0 - e))
-    return out if out.ndim else float(out)
+def _path_spec(model: Model) -> ModelSpec:
+    if not model.spec.has_path:
+        raise UnsupportedModelError(f"no coefficient path for {model.kind}")
+    return model.spec
 
 
 def closed_beta(model: Model, t):
-    if model.kind == KIM_OMBERG:
-        return ko_beta(model, t)
-    if model.kind == HESTON:
-        return heston_beta(model, t)
-    raise UnsupportedModelError("no beta coefficient for the complete-market model")
+    """Closed-form beta(t) (vectorized in t), overflow-safe at any t."""
+    out = _path_spec(model).beta(model, np.asarray(t, dtype=float))
+    return out if out.ndim else float(out)
 
 
-def _refined_grid(model: Model, grid: np.ndarray):
+ko_beta = heston_beta = closed_beta  # the per-kind names of the closed form
+
+
+def _refined_grid(rate: float, grid: np.ndarray):
     """Split each grid interval into an even number of sub-steps <= h_quad.
 
     Returns (nodes, indices of the original grid points).  Grid points land
     on even refined indices, so pairwise cumulative Simpson passes through
     them, and the index map avoids any floating-point grid matching.
     """
-    h_quad = QUAD_RESOLUTION / _mixing_rate(model) * 2.0
+    h_quad = QUAD_RESOLUTION / rate * 2.0
     # beta varies on the timescale 2/mixing_rate; QUAD_RESOLUTION of that
     nodes = [0.0]
     idx = [0]
@@ -130,144 +103,51 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
-def ko_gamma_lambda(model: Model, grid) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(gamma, Lambda) sampled on ``grid`` plus quadrature metadata.
-
-    gamma comes from the integrating-factor formula
-        gamma(t) = alpha3 * exp(-L(t)) * int_0^t beta(s) exp(L(s)) ds,
-        L(t) = int_0^t (alpha1 + alpha2 beta(s)) ds,
-    advanced pairwise over a refined grid with composite Simpson weights;
-    the weight exp(L(s) - L(t)) is assembled in log space per pair so the
-    computation never overflows however large alpha1 t gets.
-    """
-    grid = _check_grid(grid)
-    c = model.constants
-    meta: dict = {}
-    if grid.size > 1:
-        max_step = float(np.max(np.diff(grid)))
-        if max_step > 0.5 / c.alpha4:
-            # internal refinement keeps the values accurate; the warning notes
-            # that the returned sampling cannot resolve the transient
-            meta["refinement_warning"] = (
-                f"grid step {max_step:g} is coarse relative to the coefficient "
-                f"timescale 1/(2 alpha4) = {0.5 / c.alpha4:g}"
-            )
-    nodes, idx = _refined_grid(model, grid)
-    meta["n_quad_nodes"] = int(nodes.size)
-    beta_n = ko_beta(model, nodes)
-    g = c.alpha1 + c.alpha2 * beta_n          # integrand of L
-    gam = np.empty(nodes.size)
-    gam[0] = 0.0
-    n_pairs_total = (nodes.size - 1) // 2
-    for j in range(n_pairs_total):
-        i = 2 * j
-        h = nodes[i + 1] - nodes[i]           # uniform within the pair
-        g0, g1, g2 = g[i], g[i + 1], g[i + 2]
-        dL_full = h / 3.0 * (g0 + 4.0 * g1 + g2)          # L_{i+2} - L_i
-        dL_right = h / 12.0 * (-g0 + 8.0 * g1 + 5.0 * g2)  # L_{i+2} - L_{i+1}
-        w0 = math.exp(-dL_full)
-        w1 = math.exp(-dL_right)
-        # Simpson for int_{t_i}^{t_{i+2}} beta(s) exp(L(s) - L_{i+2}) ds
-        inc = h / 3.0 * (beta_n[i] * w0 + 4.0 * beta_n[i + 1] * w1 + beta_n[i + 2])
-        gam[i + 2] = w0 * gam[i] + c.alpha3 * inc
-        # interior node via the left-half Newton-Cotes rule, same integrand
-        inc_half = h / 12.0 * (
-            5.0 * beta_n[i] * w0 / w1 + 8.0 * beta_n[i + 1] - beta_n[i + 2] / w1
-        )
-        gam[i + 1] = (w0 / w1) * gam[i] + c.alpha3 * inc_half
-    lam_integrand = 0.5 * c.alpha2 * gam**2 - c.alpha3 * gam - 0.5 * model.params.sigma**2 * beta_n
-    Lam = _cumulative_simpson(nodes, lam_integrand)
-    return gam[idx], Lam[idx], meta
-
-
-def heston_gamma(model: Model, grid) -> tuple[np.ndarray, dict]:
-    """gamma(t) = k m_bar * int_0^t beta(s) ds by composite Simpson."""
-    grid = _check_grid(grid)
-    nodes, idx = _refined_grid(model, grid)
-    beta_n = heston_beta(model, nodes)
-    gam = model.params.k * model.params.m_bar * _cumulative_simpson(nodes, beta_n)
-    return gam[idx], {"n_quad_nodes": int(nodes.size)}
-
-
-def _cumulative_simpson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cumulative integral over pairwise-uniform nodes (odd count per pair).
-
-    Even nodes get composite Simpson; interior nodes the half-interval
-    Newton-Cotes rule through the same three points.
-    """
-    out = np.empty_like(y)
-    out[0] = 0.0
-    if x.size == 1:
-        return out
-    i = np.arange(0, x.size - 2, 2)
-    h = x[i + 1] - x[i]
-    full = h / 3.0 * (y[i] + 4.0 * y[i + 1] + y[i + 2])
-    left = h / 12.0 * (5.0 * y[i] + 8.0 * y[i + 1] - y[i + 2])
-    out[2::2] = np.cumsum(full)
-    out[1::2] = out[0:-1:2] + left
-    return out
-
-
 def build_path(model: Model, grid) -> CoefficientPath:
     """Closed-form coefficient path sampled on ``grid``."""
     grid = _check_grid(grid)
-    if model.kind == KIM_OMBERG:
-        beta = ko_beta(model, grid)
-        gamma, Lam, meta = ko_gamma_lambda(model, grid)
-        return CoefficientPath(grid=grid, beta=np.atleast_1d(beta), gamma=gamma,
-                               Lambda=Lam, meta=meta)
-    if model.kind == HESTON:
-        beta = heston_beta(model, grid)
-        gamma, meta = heston_gamma(model, grid)
-        return CoefficientPath(grid=grid, beta=np.atleast_1d(beta), gamma=gamma,
-                               meta=meta)
-    raise UnsupportedModelError("no coefficient path for the complete-market model")
+    spec = _path_spec(model)
+    rate = spec.mixing_rate(model.constants)
+    meta: dict = {}
+    if grid.size > 1:
+        max_step = float(np.max(np.diff(grid)))
+        if max_step > 1.0 / rate:
+            # internal refinement keeps the values accurate; the warning notes
+            # that the returned sampling cannot resolve the transient
+            meta["refinement_warning"] = (
+                f"grid step {max_step:g} is coarse relative to the mixing "
+                f"time 1/rate = {1.0 / rate:g}"
+            )
+    nodes, idx = _refined_grid(rate, grid)
+    meta["n_quad_nodes"] = int(nodes.size)
+    gamma, Lam = spec.gamma_lambda(model, nodes, spec.beta(model, nodes))
+    return CoefficientPath(grid=grid, beta=spec.beta(model, grid), gamma=gamma[idx],
+                           Lambda=None if Lam is None else Lam[idx], meta=meta)
+
+
+def ko_gamma_lambda(model: Model, grid) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(gamma, Lambda) sampled on ``grid`` plus quadrature metadata."""
+    path = build_path(model, grid)
+    return path.gamma, path.Lambda, path.meta
+
+
+def heston_gamma(model: Model, grid) -> tuple[np.ndarray, dict]:
+    """gamma(t) = k m_bar * int_0^t beta(s) ds plus quadrature metadata."""
+    path = build_path(model, grid)
+    return path.gamma, path.meta
 
 
 # --- independent ODE oracle --------------------------------------------------
 
-def _scalar_rhs(model: Model):
-    """Scalar right-hand side of the governing coefficient ODE system.
+def _rk4(rhs, state: tuple, grid: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4 at steps <= h, landing exactly on the grid points.
 
-    State layout: kim_omberg (beta, gamma, Lambda); heston (beta, gamma).
+    ``state`` is a tuple whose entries are floats for one model or 1-d
+    arrays for a batch; returns the states at the grid points, stacked.
     """
-    c = model.constants
-    q = model.q
-    pa = model.params
-    n = q * (1.0 - q) * (pa.mu / pa.varsigma) ** 2
-    if model.kind == KIM_OMBERG:
-        a1, a2, a3 = c.alpha1, c.alpha2, c.alpha3
-        sig2 = pa.sigma**2
-
-        def rhs(s):
-            b, g, _ = s
-            return (
-                -a2 * b * b - 2.0 * a1 * b + n,
-                -(a1 + a2 * b) * g + a3 * b,
-                0.5 * a2 * g * g - a3 * g - 0.5 * sig2 * b,
-            )
-
-        return rhs, 3
-    if model.kind == HESTON:
-        b1 = c.beta1
-        a2h = c.sigma1**2 + c.sigma2**2 / (1.0 - q)
-        km = pa.k * pa.m_bar
-
-        def rhs(s):
-            b, _ = s
-            return (-0.5 * a2h * b * b - b1 * b + 0.5 * n, km * b)
-
-        return rhs, 2
-    raise UnsupportedModelError("no coefficient ODE for the complete-market model")
-
-
-def _rk4_scalar(rhs, dim: int, grid: np.ndarray, h: float) -> np.ndarray:
-    """Classical RK4 over plain floats, landing exactly on grid points."""
-    state = (0.0,) * dim
-    out = np.empty((grid.size, dim))
-    out[0] = state
-    for i in range(grid.size - 1):
-        span = grid[i + 1] - grid[i]
+    out = [state]
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        span = t1 - t0
         m = max(1, math.ceil(span / h))
         dt = span / m
         for _ in range(m):
@@ -279,27 +159,21 @@ def _rk4_scalar(rhs, dim: int, grid: np.ndarray, h: float) -> np.ndarray:
                 s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)
             )
-        out[i + 1] = state
-    return out
+        out.append(state)
+    return np.array(out)
 
 
-def _rk4_on_grid(rhs, dim: int, grid: np.ndarray, h: float, batch: int) -> np.ndarray:
-    """Classical RK4 with fixed step <= h, vectorized over a batch axis."""
-    state = np.zeros((dim, batch))
-    out = np.empty((grid.size, dim, batch))
-    out[0] = state
-    for i in range(grid.size - 1):
-        span = grid[i + 1] - grid[i]
-        m = max(1, math.ceil(span / h))
-        dt = span / m
-        for _ in range(m):
-            k1 = rhs(state)
-            k2 = rhs(state + 0.5 * dt * k1)
-            k3 = rhs(state + 0.5 * dt * k2)
-            k4 = rhs(state + dt * k3)
-            state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = state
-    return out
+def _rk4_richardson(rhs, state: tuple, grid: np.ndarray, h_ode: float):
+    """RK4 at steps h_ode and h_ode/2: (half-step states, |full - half|)."""
+    full = _rk4(rhs, state, grid, h_ode)
+    half = _rk4(rhs, state, grid, h_ode / 2.0)
+    return half, np.abs(full - half)
+
+
+def _oracle_path(spec: ModelSpec, grid: np.ndarray, vals: np.ndarray,
+                 h_ode: float, disagreement: float) -> CoefficientPath:
+    meta = {"h_ode": h_ode, "richardson_disagreement": disagreement}
+    return CoefficientPath(grid=grid, meta=meta, **dict(zip(spec.path_fields, vals.T)))
 
 
 def riccati_oracle(model: Model, grid, h_ode: float = H_ODE,
@@ -311,53 +185,16 @@ def riccati_oracle(model: Model, grid, h_ode: float = H_ODE,
     large and an error is raised.
     """
     grid = _check_grid(grid)
-    rhs, dim = _scalar_rhs(model)
-    full = _rk4_scalar(rhs, dim, grid, h_ode)
-    half = _rk4_scalar(rhs, dim, grid, h_ode / 2.0)
-    disagreement = float(np.max(np.abs(full - half))) if grid.size else 0.0
+    spec = _path_spec(model)
+    rhs = spec.oracle_rhs(*spec.ode_constants(model))
+    half, gap = _rk4_richardson(rhs, (0.0,) * len(spec.path_fields), grid, h_ode)
+    disagreement = float(np.max(gap))
     if disagreement > tol_ode:
         raise ValueError(
             f"RK4 step h_ode={h_ode:g} too large: half-step disagreement "
             f"{disagreement:.3e} exceeds tol_ode={tol_ode:g}"
         )
-    meta = {"h_ode": h_ode, "richardson_disagreement": disagreement}
-    if model.kind == KIM_OMBERG:
-        return CoefficientPath(grid=grid, beta=half[:, 0], gamma=half[:, 1],
-                               Lambda=half[:, 2], meta=meta)
-    return CoefficientPath(grid=grid, beta=half[:, 0], gamma=half[:, 1], meta=meta)
-
-
-def _batched_rhs(models: list[Model]):
-    """RHS closure for same-kind models; state shape (dim, n_models)."""
-    kind = models[0].kind
-    n = np.array([m.q * (1 - m.q) * (m.params.mu / m.params.varsigma) ** 2
-                  for m in models])
-    if kind == KIM_OMBERG:
-        a1 = np.array([m.constants.alpha1 for m in models])
-        a2 = np.array([m.constants.alpha2 for m in models])
-        a3 = np.array([m.constants.alpha3 for m in models])
-        sig2 = np.array([m.params.sigma**2 for m in models])
-
-        def rhs(state):
-            b, g, _ = state
-            db = -a2 * b * b - 2.0 * a1 * b + n
-            dg = -(a1 + a2 * b) * g + a3 * b
-            dL = 0.5 * a2 * g * g - a3 * g - 0.5 * sig2 * b
-            return np.stack([db, dg, dL])
-
-        return rhs, 3
-    b1 = np.array([m.constants.beta1 for m in models])
-    a2h = np.array([m.constants.sigma1**2 + m.constants.sigma2**2 / (1 - m.q)
-                    for m in models])
-    km = np.array([m.params.k * m.params.m_bar for m in models])
-
-    def rhs(state):
-        b, _ = state
-        db = -0.5 * a2h * b * b - b1 * b + 0.5 * n
-        dg = km * b
-        return np.stack([db, dg])
-
-    return rhs, 2
+    return _oracle_path(spec, grid, half, h_ode, disagreement)
 
 
 def riccati_oracle_batch(models: list[Model], grid, h_ode: float = H_ODE,
@@ -365,27 +202,22 @@ def riccati_oracle_batch(models: list[Model], grid, h_ode: float = H_ODE,
     """Vectorized oracle for a sweep of same-kind parameter sets."""
     if not models:
         return []
-    kind = models[0].kind
-    if any(m.kind != kind for m in models):
+    if len({m.kind for m in models}) > 1:
         raise ValueError("riccati_oracle_batch needs models of one kind")
     grid = _check_grid(grid)
-    rhs, dim = _batched_rhs(models)
-    full = _rk4_on_grid(rhs, dim, grid, h_ode, len(models))
-    half = _rk4_on_grid(rhs, dim, grid, h_ode / 2.0, len(models))
-    disagreement = np.max(np.abs(full - half), axis=(0, 1))
+    spec = _path_spec(models[0])
+    consts = zip(*(spec.ode_constants(m) for m in models))
+    rhs = spec.oracle_rhs(*(np.array(col) for col in consts))
+    zero = (np.zeros(len(models)),) * len(spec.path_fields)
+    half, gap = _rk4_richardson(rhs, zero, grid, h_ode)
+    disagreement = np.max(gap, axis=(0, 1))
     out = []
-    for j, m in enumerate(models):
+    for j in range(len(models)):
         if disagreement[j] > tol_ode:
             raise ValueError(
                 f"RK4 step h_ode={h_ode:g} too large for draw {j}: "
                 f"disagreement {disagreement[j]:.3e}"
             )
-        vals = half[:, :, j]
-        meta = {"h_ode": h_ode, "richardson_disagreement": float(disagreement[j])}
-        if kind == KIM_OMBERG:
-            out.append(CoefficientPath(grid=grid, beta=vals[:, 0], gamma=vals[:, 1],
-                                       Lambda=vals[:, 2], meta=meta))
-        else:
-            out.append(CoefficientPath(grid=grid, beta=vals[:, 0], gamma=vals[:, 1],
-                                       meta=meta))
+        out.append(_oracle_path(spec, grid, half[:, :, j], h_ode,
+                                float(disagreement[j])))
     return out

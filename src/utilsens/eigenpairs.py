@@ -19,13 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import (
-    HESTON,
-    KIM_OMBERG,
-    OU_COMPLETE,
-    DomainError,
-    Model,
-)
+from .models import Model, initial_state
 
 # exp() over/underflows past ~709; beyond this the log-scale path is used
 LOG_SCALE_CUTOFF = 700.0
@@ -49,38 +43,10 @@ class Eigenpair:
         }
 
 
-def _radical_minus_linear(a1: float, rad_increment: float) -> float:
-    """sqrt(a1^2 + rad_increment) - a1 without subtractive cancellation."""
-    a4 = math.sqrt(a1 * a1 + rad_increment)
-    if a1 >= 0.0:
-        return rad_increment / (a4 + a1) if a4 + a1 > 0.0 else 0.0
-    return a4 - a1  # both addends positive
-
-
 def eigenpair(model: Model) -> Eigenpair:
     """Recurrent eigenpair (lambda, phi) for a validated model."""
-    c = model.constants
-    q = model.q
-    pa = model.params
-    if model.kind == OU_COMPLETE:
-        p = model.p
-        w = (math.sqrt(1.0 - p) - 1.0) / (1.0 - p)
-        a2 = pa.b * w / pa.varsigma**2
-        a1 = -pa.mu * w / pa.varsigma**2
-        lam = pa.b * w / 2.0
-        return Eigenpair(lam=lam, a2=a2, a1=a1)
-    if model.kind == KIM_OMBERG:
-        inc = q * (1.0 - q) * c.alpha2 * (pa.mu / pa.varsigma) ** 2
-        B = _radical_minus_linear(c.alpha1, inc) / c.alpha2
-        C = c.alpha3 * B / c.alpha4
-        lam = -0.5 * c.alpha2 * C**2 + c.alpha3 * C + 0.5 * pa.sigma**2 * B
-        return Eigenpair(lam=lam, a2=B, a1=C)
-    # heston: phi is exponential-affine, a2 = 0
-    inc = q * (1.0 - q * pa.rho**2) * (pa.mu * pa.sigma / pa.varsigma) ** 2
-    B = (1.0 - q) * _radical_minus_linear(c.beta1, inc) \
-        / ((1.0 - q * pa.rho**2) * pa.sigma**2)
-    lam = pa.k * pa.m_bar * B
-    return Eigenpair(lam=lam, a2=0.0, a1=B)
+    lam, a2, a1 = model.spec.eigen(model)
+    return Eigenpair(lam=lam, a2=a2, a1=a1)
 
 
 class PhiEval(NamedTuple):
@@ -137,31 +103,6 @@ def phi_eval(ep: Eigenpair, x) -> PhiEval:
     )
 
 
-def _running_reward_and_drift(model: Model, ep: Eigenpair, x: float):
-    """(l(xi*, x), h(xi*, x), total squared diffusion) of the dual HJB."""
-    q = model.q
-    c = model.constants
-    pa = model.params
-    r1, _ = phi_ratios(ep, x)
-    if model.kind == KIM_OMBERG:
-        s1, s2 = c.sigma1, c.sigma2
-        theta = pa.mu * x / pa.varsigma
-        m = pa.k * (pa.m_bar - x)
-        diff2 = pa.sigma**2
-    else:
-        if x <= 0:
-            raise DomainError("heston residual needs x > 0")
-        sq = math.sqrt(x)
-        s1, s2 = c.sigma1 * sq, c.sigma2 * sq
-        theta = pa.mu * sq / pa.varsigma
-        m = pa.k * (pa.m_bar - x)
-        diff2 = pa.sigma**2 * x
-    xi_star = -s2 * r1 / (1.0 - q)
-    l_val = -0.5 * q * (1.0 - q) * (theta**2 + xi_star**2)
-    h_val = m - q * theta * s1 - q * xi_star * s2
-    return l_val, h_val, diff2
-
-
 def ergodic_residual(model: Model, ep: Eigenpair, x: float) -> float:
     """Scale-free residual of the ergodic HJB equation at x.
 
@@ -171,39 +112,17 @@ def ergodic_residual(model: Model, ep: Eigenpair, x: float) -> float:
     """
     x = float(x)
     r1, r2 = phi_ratios(ep, x)
-    if model.kind == OU_COMPLETE:
-        pa = model.params
-        p = model.p
-        alpha = model.constants.alpha_cm
-        theta = (pa.mu - pa.b * x) / pa.varsigma
-        num = (
-            0.5 * pa.varsigma**2 * r2
-            + (pa.mu - pa.b * x) / (1.0 - p) * r1
-            - alpha * theta**2
-            + ep.lam
-        )
-    else:
-        l_val, h_val, diff2 = _running_reward_and_drift(model, ep, x)
-        num = 0.5 * diff2 * r2 + h_val * r1 + l_val + ep.lam
+    l_val, h_val, diff2 = model.spec.hjb_terms(model, x, r1)
+    num = 0.5 * diff2 * r2 + h_val * r1 + l_val + ep.lam
     return num / max(abs(ep.lam), 1.0)
 
 
-def stationary_sd(model: Model) -> float:
-    """Stationary standard deviation of the factor under the physical measure."""
-    pa = model.params
-    if model.kind == OU_COMPLETE:
-        return pa.varsigma / math.sqrt(2.0 * pa.b)
-    if model.kind == KIM_OMBERG:
-        return pa.sigma / math.sqrt(2.0 * pa.k)
-    return pa.sigma * math.sqrt(pa.m_bar / (2.0 * pa.k))
-
-
 def residual_grid(model: Model, n: int = 101) -> np.ndarray:
-    """The 101-point grid chi +- 4 stationary sd (positive part for heston)."""
-    chi = model.params.chi if model.kind != OU_COMPLETE else model.params.s0
-    sd = stationary_sd(model)
+    """The 101-point grid chi +- 4 stationary sd (positive part if sqrt(x))."""
+    chi = initial_state(model)
+    sd = model.spec.stationary_sd(model.params)
     grid = np.linspace(chi - 4.0 * sd, chi + 4.0 * sd, n)
-    if model.kind == HESTON:
+    if model.spec.sqrt_x:
         grid = grid[grid > 0.0]
         if grid.size == 0:
             grid = np.linspace(chi / 10.0, chi * 2.0, n)

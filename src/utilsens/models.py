@@ -1,4 +1,4 @@
-"""Parameter containers, derived constants and admissibility checks.
+"""Model descriptions, parameter containers, derived constants and admissibility.
 
 Three closed-form market models are supported:
 
@@ -10,6 +10,15 @@ Three closed-form market models are supported:
 The investor has power utility x**p / p with risk exponent p < 0; the dual
 exponent q = -p/(1-p) in (0, 1) shows up throughout the closed forms.
 
+Each kind has one description, a :class:`ModelSpec` in ``SPECS``, reached
+from a validated model as ``model.spec``.  It holds everything that differs
+between kinds: the parameter type and its fields, the initial-state field,
+the sensitivity parameters, the simulation schemes (the first one is the
+kind's default), whether the diffusion and the market price of risk scale
+with sqrt(x), the columns of the closed coefficient path (none for the
+complete-market model), and the per-kind formulas.  The other modules are
+written once against the spec.
+
 Parameter sets are immutable.  ``validate`` is the single entry point that
 turns raw parameters into a :class:`Model` bundle carrying the derived
 constants; everything downstream takes the bundle.
@@ -20,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -68,6 +79,8 @@ class Preferences:
     p: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.p):
+            raise ValidationError("finite", f"p must be finite, got {self.p}")
         dual_exponent(self.p)  # rejects p >= 0
 
     @property
@@ -143,58 +156,6 @@ class DerivedConstants:
         }
 
 
-def _basic_field_checks(params: Params) -> None:
-    if isinstance(params, OUCompleteParams):
-        if not params.varsigma > 0:
-            raise ValidationError("sign_range", "varsigma must be > 0")
-        if not params.b > 0:
-            raise ValidationError("sign_range", "b must be > 0")
-        return
-    if not params.varsigma > 0:
-        raise ValidationError("sign_range", "varsigma must be > 0")
-    if not params.k > 0:
-        raise ValidationError("sign_range", "k must be > 0")
-    if not params.sigma > 0:
-        raise ValidationError("sign_range", "sigma must be > 0")
-    # rho = +-1 is rejected: the factor code path needs sigma2 > 0 because
-    # the dual control acts through the orthogonal Brownian motion.
-    if not abs(params.rho) < 1:
-        raise ValidationError("sign_range", "rho must lie strictly in (-1, 1)")
-    if isinstance(params, HestonParams):
-        if not params.m_bar > 0:
-            raise ValidationError("sign_range", "m_bar must be > 0")
-        if not params.chi > 0:
-            raise ValidationError("sign_range", "chi must be > 0 for heston")
-
-
-def derive_constants(params: Params, prefs: Preferences) -> DerivedConstants:
-    """Populate the derived-constant block for the given model."""
-    _basic_field_checks(params)
-    q = prefs.q
-    if isinstance(params, OUCompleteParams):
-        p = prefs.p
-        return DerivedConstants(alpha_cm=-p / (2.0 * (1.0 - p) ** 2))
-
-    sigma1 = params.rho * params.sigma
-    sigma2 = math.sqrt(1.0 - params.rho**2) * params.sigma
-    if isinstance(params, KimOmbergParams):
-        a1 = params.k + q * params.mu * sigma1 / params.varsigma
-        a2 = sigma1**2 + sigma2**2 / (1.0 - q)
-        a3 = params.k * params.m_bar
-        a4 = math.sqrt(a1**2 + q * (1.0 - q) * a2 * (params.mu / params.varsigma) ** 2)
-        return DerivedConstants(
-            sigma1=sigma1, sigma2=sigma2, alpha1=a1, alpha2=a2, alpha3=a3, alpha4=a4
-        )
-    b1 = params.k + q * params.mu * sigma1 / params.varsigma
-    b2 = math.sqrt(
-        b1**2
-        + q
-        * (1.0 - q * params.rho**2)
-        * (params.mu * params.sigma / params.varsigma) ** 2
-    )
-    return DerivedConstants(sigma1=sigma1, sigma2=sigma2, beta1=b1, beta2=b2)
-
-
 @dataclass(frozen=True)
 class Model:
     """Validated parameter bundle; construct only through :func:`validate`."""
@@ -203,6 +164,10 @@ class Model:
     params: Params
     prefs: Preferences
     constants: DerivedConstants
+
+    @property
+    def spec(self) -> ModelSpec:
+        return SPECS[self.kind]
 
     @property
     def q(self) -> float:
@@ -218,10 +183,449 @@ class Model:
         return (self.kind, pf, self.prefs.p)
 
 
-def kim_omberg_eigen_slope(params: KimOmbergParams, prefs: Preferences) -> float:
-    """Eigen-coefficient B = (alpha4 - alpha1)/alpha2 of the quadratic exponent."""
-    c = derive_constants(params, prefs)
-    return (c.alpha4 - c.alpha1) / c.alpha2
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything that differs between model kinds.
+
+    The factor models write the finite-horizon dual value as
+    v = exp(Lambda - beta x^2/2 - gamma x) (constant diffusion) or
+    v = exp(-gamma - beta x) (sqrt(x) diffusion); ``path_fields`` names the
+    coefficient columns and is empty when no closed path exists.  The
+    formulas marked "path" are None for the complete-market model.
+    """
+
+    kind: str
+    params_type: type
+    state_field: str                 # initial state: factor chi or price s0
+    vol_field: str                   # parameter scaling the state's diffusion
+    positive: tuple[str, ...]        # fields that must be > 0
+    sensitivity_params: tuple[str, ...]
+    schemes: tuple[str, ...]         # simulation schemes; the first is the default
+    sqrt_x: bool                     # diffusion and theta scale with sqrt(x)
+    path_fields: tuple[str, ...]     # closed coefficient path columns
+    derive: Callable                 # (params, prefs) -> DerivedConstants
+    admissible: Callable             # (params, prefs, constants); raises ValidationError
+    eigen: Callable                  # model -> (lambda, a2, a1)
+    theta: Callable                  # (model, x) -> market price of risk
+    hjb_terms: Callable              # (model, x, phi'/phi) -> (l, h, diff^2)
+    stationary_sd: Callable          # params -> stationary sd of the state
+    drift: Callable                  # (model, ep, measure, beta, gamma) -> (c0, c1)
+    exponent: Callable               # (model, ep, measure, times, beta, gamma) -> (g2, g1, g0)
+    mixing_rate: Callable | None = None     # path: constants -> rate
+    beta: Callable | None = None            # path: (model, t array) -> beta(t)
+    gamma_lambda: Callable | None = None    # path: (model, nodes, beta) -> (gamma, Lambda)
+    ode_constants: Callable | None = None   # path: model -> oracle RHS constants
+    oracle_rhs: Callable | None = None      # path: (*constants) -> rhs(state tuple)
+
+    @cached_property
+    def fields(self) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(self.params_type))
+
+    @property
+    def has_path(self) -> bool:
+        return bool(self.path_fields)
+
+    def scales(self, x):
+        """(u, w) with diffusion sigma*u(x) and variance sigma^2*w(x): (1, 1),
+        or (sqrt(x), x) under sqrt(x) diffusion, where x must be >= 0."""
+        if not self.sqrt_x:
+            return 1.0, 1.0
+        if np.any(np.asarray(x) < 0):
+            raise DomainError(f"{self.kind} needs x >= 0, got {x}")
+        return np.sqrt(x), x
+
+    def log_value_coefficients(self, beta, gamma, Lambda):
+        """(a2, a1, a0) of ln v = a0 - a2 x^2/2 - a1 x, the form of ln phi;
+        under sqrt(x) diffusion v = exp(-gamma - beta x)."""
+        return (0.0, beta, -gamma) if self.sqrt_x else (beta, gamma, Lambda)
+
+
+# --- complete-market formulas ----------------------------------------------
+
+def _ou_constants(params: OUCompleteParams, prefs: Preferences) -> DerivedConstants:
+    p = prefs.p
+    return DerivedConstants(alpha_cm=-p / (2.0 * (1.0 - p) ** 2))
+
+
+def _ou_eigen(model: Model):
+    pa, p = model.params, model.p
+    w = (math.sqrt(1.0 - p) - 1.0) / (1.0 - p)
+    return pa.b * w / 2.0, pa.b * w / pa.varsigma**2, -pa.mu * w / pa.varsigma**2
+
+
+def _ou_theta(model: Model, x):
+    pa = model.params
+    return (pa.mu - pa.b * x) / pa.varsigma
+
+
+def _ou_hjb_terms(model: Model, x: float, r1: float):
+    pa = model.params
+    theta = _ou_theta(model, x)
+    return (-model.constants.alpha_cm * theta**2,
+            (pa.mu - pa.b * x) / (1.0 - model.p), pa.varsigma**2)
+
+
+def _ou_drift(model: Model, ep, measure: str, beta, gamma):
+    return model.params.mu / (1.0 - model.p), model.params.b / (1.0 - model.p)
+
+
+def _ou_exponent(model: Model, ep, measure: str, times, beta, gamma):
+    pa = model.params
+    alpha = model.constants.alpha_cm
+    zeros = np.zeros_like(times)
+    return (-alpha * (pa.b / pa.varsigma) ** 2 + zeros,
+            2.0 * alpha * pa.mu * pa.b / pa.varsigma**2 + zeros,
+            -alpha * (pa.mu / pa.varsigma) ** 2 + zeros)
+
+
+# --- factor-model formulas shared by Kim-Omberg and Heston -----------------
+
+def _loadings(params) -> tuple[float, float]:
+    return params.rho * params.sigma, math.sqrt(1.0 - params.rho**2) * params.sigma
+
+
+def _radical_minus_linear(a1: float, rad_increment: float) -> float:
+    """sqrt(a1^2 + rad_increment) - a1 without subtractive cancellation."""
+    a4 = math.sqrt(a1 * a1 + rad_increment)
+    if a1 >= 0.0:
+        return rad_increment / (a4 + a1) if a4 + a1 > 0.0 else 0.0
+    return a4 - a1  # both addends positive
+
+
+def _riccati_source(model: Model) -> float:
+    """q(1-q) mu^2 / varsigma^2, the source term of the beta Riccati equation."""
+    q, pa = model.q, model.params
+    return q * (1.0 - q) * (pa.mu / pa.varsigma) ** 2
+
+
+def _factor_theta(model: Model, x):
+    pa = model.params
+    u, _ = model.spec.scales(x)
+    return pa.mu * (u if model.spec.sqrt_x else x) / pa.varsigma
+
+
+def _factor_hjb_terms(model: Model, x: float, r1: float):
+    """(l(xi*, x), h(xi*, x), total squared diffusion) of the dual HJB."""
+    q, c, pa = model.q, model.constants, model.params
+    u, w = model.spec.scales(x)
+    s1, s2 = c.sigma1 * u, c.sigma2 * u
+    theta = _factor_theta(model, x)
+    xi_star = -s2 * r1 / (1.0 - q)
+    l_val = -0.5 * q * (1.0 - q) * (theta**2 + xi_star**2)
+    h_val = pa.k * (pa.m_bar - x) - q * theta * s1 - q * xi_star * s2
+    return l_val, h_val, pa.sigma**2 * w
+
+
+def _affine_split(model: Model, ep, beta, gamma):
+    """(slope, intercept) pairs of ln phi and of ln v as they enter the drift.
+
+    Under sqrt(x) diffusion sigma(x)^2 = sigma^2 x turns the x coefficients
+    (phi's a1, the path's beta) into slopes and leaves no intercept.
+    """
+    if model.spec.sqrt_x:
+        return (ep.a1, 0.0), (beta, 0.0)
+    return (ep.a2, ep.a1), (beta, gamma)
+
+
+def _factor_drift(model: Model, ep, measure: str, beta, gamma):
+    """(c0, c1) of the affine factor drift c0 - c1 x given beta, gamma at T - t.
+
+    Measure "phat" carries the finite-horizon control, "q" adds the
+    eigenfunction tilt.
+    """
+    q, pa, c = model.q, model.params, model.constants
+    (e1, e0), (b1, b0) = _affine_split(model, ep, beta, gamma)
+    qs2 = q * c.sigma2**2 / (1.0 - q)
+    c1 = pa.k + q * pa.mu * c.sigma1 / pa.varsigma + qs2 * b1
+    c0 = pa.k * pa.m_bar - qs2 * b0
+    if measure == "q":
+        c1 = c1 + pa.sigma**2 * e1
+        c0 = c0 - e0 * pa.sigma**2
+    return c0, c1
+
+
+def _factor_exponent(model: Model, ep, measure: str, times, beta, gamma):
+    """(g2, g1, g0) of the exponent integrand: the tilt rate f (measure "q")
+    or the value exponent -(q/2)(1-q)(theta^2 + xi_hat^2) (measure "phat").
+
+    Written for constant diffusion; under sqrt(x) diffusion the integrand is
+    x times the leading coefficient alone.
+    """
+    q, pa, c = model.q, model.params, model.constants
+    (e1, e0), (b1, b0) = _affine_split(model, ep, beta, gamma)
+    if measure == "q":
+        cc = q * c.sigma2**2 / (2.0 * (1.0 - q))
+        d1 = e1 - b1
+        d0 = e0 - b0
+        poly = -cc * d1 * d1, -2.0 * cc * d1 * d0, -cc * d0 * d0
+    else:
+        half = 0.5 * q * (1.0 - q)
+        xi1 = c.sigma2 / (1.0 - q) * b1
+        xi0 = c.sigma2 / (1.0 - q) * b0
+        poly = (-half * ((pa.mu / pa.varsigma) ** 2 + xi1 * xi1),
+                -half * 2.0 * xi1 * xi0, -half * xi0 * xi0)
+    if model.spec.sqrt_x:
+        zeros = np.zeros_like(times)
+        return zeros, poly[0], zeros
+    return poly
+
+
+def _cumulative_simpson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cumulative integral over pairwise-uniform nodes (odd count per pair).
+
+    Even nodes get composite Simpson; interior nodes the half-interval
+    Newton-Cotes rule through the same three points.
+    """
+    out = np.empty_like(y)
+    out[0] = 0.0
+    if x.size == 1:
+        return out
+    i = np.arange(0, x.size - 2, 2)
+    h = x[i + 1] - x[i]
+    full = h / 3.0 * (y[i] + 4.0 * y[i + 1] + y[i + 2])
+    left = h / 12.0 * (5.0 * y[i] + 8.0 * y[i + 1] - y[i + 2])
+    out[2::2] = np.cumsum(full)
+    out[1::2] = out[0:-1:2] + left
+    return out
+
+
+# --- Kim-Omberg formulas -----------------------------------------------------
+
+def _ko_constants(params: KimOmbergParams, prefs: Preferences) -> DerivedConstants:
+    q = prefs.q
+    sigma1, sigma2 = _loadings(params)
+    a1 = params.k + q * params.mu * sigma1 / params.varsigma
+    a2 = sigma1**2 + sigma2**2 / (1.0 - q)
+    a3 = params.k * params.m_bar
+    a4 = math.sqrt(a1**2 + q * (1.0 - q) * a2 * (params.mu / params.varsigma) ** 2)
+    return DerivedConstants(
+        sigma1=sigma1, sigma2=sigma2, alpha1=a1, alpha2=a2, alpha3=a3, alpha4=a4
+    )
+
+
+def _ko_admissible(params: KimOmbergParams, prefs: Preferences,
+                   c: DerivedConstants) -> None:
+    # the condition involves the eigen-coefficient B = (alpha4 - alpha1)/alpha2
+    B = (c.alpha4 - c.alpha1) / c.alpha2
+    rev = (
+        params.k
+        + prefs.q * params.mu * params.rho * params.sigma / params.varsigma
+        + B * params.sigma**2 / 2.0
+    )
+    if not rev > ADMISSIBILITY_MARGIN:
+        raise ValidationError(
+            "mean_reversion",
+            f"k + q*mu*rho*sigma/varsigma + B*sigma^2/2 = {rev} must be positive",
+        )
+
+
+def _ko_eigen(model: Model):
+    c, q, pa = model.constants, model.q, model.params
+    inc = q * (1.0 - q) * c.alpha2 * (pa.mu / pa.varsigma) ** 2
+    B = _radical_minus_linear(c.alpha1, inc) / c.alpha2
+    C = c.alpha3 * B / c.alpha4
+    lam = -0.5 * c.alpha2 * C**2 + c.alpha3 * C + 0.5 * pa.sigma**2 * B
+    return lam, B, C
+
+
+def _ko_beta(model: Model, t: np.ndarray) -> np.ndarray:
+    c = model.constants
+    e = np.exp(-2.0 * c.alpha4 * t)
+    return _riccati_source(model) * (1.0 - e) \
+        / (c.alpha4 + c.alpha1 + (c.alpha4 - c.alpha1) * e)
+
+
+def _ko_gamma_lambda(model: Model, nodes: np.ndarray, beta_n: np.ndarray):
+    """gamma and Lambda on pairwise-uniform refined nodes.
+
+    gamma comes from the integrating-factor formula
+        gamma(t) = alpha3 * exp(-L(t)) * int_0^t beta(s) exp(L(s)) ds,
+        L(t) = int_0^t (alpha1 + alpha2 beta(s)) ds,
+    advanced pairwise with composite Simpson weights; the weight
+    exp(L(s) - L(t)) is assembled in log space per pair so the computation
+    never overflows however large alpha1 t gets.  Lambda is a plain integral.
+    """
+    c = model.constants
+    g = c.alpha1 + c.alpha2 * beta_n          # integrand of L
+    gam = np.empty(nodes.size)
+    gam[0] = 0.0
+    for j in range((nodes.size - 1) // 2):
+        i = 2 * j
+        h = nodes[i + 1] - nodes[i]           # uniform within the pair
+        g0, g1, g2 = g[i], g[i + 1], g[i + 2]
+        dL_full = h / 3.0 * (g0 + 4.0 * g1 + g2)          # L_{i+2} - L_i
+        dL_right = h / 12.0 * (-g0 + 8.0 * g1 + 5.0 * g2)  # L_{i+2} - L_{i+1}
+        w0 = math.exp(-dL_full)
+        w1 = math.exp(-dL_right)
+        # Simpson for int_{t_i}^{t_{i+2}} beta(s) exp(L(s) - L_{i+2}) ds
+        inc = h / 3.0 * (beta_n[i] * w0 + 4.0 * beta_n[i + 1] * w1 + beta_n[i + 2])
+        gam[i + 2] = w0 * gam[i] + c.alpha3 * inc
+        # interior node via the left-half Newton-Cotes rule, same integrand
+        inc_half = h / 12.0 * (
+            5.0 * beta_n[i] * w0 / w1 + 8.0 * beta_n[i + 1] - beta_n[i + 2] / w1
+        )
+        gam[i + 1] = (w0 / w1) * gam[i] + c.alpha3 * inc_half
+    lam_integrand = 0.5 * c.alpha2 * gam**2 - c.alpha3 * gam \
+        - 0.5 * model.params.sigma**2 * beta_n
+    return gam, _cumulative_simpson(nodes, lam_integrand)
+
+
+def _ko_ode_constants(model: Model) -> tuple:
+    c = model.constants
+    return _riccati_source(model), c.alpha1, c.alpha2, c.alpha3, model.params.sigma**2
+
+
+def _ko_rhs(n, a1, a2, a3, sig2):
+    def rhs(s):
+        b, g, _ = s
+        return (
+            -a2 * b * b - 2.0 * a1 * b + n,
+            -(a1 + a2 * b) * g + a3 * b,
+            0.5 * a2 * g * g - a3 * g - 0.5 * sig2 * b,
+        )
+
+    return rhs
+
+
+# --- Heston formulas ---------------------------------------------------------
+
+def _heston_constants(params: HestonParams, prefs: Preferences) -> DerivedConstants:
+    q = prefs.q
+    sigma1, sigma2 = _loadings(params)
+    b1 = params.k + q * params.mu * sigma1 / params.varsigma
+    b2 = math.sqrt(
+        b1**2
+        + q
+        * (1.0 - q * params.rho**2)
+        * (params.mu * params.sigma / params.varsigma) ** 2
+    )
+    return DerivedConstants(sigma1=sigma1, sigma2=sigma2, beta1=b1, beta2=b2)
+
+
+def _heston_admissible(params: HestonParams, prefs: Preferences,
+                       c: DerivedConstants) -> None:
+    feller = 2.0 * params.k * params.m_bar - params.sigma**2
+    if not feller > ADMISSIBILITY_MARGIN:
+        raise ValidationError(
+            "feller",
+            f"2*k*m_bar = {2 * params.k * params.m_bar} must exceed "
+            f"sigma^2 = {params.sigma ** 2}",
+        )
+    rev = params.k + prefs.q * params.mu * params.rho * params.sigma / params.varsigma
+    if not rev > ADMISSIBILITY_MARGIN:
+        raise ValidationError(
+            "mean_reversion",
+            f"k + q*mu*rho*sigma/varsigma = {rev} must be positive",
+        )
+
+
+def _heston_eigen(model: Model):
+    # phi is exponential-affine, a2 = 0
+    c, q, pa = model.constants, model.q, model.params
+    inc = q * (1.0 - q * pa.rho**2) * (pa.mu * pa.sigma / pa.varsigma) ** 2
+    B = (1.0 - q) * _radical_minus_linear(c.beta1, inc) \
+        / ((1.0 - q * pa.rho**2) * pa.sigma**2)
+    return pa.k * pa.m_bar * B, 0.0, B
+
+
+def _heston_beta(model: Model, t: np.ndarray) -> np.ndarray:
+    # the sinh/cosh display with exp(beta2 t / 2) factored out: exact and
+    # stable for arbitrarily large t
+    c = model.constants
+    e = np.exp(-c.beta2 * t)
+    return _riccati_source(model) * (1.0 - e) \
+        / (c.beta2 * (1.0 + e) + c.beta1 * (1.0 - e))
+
+
+def _heston_gamma(model: Model, nodes: np.ndarray, beta_n: np.ndarray):
+    """gamma(t) = k m_bar * int_0^t beta(s) ds; no Lambda."""
+    return model.params.k * model.params.m_bar * _cumulative_simpson(nodes, beta_n), None
+
+
+def _heston_ode_constants(model: Model) -> tuple:
+    c = model.constants
+    return (_riccati_source(model), c.beta1,
+            c.sigma1**2 + c.sigma2**2 / (1.0 - model.q),
+            model.params.k * model.params.m_bar)
+
+
+def _heston_rhs(n, b1, a2h, km):
+    def rhs(s):
+        b, _ = s
+        return (-0.5 * a2h * b * b - b1 * b + 0.5 * n, km * b)
+
+    return rhs
+
+
+# --- the descriptions ------------------------------------------------------
+
+_FACTOR_SENSITIVITIES = ("k", "m_bar", "mu", "varsigma", "rho", "sigma")
+
+SPECS: dict[str, ModelSpec] = {
+    OU_COMPLETE: ModelSpec(
+        kind=OU_COMPLETE, params_type=OUCompleteParams, state_field="s0",
+        vol_field="varsigma", positive=("varsigma", "b"),
+        sensitivity_params=("mu", "b", "varsigma"),
+        schemes=("exact_gaussian", "euler"), sqrt_x=False, path_fields=(),
+        derive=_ou_constants, admissible=lambda params, prefs, c: None,
+        eigen=_ou_eigen, theta=_ou_theta, hjb_terms=_ou_hjb_terms,
+        stationary_sd=lambda pa: pa.varsigma / math.sqrt(2.0 * pa.b),
+        drift=_ou_drift, exponent=_ou_exponent,
+    ),
+    KIM_OMBERG: ModelSpec(
+        kind=KIM_OMBERG, params_type=KimOmbergParams, state_field="chi",
+        vol_field="sigma", positive=("varsigma", "k", "sigma"),
+        sensitivity_params=_FACTOR_SENSITIVITIES,
+        schemes=("exact_gaussian", "euler"), sqrt_x=False,
+        path_fields=("beta", "gamma", "Lambda"),
+        derive=_ko_constants, admissible=_ko_admissible, eigen=_ko_eigen,
+        theta=_factor_theta, hjb_terms=_factor_hjb_terms,
+        stationary_sd=lambda pa: pa.sigma / math.sqrt(2.0 * pa.k),
+        drift=_factor_drift, exponent=_factor_exponent,
+        mixing_rate=lambda c: 2.0 * c.alpha4, beta=_ko_beta,
+        gamma_lambda=_ko_gamma_lambda, ode_constants=_ko_ode_constants,
+        oracle_rhs=_ko_rhs,
+    ),
+    HESTON: ModelSpec(
+        kind=HESTON, params_type=HestonParams, state_field="chi",
+        vol_field="sigma", positive=("varsigma", "k", "sigma", "m_bar", "chi"),
+        sensitivity_params=_FACTOR_SENSITIVITIES,
+        schemes=("full_truncation_euler",), sqrt_x=True,
+        path_fields=("beta", "gamma"),
+        derive=_heston_constants, admissible=_heston_admissible,
+        eigen=_heston_eigen, theta=_factor_theta, hjb_terms=_factor_hjb_terms,
+        stationary_sd=lambda pa: pa.sigma * math.sqrt(pa.m_bar / (2.0 * pa.k)),
+        drift=_factor_drift, exponent=_factor_exponent,
+        mixing_rate=lambda c: c.beta2, beta=_heston_beta,
+        gamma_lambda=_heston_gamma, ode_constants=_heston_ode_constants,
+        oracle_rhs=_heston_rhs,
+    ),
+}
+_SPEC_BY_TYPE = {spec.params_type: spec for spec in SPECS.values()}
+
+
+# --- validation ----------------------------------------------------------------
+
+def _checked_spec(params: Params) -> ModelSpec:
+    """The description of ``params``' kind, after the per-field checks."""
+    spec = _SPEC_BY_TYPE[type(params)]
+    for name in spec.fields:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValidationError("finite", f"{name} must be finite, got {value}")
+    for name in spec.positive:
+        if not getattr(params, name) > 0:
+            raise ValidationError("sign_range", f"{name} must be > 0")
+    # rho = +-1 is rejected: the factor code path needs sigma2 > 0 because
+    # the dual control acts through the orthogonal Brownian motion.
+    if "rho" in spec.fields and not abs(params.rho) < 1:
+        raise ValidationError("sign_range", "rho must lie strictly in (-1, 1)")
+    return spec
+
+
+def derive_constants(params: Params, prefs: Preferences) -> DerivedConstants:
+    """Populate the derived-constant block for the given model."""
+    return _checked_spec(params).derive(params, prefs)
 
 
 def validate(params: Params, prefs: Preferences) -> Model:
@@ -230,61 +634,29 @@ def validate(params: Params, prefs: Preferences) -> Model:
     Raises :class:`ValidationError` naming the violated condition.  Strict
     inequalities are enforced with margin ``ADMISSIBILITY_MARGIN``.
     """
-    _basic_field_checks(params)
-    eps = ADMISSIBILITY_MARGIN
-    if isinstance(params, HestonParams):
-        feller = 2.0 * params.k * params.m_bar - params.sigma**2
-        if not feller > eps:
-            raise ValidationError(
-                "feller",
-                f"2*k*m_bar = {2 * params.k * params.m_bar} must exceed "
-                f"sigma^2 = {params.sigma ** 2}",
-            )
-        rev = params.k + prefs.q * params.mu * params.rho * params.sigma / params.varsigma
-        if not rev > eps:
-            raise ValidationError(
-                "mean_reversion",
-                f"k + q*mu*rho*sigma/varsigma = {rev} must be positive",
-            )
-    elif isinstance(params, KimOmbergParams):
-        # checked after deriving B: the condition involves the eigen-coefficient
-        B = kim_omberg_eigen_slope(params, prefs)
-        rev = (
-            params.k
-            + prefs.q * params.mu * params.rho * params.sigma / params.varsigma
-            + B * params.sigma**2 / 2.0
-        )
-        if not rev > eps:
-            raise ValidationError(
-                "mean_reversion",
-                f"k + q*mu*rho*sigma/varsigma + B*sigma^2/2 = {rev} must be positive",
-            )
-    kind = {
-        OUCompleteParams: OU_COMPLETE,
-        KimOmbergParams: KIM_OMBERG,
-        HestonParams: HESTON,
-    }[type(params)]
-    return Model(kind=kind, params=params, prefs=prefs,
-                 constants=derive_constants(params, prefs))
+    spec = _checked_spec(params)
+    constants = spec.derive(params, prefs)
+    spec.admissible(params, prefs, constants)
+    return Model(kind=spec.kind, params=params, prefs=prefs, constants=constants)
 
 
-def initial_state(model: Model) -> float:
-    """Initial factor value (initial asset price for the complete-market model)."""
-    if model.kind == OU_COMPLETE:
-        return model.params.s0
-    return model.params.chi
+def initial_state(model: Model, chi: float | None = None) -> float:
+    """Initial factor value (initial asset price for the complete-market model).
+
+    An explicit ``chi`` overrides the parameter set's value and must lie in
+    the model's domain (chi > 0 for heston).
+    """
+    spec = model.spec
+    if chi is None:
+        return getattr(model.params, spec.state_field)
+    if spec.state_field in spec.positive and not chi > 0:
+        raise DomainError(f"{model.kind} requires {spec.state_field} > 0")
+    return chi
 
 
 def market_price_of_risk(model: Model, x) -> float:
     """Drift-to-volatility ratio theta at factor value (or asset price) x."""
-    pa = model.params
-    if model.kind == OU_COMPLETE:
-        return (pa.mu - pa.b * x) / pa.varsigma
-    if model.kind == KIM_OMBERG:
-        return pa.mu * x / pa.varsigma
-    if np.any(np.asarray(x) < 0):
-        raise DomainError("heston market price of risk needs x >= 0")
-    return pa.mu * np.sqrt(x) / pa.varsigma
+    return model.spec.theta(model, x)
 
 
 def bump_params(params: Params, name: str, h: float) -> Params:
@@ -292,67 +664,71 @@ def bump_params(params: Params, name: str, h: float) -> Params:
 
     ``chi`` is accepted as an alias for the complete-market initial price.
     """
-    if isinstance(params, OUCompleteParams) and name == "chi":
-        name = "s0"
+    if name == "chi":
+        name = _SPEC_BY_TYPE[type(params)].state_field
     if name not in {f.name for f in fields(params)}:
         raise ConfigError(f"unknown parameter '{name}' for {type(params).__name__}")
     return replace(params, **{name: getattr(params, name) + h})
 
 
+def bumped_models(model: Model, name: str, h: float) -> tuple[Model, Model, float]:
+    """Validated models at ``name`` +- h, as (up, down, h).
+
+    If a leg is inadmissible the step shrinks once by 10x; a second failure
+    propagates.
+    """
+    def legs(step: float) -> tuple[Model, Model, float]:
+        return (validate(bump_params(model.params, name, +step), model.prefs),
+                validate(bump_params(model.params, name, -step), model.prefs), step)
+
+    try:
+        return legs(h)
+    except ValidationError:
+        return legs(h / 10.0)
+
+
 def sensitivity_parameters(kind: str) -> list[str]:
     """Drift/volatility parameters with a long-term sensitivity row."""
-    if kind == OU_COMPLETE:
-        return ["mu", "b", "varsigma"]
-    return ["k", "m_bar", "mu", "varsigma", "rho", "sigma"]
+    return list(SPECS[kind].sensitivity_params)
 
 
 # --- configuration ----------------------------------------------------------
 
-_MODEL_FIELDS = {
-    OU_COMPLETE: ("mu", "b", "varsigma", "s0"),
-    KIM_OMBERG: ("mu", "varsigma", "k", "m_bar", "sigma", "rho", "chi"),
-    HESTON: ("mu", "varsigma", "k", "m_bar", "sigma", "rho", "chi"),
-}
-_MODEL_TYPES = {
-    OU_COMPLETE: OUCompleteParams,
-    KIM_OMBERG: KimOmbergParams,
-    HESTON: HestonParams,
-}
+def config_number(value, where: str) -> float:
+    """``value`` as a float; anything but a JSON number is a ConfigError."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{where} must be a number")
+    return float(value)
 
 
-def _require_keys(block: dict, allowed: tuple, where: str) -> None:
+def config_block(block, allowed: tuple, where: str) -> dict:
+    """``block`` if it is a JSON object with no key outside ``allowed``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} block must be an object")
     unknown = sorted(set(block) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key '{unknown[0]}' in {where} block")
+    return block
 
 
 def parse_model_block(kind: str, block: dict) -> Params:
     """Build a parameter set from a JSON object; unknown keys are an error."""
-    if kind not in _MODEL_FIELDS:
+    if kind not in SPECS:
         raise ConfigError(f"unknown model kind '{kind}'")
-    if not isinstance(block, dict):
-        raise ConfigError(f"{kind} block must be an object")
-    allowed = _MODEL_FIELDS[kind]
-    _require_keys(block, allowed, kind)
-    missing = [k for k in allowed if k not in block]
+    spec = SPECS[kind]
+    config_block(block, spec.fields, kind)
+    missing = [k for k in spec.fields if k not in block]
     if missing:
         raise ConfigError(f"missing key '{missing[0]}' in {kind} block")
-    vals = {}
-    for key in allowed:
-        v = block[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"{kind}.{key} must be a number")
-        vals[key] = float(v)
-    return _MODEL_TYPES[kind](**vals)
+    return spec.params_type(
+        **{key: config_number(block[key], f"{kind}.{key}") for key in spec.fields})
 
 
 def parse_preferences(block: dict) -> Preferences:
-    if not isinstance(block, dict):
-        raise ConfigError("preferences block must be an object")
-    _require_keys(block, ("p",), "preferences")
+    config_block(block, ("p",), "preferences")
     if "p" not in block:
         raise ConfigError("missing key 'p' in preferences block")
-    return Preferences(p=float(block["p"]))
+    return Preferences(p=config_number(block["p"], "preferences.p"))
 
 
 def model_from_config(cfg: dict) -> Model:

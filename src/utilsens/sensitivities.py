@@ -35,8 +35,8 @@ from .models import (
     UnsupportedModelError,
     ValidationError,
     bump_params,
+    bumped_models,
     initial_state,
-    sensitivity_parameters,
     validate,
 )
 
@@ -149,7 +149,7 @@ def _ou_rows(model: Model) -> dict[str, float]:
 def _ko_rows(model: Model) -> dict[str, float]:
     pa = model.params
     if pa.mu == 0.0:
-        return {k: 0.0 for k in sensitivity_parameters(KIM_OMBERG)}
+        return {k: 0.0 for k in model.spec.sensitivity_params}
     p, q = model.p, model.q
     c = model.constants
     a1, a2, a3, a4 = c.alpha1, c.alpha2, c.alpha3, c.alpha4
@@ -196,7 +196,7 @@ def _ko_rows(model: Model) -> dict[str, float]:
 def _heston_rows(model: Model) -> dict[str, float]:
     pa = model.params
     if pa.mu == 0.0:
-        return {k: 0.0 for k in sensitivity_parameters(HESTON)}
+        return {k: 0.0 for k in model.spec.sensitivity_params}
     p, q = model.p, model.q
     c = model.constants
     b1, b2 = c.beta1, c.beta2
@@ -218,12 +218,11 @@ def _heston_rows(model: Model) -> dict[str, float]:
     }
 
 
+_ROWS = {OU_COMPLETE: _ou_rows, KIM_OMBERG: _ko_rows, HESTON: _heston_rows}
+
+
 def closed_form_rows(model: Model) -> dict[str, float]:
-    if model.kind == OU_COMPLETE:
-        return _ou_rows(model)
-    if model.kind == KIM_OMBERG:
-        return _ko_rows(model)
-    return _heston_rows(model)
+    return _ROWS[model.kind](model)
 
 
 def long_term_sensitivities(model: Model) -> SensitivityReport:
@@ -239,7 +238,7 @@ def long_term_sensitivities(model: Model) -> SensitivityReport:
         flagged=False,
     )]
     rows = closed_form_rows(model)
-    for name in sensitivity_parameters(model.kind):
+    for name in model.spec.sensitivity_params:
         closed = rows[name]
         fd = -omp * lambda_fd(model, name).value
         gap = abs(closed - fd)
@@ -267,21 +266,17 @@ class InitialFactorSensitivity:
 def initial_factor_sensitivity(model: Model, chi: float | None = None,
                                T: float = 0.0) -> InitialFactorSensitivity:
     """(1-p) d/d chi ln v at horizon T next to its long-horizon limit."""
-    if model.kind == OU_COMPLETE:
+    if not model.spec.has_path:
         raise UnsupportedModelError(
-            "no closed finite-horizon chi-sensitivity for ou_complete; "
+            f"no closed finite-horizon chi-sensitivity for {model.kind}; "
             "use simulation.mc_bump_sensitivity"
         )
-    if chi is None:
-        chi = model.params.chi
+    chi = initial_state(model, chi)
     if T < 0:
         raise ValueError("T must be >= 0")
     omp = 1.0 - model.p
-    b, g, _ = valuation.coefficients_at(model, T)
-    if model.kind == KIM_OMBERG:
-        fh = omp * (-b * chi - g)
-    else:
-        fh = omp * (-b)
+    a2, a1, _ = model.spec.log_value_coefficients(*valuation.coefficients_at(model, T))
+    fh = -omp * (a2 * chi + a1)
     ep = eigenpair(model)
     limit = -omp * (ep.a2 * chi + ep.a1)
     return InitialFactorSensitivity(finite_horizon=fh, long_term_limit=limit,
@@ -315,41 +310,28 @@ def convergence_diagnostic(model: Model, parameter: str, T_grid,
     if T_grid.ndim != 1 or T_grid.size == 0 or np.any(np.diff(T_grid) <= 0) \
             or T_grid[0] <= 0:
         raise ValueError("T grid must be positive and strictly increasing")
-    limit = -lambda_fd(model, parameter).value
-    if model.kind == OU_COMPLETE:
+    limit = -lambda_fd(model, parameter).value  # rejects unknown parameters
+    theta = getattr(model.params, parameter)
+    hh = h if h is not None else FD_SCALE * max(abs(theta), 1.0)
+    if model.spec.has_path:
+        up, dn, hh = bumped_models(model, parameter, hh)
+        chi = model.params.chi
+        slopes = [(valuation.log_dual_value(up, chi, float(T))
+                   - valuation.log_dual_value(dn, chi, float(T))) / (2.0 * hh)
+                  for T in T_grid]
+    else:
         if sim_config is None:
             raise UnsupportedModelError(
-                "ou_complete convergence diagnostics need a sim config"
+                f"{model.kind} convergence diagnostics need a sim config"
             )
         from . import simulation  # local import keeps module deps one-way
 
-        rows = []
-        theta = getattr(model.params, parameter)
-        hh = h if h is not None else FD_SCALE * max(abs(theta), 1.0)
-        for T in T_grid:
-            est, _ = simulation.mc_bump_sensitivity(
-                model, None, float(T), parameter, hh, sim_config.with_(T=float(T)))
-            val = est / float(T)
-            rows.append(DiagnosticRow(T=float(T), value=val, limit=limit,
-                                      gap=abs(val - limit)))
-        return rows
-    theta = getattr(model.params, parameter, None)
-    if theta is None:
-        raise ConfigError(f"unknown parameter '{parameter}' for {model.kind}")
-    hh = h if h is not None else FD_SCALE * max(abs(theta), 1.0)
-    try:
-        up = validate(bump_params(model.params, parameter, +hh), model.prefs)
-        dn = validate(bump_params(model.params, parameter, -hh), model.prefs)
-    except ValidationError:
-        hh = hh / 10.0
-        up = validate(bump_params(model.params, parameter, +hh), model.prefs)
-        dn = validate(bump_params(model.params, parameter, -hh), model.prefs)
-    chi = model.params.chi
+        slopes = [simulation.mc_bump_sensitivity(
+            model, None, float(T), parameter, hh, sim_config.with_(T=float(T)))[0]
+            for T in T_grid]
     rows = []
-    for T in T_grid:
-        lv_up = valuation.log_dual_value(up, chi, float(T))
-        lv_dn = valuation.log_dual_value(dn, chi, float(T))
-        val = (lv_up - lv_dn) / (2.0 * hh) / float(T)
+    for T, slope in zip(T_grid, slopes):
+        val = slope / float(T)
         rows.append(DiagnosticRow(T=float(T), value=val, limit=limit,
                                   gap=abs(val - limit)))
     return rows

@@ -32,25 +32,14 @@ from scipy.special import ndtri
 from . import valuation
 from .eigenpairs import Eigenpair, eigenpair, phi_log
 from .models import (
-    HESTON,
-    KIM_OMBERG,
-    OU_COMPLETE,
-    DomainError,
     Model,
     UnsupportedModelError,
-    ValidationError,
-    bump_params,
+    bumped_models,
     initial_state,
-    validate,
 )
 
 SCHEMES = ("exact_gaussian", "euler", "full_truncation_euler")
 _BLOCK = 16384  # fixed path block; block geometry never depends on workers
-_MODEL_SCHEMES = {
-    KIM_OMBERG: ("exact_gaussian", "euler"),
-    OU_COMPLETE: ("exact_gaussian", "euler"),
-    HESTON: ("full_truncation_euler",),
-}
 
 
 @dataclass(frozen=True)
@@ -62,8 +51,8 @@ class SimConfig:
     scheme: str = "exact_gaussian"
 
     def __post_init__(self) -> None:
-        if self.T < 0:
-            raise ValueError("T must be >= 0")
+        if not (math.isfinite(self.T) and self.T >= 0):
+            raise ValueError("T must be finite and >= 0")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.n_paths < 100:
@@ -173,7 +162,7 @@ def _simulate_paths(model: Model, cfg: SimConfig, chi: float, c0, c1, g2, g1, g0
         return PathEnsemble(x_T=np.full(n, chi), integral=np.zeros(n),
                             min_x=float(chi), config=cfg)
     dt = cfg.T / steps
-    sigma = model.params.sigma if model.kind != OU_COMPLETE else model.params.varsigma
+    sigma = getattr(model.params, model.spec.vol_field)
     max_rate = float(np.max(np.abs(c1)))
     if cfg.scheme in ("euler", "full_truncation_euler"):
         floor = math.ceil(2.0 * cfg.T * max_rate)
@@ -197,7 +186,7 @@ def _simulate_paths(model: Model, cfg: SimConfig, chi: float, c0, c1, g2, g1, g0
         decay, shift, sd = _affine_gaussian_tables(c0[1::2], c1[1::2], sigma, dt)
     sqdt = math.sqrt(dt)
     half_dt = 0.5 * dt
-    heston = model.kind == HESTON
+    truncate = cfg.scheme == "full_truncation_euler"
 
     def kernel(lo: int, hi: int) -> None:
         # x is the raw scheme state; xr the reported path value.  Full
@@ -213,7 +202,7 @@ def _simulate_paths(model: Model, cfg: SimConfig, chi: float, c0, c1, g2, g1, g0
             if cfg.scheme == "exact_gaussian":
                 x = decay[j] * x + shift[j] + sd[j] * z
                 xr = x
-            elif heston:
+            elif truncate:
                 xp = np.maximum(x, 0.0)
                 x = x + (c0_left[j] - c1_left[j] * xp) * dt \
                     + sigma * np.sqrt(xp) * sqdt * z
@@ -225,7 +214,7 @@ def _simulate_paths(model: Model, cfg: SimConfig, chi: float, c0, c1, g2, g1, g0
             g_new = (g2[k] * xr + g1[k]) * xr + g0[k]
             acc += half_dt * (g_prev + g_new)
             g_prev = g_new
-            if heston:
+            if truncate:
                 blk_min = min(blk_min, float(np.min(xr)))
         x_T[lo:hi] = xr
         integral[lo:hi] = acc
@@ -246,10 +235,10 @@ def _grid_and_arrays(model: Model, ep: Eigenpair, cfg: SimConfig, measure: str,
 
 
 def _check_scheme(model: Model, cfg: SimConfig) -> None:
-    if cfg.scheme not in _MODEL_SCHEMES[model.kind]:
+    if cfg.scheme not in model.spec.schemes:
         raise ValueError(
             f"scheme '{cfg.scheme}' not supported for {model.kind}; "
-            f"allowed: {_MODEL_SCHEMES[model.kind]}"
+            f"allowed: {model.spec.schemes}"
         )
 
 
@@ -270,13 +259,10 @@ def simulate_q_paths(model: Model, ep: Eigenpair, coefficient_path, cfg: SimConf
     (see :func:`simulation_grid_path`); it pins the drift and tilt-rate
     coefficients the engine freezes per step.
     """
-    if model.kind == OU_COMPLETE:
+    if not model.spec.has_path:
         raise UnsupportedModelError("decomposition sampling needs a factor model")
     _check_scheme(model, cfg)
-    if chi is None:
-        chi = model.params.chi
-    if model.kind == HESTON and chi <= 0:
-        raise DomainError("heston requires chi > 0")
+    chi = initial_state(model, chi)
     if cfg.T == 0.0:
         return PathEnsemble(x_T=np.full(cfg.n_paths, chi),
                             integral=np.zeros(cfg.n_paths),
@@ -317,10 +303,7 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
     requires the error-term shift to stay below 3 combined SE, which bounds
     the visible discretization bias of the scheme.
     """
-    if model.kind == OU_COMPLETE:
-        raise UnsupportedModelError("decomposition check needs a factor model")
-    if chi is None:
-        chi = model.params.chi
+    chi = initial_state(model, chi)
     cfg = cfg.with_(T=T)
     ep = eigenpair(model)
     lphi = float(phi_log(ep, chi))
@@ -380,10 +363,7 @@ def simulate_phat_value(model: Model, chi: float | None, T: float, cfg: SimConfi
     This is the second, measure-changed route to the dual value; for the
     complete-market model it is the only finite-horizon route.
     """
-    if chi is None:
-        chi = initial_state(model)
-    if model.kind == HESTON and chi <= 0:
-        raise DomainError("heston requires chi > 0")
+    chi = initial_state(model, chi)
     w = _phat_weights(model, chi, T, cfg, workers)
     mean = float(np.mean(w))
     se = float(np.std(w, ddof=1) / math.sqrt(w.size)) if w.size > 1 else 0.0
@@ -399,19 +379,11 @@ def mc_bump_sensitivity(model: Model, chi: float | None, T: float, parameter: st
     layout), so the finite-difference noise scales with the bump response,
     not with the absolute value level.  Returns (d ln v / d parameter, SE).
     """
-    if chi is None:
-        chi = initial_state(model)
+    chi = initial_state(model, chi)
     if parameter in ("chi", "s0"):
         legs = [(model, chi + h), (model, chi - h)]
     else:
-        try:
-            up = validate(bump_params(model.params, parameter, +h), model.prefs)
-            dn = validate(bump_params(model.params, parameter, -h), model.prefs)
-        except ValidationError:
-            # shrink once, then let a second failure propagate
-            h = h / 10.0
-            up = validate(bump_params(model.params, parameter, +h), model.prefs)
-            dn = validate(bump_params(model.params, parameter, -h), model.prefs)
+        up, dn, h = bumped_models(model, parameter, h)
         legs = [(up, chi), (dn, chi)]
     w_up = _phat_weights(legs[0][0], legs[0][1], T, cfg, workers)
     w_dn = _phat_weights(legs[1][0], legs[1][1], T, cfg, workers)

@@ -24,12 +24,9 @@ import numpy as np
 from . import coefficients as coeff
 from .eigenpairs import Eigenpair, eigenpair, phi_ratios
 from .models import (
-    HESTON,
-    KIM_OMBERG,
-    OU_COMPLETE,
-    DomainError,
     Model,
     UnsupportedModelError,
+    initial_state,
     market_price_of_risk,
 )
 
@@ -55,13 +52,18 @@ class ValueResult:
 def cached_path(model: Model, grid_key: tuple, grid) -> coeff.CoefficientPath:
     """Coefficient path cache; keyed by model content and grid identity.
 
-    Read-mostly: concurrent readers are safe, writers are serialized.
+    Read-mostly: concurrent readers are safe, writers are serialized.  The
+    cached path is built on a copy of ``grid`` and its arrays are read-only,
+    so no caller can change what later lookups get.
     """
     key = (model.content_key(), grid_key)
     path = _PATH_CACHE.get(key)
     if path is not None:
         return path
-    path = coeff.build_path(model, grid)
+    path = coeff.build_path(model, np.array(grid, dtype=float))
+    for arr in (path.grid, path.beta, path.gamma, path.Lambda):
+        if arr is not None:
+            arr.flags.writeable = False
     with _PATH_CACHE_LOCK:
         if len(_PATH_CACHE) >= _PATH_CACHE_MAX:
             _PATH_CACHE.clear()
@@ -71,6 +73,8 @@ def cached_path(model: Model, grid_key: tuple, grid) -> coeff.CoefficientPath:
 
 def coefficients_at(model: Model, t: float) -> tuple[float, float, float]:
     """(beta(t), gamma(t), Lambda(t)) for a factor model; Lambda 0 for heston."""
+    if not model.spec.has_path:
+        raise UnsupportedModelError(f"no coefficient path for {model.kind}")
     if t < 0:
         raise ValueError("time-to-go must be >= 0")
     if t == 0.0:
@@ -80,11 +84,14 @@ def coefficients_at(model: Model, t: float) -> tuple[float, float, float]:
     return float(path.beta[-1]), float(path.gamma[-1]), lam
 
 
+def _log_value_coefficients(model: Model, t: float) -> tuple[float, float, float]:
+    """(a2, a1, a0) of ln v(x) = a0 - a2 x^2/2 - a1 x at time-to-go t."""
+    return model.spec.log_value_coefficients(*coefficients_at(model, t))
+
+
 def log_dual_value(model: Model, chi: float, T: float) -> float:
-    b, g, L = coefficients_at(model, T)
-    if model.kind == KIM_OMBERG:
-        return L - 0.5 * b * chi**2 - g * chi
-    return -g - b * chi
+    a2, a1, a0 = _log_value_coefficients(model, T)
+    return a0 - 0.5 * a2 * chi**2 - a1 * chi
 
 
 def dual_value(model: Model, chi: float | None = None, T: float = 0.0) -> ValueResult:
@@ -93,15 +100,12 @@ def dual_value(model: Model, chi: float | None = None, T: float = 0.0) -> ValueR
     The complete-market model is rejected: its value has no closed
     finite-horizon form and is estimated by ``simulation.simulate_phat_value``.
     """
-    if model.kind == OU_COMPLETE:
+    if not model.spec.has_path:
         raise UnsupportedModelError(
-            "no closed finite-horizon value for ou_complete; "
+            f"no closed finite-horizon value for {model.kind}; "
             "use simulation.simulate_phat_value"
         )
-    if chi is None:
-        chi = model.params.chi
-    if model.kind == HESTON and chi <= 0:
-        raise DomainError("heston requires chi > 0")
+    chi = initial_state(model, chi)
     if T < 0:
         raise ValueError("T must be >= 0")
     lv = log_dual_value(model, chi, T)
@@ -120,30 +124,18 @@ def _check_time_pair(t: float, T: float) -> None:
 def control_hat_xi(model: Model, x: float, t: float, T: float) -> float:
     """Finite-horizon optimal dual control at state x and calendar time t."""
     _check_time_pair(t, T)
-    q = model.q
-    s2 = model.constants.sigma2
-    b, g, _ = coefficients_at(model, T - t)
-    if model.kind == KIM_OMBERG:
-        return s2 / (1.0 - q) * (b * x + g)
-    if model.kind == HESTON:
-        if x < 0:
-            raise DomainError("heston control needs x >= 0")
-        return s2 / (1.0 - q) * b * math.sqrt(x)
-    raise UnsupportedModelError("no dual control for the complete-market model")
+    a2, a1, _ = _log_value_coefficients(model, T - t)
+    u, _ = model.spec.scales(x)
+    return model.constants.sigma2 / (1.0 - model.q) * (a2 * x + a1) * u
 
 
 def control_star_xi(model: Model, x: float) -> float:
     """Ergodic optimal control xi*(x) = -sigma2(x) phi'(x) / ((1-q) phi(x))."""
-    q = model.q
-    ep = eigenpair(model)
-    r1, _ = phi_ratios(ep, x)
-    if model.kind == KIM_OMBERG:
-        return -model.constants.sigma2 * r1 / (1.0 - q)
-    if model.kind == HESTON:
-        if x < 0:
-            raise DomainError("heston control needs x >= 0")
-        return -model.constants.sigma2 * math.sqrt(x) * r1 / (1.0 - q)
-    raise UnsupportedModelError("no dual control for the complete-market model")
+    if not model.spec.has_path:
+        raise UnsupportedModelError("no dual control for the complete-market model")
+    r1, _ = phi_ratios(eigenpair(model), x)
+    u, _ = model.spec.scales(x)
+    return -model.constants.sigma2 * u * r1 / (1.0 - model.q)
 
 
 def f_eval(model: Model, x: float, t: float, T: float) -> float:
@@ -154,72 +146,37 @@ def f_eval(model: Model, x: float, t: float, T: float) -> float:
 
 
 def f_eval_expanded(model: Model, x: float, t: float, T: float) -> float:
-    """The model-specific closed expansion of f (independent code path)."""
+    """The closed expansion of f (independent code path)."""
     _check_time_pair(t, T)
+    a2, a1, _ = _log_value_coefficients(model, T - t)
+    _, w = model.spec.scales(x)
     q = model.q
-    s2 = model.constants.sigma2
     ep = eigenpair(model)
-    b, g, _ = coefficients_at(model, T - t)
-    c = q * s2**2 / (2.0 * (1.0 - q))
-    if model.kind == KIM_OMBERG:
-        return -c * ((ep.a2 - b) * x + (ep.a1 - g)) ** 2
-    if model.kind == HESTON:
-        if x < 0:
-            raise DomainError("heston f needs x >= 0")
-        return -c * x * (ep.a1 - b) ** 2
-    raise UnsupportedModelError("no f for the complete-market model")
+    c = q * model.constants.sigma2**2 / (2.0 * (1.0 - q))
+    return -c * w * ((ep.a2 - a2) * x + (ep.a1 - a1)) ** 2
 
 
 def kappa_eval(model: Model, x: float, t: float, T: float) -> float:
-    """Drift of the factor under the decomposition measure (closed display)."""
+    """Drift of the factor under the decomposition measure, from the closed
+    drift coefficients the simulation uses."""
     _check_time_pair(t, T)
-    q = model.q
-    pa = model.params
-    c = model.constants
-    ep = eigenpair(model)
     b, g, _ = coefficients_at(model, T - t)
-    qs2 = q * c.sigma2**2 / (1.0 - q)
-    if model.kind == KIM_OMBERG:
-        B, C = ep.a2, ep.a1
-        sig2 = pa.sigma**2
-        return (
-            pa.k * pa.m_bar
-            - C * sig2
-            - qs2 * g
-            - (pa.k + q * pa.mu * c.sigma1 / pa.varsigma + B * sig2 + qs2 * b) * x
-        )
-    if model.kind == HESTON:
-        if x < 0:
-            raise DomainError("heston kappa needs x >= 0")
-        B = ep.a1
-        return pa.k * pa.m_bar - (
-            pa.k + q * pa.mu * c.sigma1 / pa.varsigma + pa.sigma**2 * B + qs2 * b
-        ) * x
-    raise UnsupportedModelError("no kappa for the complete-market model")
+    model.spec.scales(x)  # rejects x < 0 under sqrt(x) diffusion
+    c0, c1 = model.spec.drift(model, eigenpair(model), "q", b, g)
+    return c0 - c1 * x
 
 
 def kappa_eval_generic(model: Model, x: float, t: float, T: float) -> float:
     """kappa assembled from its definition: m - q theta sigma1 - q xi_hat sigma2
     + (phi'/phi)(sigma1^2 + sigma2^2).  Cross-route check of ``kappa_eval``."""
     _check_time_pair(t, T)
-    q = model.q
-    pa = model.params
-    c = model.constants
-    ep = eigenpair(model)
-    r1, _ = phi_ratios(ep, x)
+    q, pa, c = model.q, model.params, model.constants
+    r1, _ = phi_ratios(eigenpair(model), x)
     theta = market_price_of_risk(model, x)
     xi_hat = control_hat_xi(model, x, t, T)
-    if model.kind == KIM_OMBERG:
-        s1, s2 = c.sigma1, c.sigma2
-        diff2 = pa.sigma**2
-    elif model.kind == HESTON:
-        sq = math.sqrt(x)
-        s1, s2 = c.sigma1 * sq, c.sigma2 * sq
-        diff2 = pa.sigma**2 * x
-    else:
-        raise UnsupportedModelError("no kappa for the complete-market model")
-    m = pa.k * (pa.m_bar - x)
-    return m - q * theta * s1 - q * xi_hat * s2 + r1 * diff2
+    u, w = model.spec.scales(x)
+    return (pa.k * (pa.m_bar - x) - q * theta * (c.sigma1 * u)
+            - q * xi_hat * (c.sigma2 * u) + r1 * (pa.sigma**2 * w))
 
 
 def _check_uniform_sim_grid(times: np.ndarray, T: float) -> None:
@@ -228,6 +185,21 @@ def _check_uniform_sim_grid(times: np.ndarray, T: float) -> None:
     steps = np.diff(times)
     if steps.size and (np.max(steps) - np.min(steps)) > 1e-9 * np.max(steps):
         raise ValueError("simulation grid must be uniform")
+
+
+def _reversed_path(model: Model, times: np.ndarray, T: float, measure: str, path):
+    """(beta, gamma)(T - t) on the uniform simulation grid; (None, None) for
+    a model without a closed path, which supports only the phat measure."""
+    if measure not in ("q", "phat"):
+        raise ValueError("measure must be 'q' or 'phat'")
+    if not model.spec.has_path:
+        if measure != "phat":
+            raise UnsupportedModelError(f"{model.kind} supports only the phat measure")
+        return None, None
+    _check_uniform_sim_grid(times, T)
+    if path is None:
+        path = cached_path(model, ("simgrid", T, times.size), times)
+    return path.beta[::-1], path.gamma[::-1]
 
 
 def drift_coefficients(model: Model, ep: Eigenpair, times: np.ndarray, T: float,
@@ -239,36 +211,10 @@ def drift_coefficients(model: Model, ep: Eigenpair, times: np.ndarray, T: float,
     For heston the drift multiplies x with sqrt(x) diffusion; for kim_omberg
     the diffusion is constant.  ``path`` overrides the cached coefficient path.
     """
-    if measure not in ("q", "phat"):
-        raise ValueError("measure must be 'q' or 'phat'")
-    q = model.q
-    pa = model.params
-    c = model.constants
-    if model.kind == OU_COMPLETE:
-        if measure != "phat":
-            raise UnsupportedModelError("ou_complete supports only the phat measure")
-        one = np.ones_like(times)
-        return pa.mu / (1.0 - model.p) * one, pa.b / (1.0 - model.p) * one
-    _check_uniform_sim_grid(times, T)
-    if path is None:
-        path = cached_path(model, ("simgrid", T, times.size), times)
-    beta_rev = path.beta[::-1]  # beta(T - t) on the uniform forward grid
-    gamma_rev = path.gamma[::-1]
-    qs2 = q * c.sigma2**2 / (1.0 - q)
-    base1 = pa.k + q * pa.mu * c.sigma1 / pa.varsigma
-    # slope of phi's exponent: quadratic coefficient for kim_omberg, affine
-    # coefficient for heston
-    eigen_slope = ep.a2 if model.kind == KIM_OMBERG else ep.a1
-    c1 = base1 + qs2 * beta_rev
-    if measure == "q":
-        c1 = c1 + pa.sigma**2 * eigen_slope
-    if model.kind == KIM_OMBERG:
-        c0 = pa.k * pa.m_bar - qs2 * gamma_rev
-        if measure == "q":
-            c0 = c0 - ep.a1 * pa.sigma**2
-    else:
-        c0 = pa.k * pa.m_bar * np.ones_like(times)
-    return c0, c1
+    beta, gamma = _reversed_path(model, times, T, measure, path)
+    c0, c1 = model.spec.drift(model, ep, measure, beta, gamma)
+    one = np.ones_like(times)
+    return c0 * one, c1 * one
 
 
 def exponent_coefficients(model: Model, ep: Eigenpair, times: np.ndarray, T: float,
@@ -280,38 +226,5 @@ def exponent_coefficients(model: Model, ep: Eigenpair, times: np.ndarray, T: flo
     coefficient is zero and g1 carries the rate).  measure "phat": the value
     exponent -(q/2)(1-q)(theta^2 + xi_hat^2).
     """
-    q = model.q
-    pa = model.params
-    c = model.constants
-    zeros = np.zeros_like(times)
-    if model.kind == OU_COMPLETE:
-        if measure != "phat":
-            raise UnsupportedModelError("ou_complete supports only the phat measure")
-        alpha = model.constants.alpha_cm
-        g2 = -alpha * (pa.b / pa.varsigma) ** 2 + zeros
-        g1 = 2.0 * alpha * pa.mu * pa.b / pa.varsigma**2 + zeros
-        g0 = -alpha * (pa.mu / pa.varsigma) ** 2 + zeros
-        return g2, g1, g0
-    _check_uniform_sim_grid(times, T)
-    if path is None:
-        path = cached_path(model, ("simgrid", T, times.size), times)
-    beta_rev = path.beta[::-1]
-    gamma_rev = path.gamma[::-1]
-    if measure == "q":
-        cc = q * c.sigma2**2 / (2.0 * (1.0 - q))
-        if model.kind == KIM_OMBERG:
-            d1 = ep.a2 - beta_rev
-            d0 = ep.a1 - gamma_rev
-            return -cc * d1 * d1, -2.0 * cc * d1 * d0, -cc * d0 * d0
-        d1 = ep.a1 - beta_rev
-        return zeros, -cc * d1 * d1, zeros
-    half = 0.5 * q * (1.0 - q)
-    if model.kind == KIM_OMBERG:
-        xi1 = c.sigma2 / (1.0 - q) * beta_rev
-        xi0 = c.sigma2 / (1.0 - q) * gamma_rev
-        g2 = -half * ((pa.mu / pa.varsigma) ** 2 + xi1 * xi1)
-        g1 = -half * 2.0 * xi1 * xi0
-        g0 = -half * xi0 * xi0
-        return g2, g1, g0
-    g1 = -half * ((pa.mu / pa.varsigma) ** 2 + (c.sigma2 / (1.0 - q) * beta_rev) ** 2)
-    return zeros, g1, zeros
+    beta, gamma = _reversed_path(model, times, T, measure, path)
+    return model.spec.exponent(model, ep, measure, times, beta, gamma)

@@ -139,6 +139,28 @@ def test_riccati_csv(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("command, patch", [
+    ("eigenpair", {"preferences": {"p": "abc"}}),
+    ("eigenpair", {"preferences": {"p": float("-inf")}}),
+    ("eigenpair", {"heston": {**HESTON_CFG["heston"], "mu": float("nan")}}),
+    ("value", {"sweep": {"T_grid": "abc"}}),
+    ("value", {"sweep": {"T_grid": [-1]}}),
+    ("value", {"sweep": {"T_grid": [float("inf")]}}),
+    ("value", {"sweep": {"values": ["x"]}}),
+    ("diagnose", {"sweep": {"parameter": "m_bar", "T_grid": [0, 5]}}),
+    ("riccati", {"sweep": {"T_grid": [2.0, 1.0]}}),
+    ("simulate", {"sim": {**HESTON_CFG["sim"], "seed": 1.5}}),
+    ("simulate", {"sim": {**HESTON_CFG["sim"], "n_steps": 200.5}}),
+    ("simulate", {"sim": {**HESTON_CFG["sim"], "n_paths": "2000"}}),
+    ("simulate", {"sim": {**HESTON_CFG["sim"], "T": float("nan")}}),
+    ("simulate", {"sim": {**HESTON_CFG["sim"], "scheme": "euler"}}),
+])
+def test_malformed_config_exit_2(tmp_path, capsys, command, patch):
+    code, _ = _run([command, "--config", _write(tmp_path, {**HESTON_CFG, **patch})])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_diagnose_requires_sweep(tmp_path, capsys):
     code, _ = _run(["diagnose", "--config", _write(tmp_path, HESTON_CFG)])
     assert code == 2

@@ -16,9 +16,12 @@ from utilsens import (
     market_price_of_risk,
     validate,
 )
-from utilsens.models import ConfigError, bump_params, parse_model_block
+from utilsens.models import SPECS, ConfigError, bump_params, parse_model_block
+from utilsens.simulation import SimConfig
 
-from conftest import HESTON_SET, KO_SET, draw_heston, draw_ko
+from conftest import HESTON_SET, KO_SET, OU_SET, draw_heston, draw_ko
+
+_SETS = {"ou_complete": OU_SET, "kim_omberg": KO_SET, "heston": HESTON_SET}
 
 
 def test_dual_exponent_exact_values():
@@ -89,6 +92,24 @@ def test_radical_identities_over_random_draws():
         rhs = c.beta1**2 + q * (1 - q * pa.rho**2) * (pa.mu * pa.sigma / pa.varsigma) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert c.beta2 >= abs(c.beta1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind, field", [(kind, f) for kind, spec in SPECS.items()
+                                         for f in spec.fields])
+def test_validate_rejects_non_finite_fields(kind, field, bad):
+    params = SPECS[kind].params_type(**{**_SETS[kind], field: bad})
+    with pytest.raises(ValidationError) as exc:
+        validate(params, Preferences(p=-1.0))
+    assert exc.value.condition == "finite"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_preferences_and_sim_config_reject_non_finite(bad):
+    with pytest.raises(ValidationError):
+        Preferences(p=bad)
+    with pytest.raises(ValueError):
+        SimConfig(T=bad, n_steps=10, n_paths=200, seed=1)
 
 
 def test_validate_feller_reject():

@@ -221,6 +221,18 @@ def test_path_cache_reuse(ko_model):
     assert len(va._PATH_CACHE) == n1
 
 
+def test_cached_path_is_read_only(ko_model, heston_model):
+    for m in (ko_model, heston_model):
+        grid = np.linspace(0.0, 2.0, 5)
+        path = va.cached_path(m, ("read-only test", 2.0), grid)
+        for arr in (path.grid, path.beta, path.gamma, path.Lambda):
+            if arr is not None:
+                with pytest.raises(ValueError):
+                    arr[-1] = 1.0
+        assert grid.flags.writeable  # the caller's grid is not frozen
+        assert va.cached_path(m, ("read-only test", 2.0), grid) is path
+
+
 def test_time_pair_validation(ko_model):
     with pytest.raises(ValueError):
         control_hat_xi(ko_model, 0.1, 2.0, 1.0)
