@@ -44,7 +44,6 @@ from .simulation import (
     mc_bump_sensitivity,
     simulate_phat_value,
     simulate_q_paths,
-    simulation_grid_path,
 )
 from .valuation import (
     ValueResult,

@@ -40,7 +40,7 @@ from .models import (
 
 _TOP_KEYS = MODEL_KINDS + ("preferences", "sim", "sweep", "output")
 _SIM_KEYS = ("T", "n_steps", "n_paths", "seed", "scheme")
-_SWEEP_KEYS = ("parameter", "values", "T_grid")
+_SWEEP_KEYS = ("parameter", "T_grid")
 _OUTPUT_KEYS = ("path", "format")
 
 VERIFY_T_VALUES = (1.0, 5.0, 10.0)
@@ -53,7 +53,6 @@ class RunConfig:
     model: Model
     sim: sim.SimConfig | None
     sweep_parameter: str | None
-    sweep_values: list[float] | None
     sweep_T_grid: list[float] | None
     out_path: str | None
     out_format: str
@@ -84,7 +83,7 @@ def parse_run_config(cfg: dict) -> RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"invalid sim block: {exc}") from exc
-    sweep_parameter = sweep_values = sweep_T = None
+    sweep_parameter = sweep_T = None
     if "sweep" in cfg:
         block = config_block(cfg["sweep"], _SWEEP_KEYS, "sweep")
         sweep_parameter = block.get("parameter")
@@ -95,8 +94,6 @@ def parse_run_config(cfg: dict) -> RunConfig:
                     f"sweep parameter '{sweep_parameter}' does not exist for "
                     f"{model.kind}"
                 )
-        if "values" in block:
-            sweep_values = _config_numbers(block["values"], "sweep.values")
         if "T_grid" in block:
             sweep_T = _config_numbers(block["T_grid"], "sweep.T_grid")
             if not all(0.0 <= t < math.inf for t in sweep_T):
@@ -106,12 +103,13 @@ def parse_run_config(cfg: dict) -> RunConfig:
     if "output" in cfg:
         block = config_block(cfg["output"], _OUTPUT_KEYS, "output")
         out_path = block.get("path")
+        if out_path is not None and not isinstance(out_path, str):
+            raise ConfigError("output.path must be a string")
         out_format = block.get("format", "json")
         if out_format not in ("json", "csv"):
             raise ConfigError("output format must be 'json' or 'csv'")
     return RunConfig(model=model, sim=sim_cfg, sweep_parameter=sweep_parameter,
-                     sweep_values=sweep_values, sweep_T_grid=sweep_T,
-                     out_path=out_path, out_format=out_format)
+                     sweep_T_grid=sweep_T, out_path=out_path, out_format=out_format)
 
 
 def _config_integer(value, where: str) -> int:
@@ -467,10 +465,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             if rc.sim is None:
                 raise ConfigError("--seed given but the config has no sim block")
-            rc = replace(rc, sim=rc.sim.with_(seed=args.seed))
+            try:
+                rc = replace(rc, sim=rc.sim.with_(seed=args.seed))
+            except ValueError as exc:
+                raise ConfigError(f"invalid --seed: {exc}") from exc
         return _COMMANDS[args.command](rc, args.workers)
     except (ConfigError, ValidationError, UnsupportedModelError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

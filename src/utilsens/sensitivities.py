@@ -20,7 +20,7 @@ un-normalized by the horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,13 +64,7 @@ class SensitivityEntry:
     flagged: bool
 
     def as_dict(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "closed_form": self.closed_form,
-            "fd_lambda_check": self.fd_lambda_check,
-            "abs_disagreement": self.abs_disagreement,
-            "flagged": self.flagged,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -88,8 +82,7 @@ class SensitivityReport:
         raise KeyError(parameter)
 
     def as_dict(self) -> dict:
-        return {"model": self.model,
-                "entries": [e.as_dict() for e in self.entries]}
+        return asdict(self)
 
     def to_csv_rows(self) -> list[list]:
         rows: list[list] = [["parameter", "closed_form", "fd_check", "gap"]]
@@ -259,8 +252,7 @@ class InitialFactorSensitivity:
     gap: float
 
     def as_dict(self) -> dict:
-        return {"finite_horizon": self.finite_horizon,
-                "long_term_limit": self.long_term_limit, "gap": self.gap}
+        return asdict(self)
 
 
 def initial_factor_sensitivity(model: Model, chi: float | None = None,
@@ -291,8 +283,7 @@ class DiagnosticRow:
     gap: float
 
     def as_dict(self) -> dict:
-        return {"T": self.T, "value": self.value, "limit": self.limit,
-                "gap": self.gap}
+        return asdict(self)
 
 
 def convergence_diagnostic(model: Model, parameter: str, T_grid,

@@ -16,6 +16,11 @@ Noise is counter-based: path i at step j always reads the same Philox word
 or path blocking, and bumped reruns with the same seed share their Gaussian
 increments (common random numbers).  Normals come from the inverse CDF, one
 uniform per draw.
+
+The module owns the simulation grid: every run reads its drift and exponent
+coefficients on the half-step grid linspace(0, T, 2 n_steps + 1), taken for a
+factor model from the cached closed coefficient path
+(``valuation.cached_path``) at time-to-go T - t.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -94,19 +99,7 @@ class DecompositionResult:
     seed: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "v_closed": self.v_closed,
-            "skeleton": self.skeleton,
-            "mc_error_term": self.mc_error_term,
-            "mc_se": self.mc_se,
-            "ratio_gap": self.ratio_gap,
-            "passed": self.passed,
-            "halved_dt_error_term": self.halved_dt_error_term,
-            "halved_dt_gap": self.halved_dt_gap,
-            "halved_dt_combined_se": self.halved_dt_combined_se,
-            "halved_dt_passed": self.halved_dt_passed,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def normals_for(seed: int, n_paths: int, step: int, lo: int, hi: int) -> np.ndarray:
@@ -148,19 +141,45 @@ def _affine_gaussian_tables(c0m, c1m, sigma, dt):
     return decay, c0m * psi, sigma * np.sqrt(psi2)
 
 
-def _simulate_paths(model: Model, cfg: SimConfig, chi: float, c0, c1, g2, g1, g0,
-                    workers: int | None = None) -> PathEnsemble:
-    """Integrate the SDE and the exponent integral over the step grid.
+def _coefficients(model: Model, cfg: SimConfig, measure: str):
+    """(c0, c1, g2, g1, g0) on the half-step grid linspace(0, T, 2 n_steps + 1).
 
-    ``c0``/``c1`` are drift coefficients on the 2*n_steps+1 half-step grid
-    (odd entries are the midpoints used by exact_gaussian); ``g2``/``g1``/
-    ``g0`` are the exponent-integrand coefficients at the n_steps+1 nodes,
-    accumulated by the trapezoid rule.
+    The factor drift is c0 - c1 x and the accumulated exponent integrand
+    g2 x^2 + g1 x + g0: the tilt rate f under measure "q", the value
+    exponent under "phat".  A factor model reads its cached closed path at
+    time-to-go T - t.
     """
+    times = np.linspace(0.0, cfg.T, 2 * cfg.n_steps + 1)
+    beta = gamma = None
+    if model.spec.has_path:
+        path = valuation.cached_path(model, cfg.T, times.size)
+        beta, gamma = path.beta[::-1], path.gamma[::-1]
+    ep = eigenpair(model)
+    c0, c1 = model.spec.drift(model, ep, measure, beta, gamma)
+    g2, g1, g0 = model.spec.exponent(model, ep, measure, times, beta, gamma)
+    one = np.ones_like(times)
+    return c0 * one, c1 * one, g2, g1, g0
+
+
+def _ensemble(model: Model, cfg: SimConfig, chi: float, measure: str,
+              workers: int | None) -> PathEnsemble:
+    """Integrate the SDE and the exponent integral of ``measure`` over the
+    step grid.
+
+    Odd entries of the half-step drift arrays are the midpoints used by
+    exact_gaussian; the exponent integrand is read at the n_steps + 1 nodes
+    and accumulated by the trapezoid rule.
+    """
+    if cfg.scheme not in model.spec.schemes:
+        raise ValueError(
+            f"scheme '{cfg.scheme}' not supported for {model.kind}; "
+            f"allowed: {model.spec.schemes}"
+        )
     n, steps = cfg.n_paths, cfg.n_steps
     if cfg.T == 0.0:
         return PathEnsemble(x_T=np.full(n, chi), integral=np.zeros(n),
                             min_x=float(chi), config=cfg)
+    c0, c1, g2, g1, g0 = _coefficients(model, cfg, measure)
     dt = cfg.T / steps
     sigma = getattr(model.params, model.spec.vol_field)
     max_rate = float(np.max(np.abs(c1)))
@@ -225,56 +244,12 @@ def _simulate_paths(model: Model, cfg: SimConfig, chi: float, c0, c1, g2, g1, g0
                         min_x=float(np.min(block_min)), config=cfg)
 
 
-def _grid_and_arrays(model: Model, ep: Eigenpair, cfg: SimConfig, measure: str,
-                     path=None):
-    times = np.linspace(0.0, cfg.T, 2 * cfg.n_steps + 1)
-    c0, c1 = valuation.drift_coefficients(model, ep, times, cfg.T, measure, path)
-    g2, g1, g0 = valuation.exponent_coefficients(model, ep, times, cfg.T,
-                                                 measure, path)
-    return c0, c1, g2, g1, g0
-
-
-def _check_scheme(model: Model, cfg: SimConfig) -> None:
-    if cfg.scheme not in model.spec.schemes:
-        raise ValueError(
-            f"scheme '{cfg.scheme}' not supported for {model.kind}; "
-            f"allowed: {model.spec.schemes}"
-        )
-
-
-def simulation_grid_path(model: Model, T: float, n_steps: int):
-    """Coefficient path on the half-step grid used by the engines (cached)."""
-    if T == 0.0:
-        return valuation.cached_path(model, ("point", 0.0), np.array([0.0]))
-    times = np.linspace(0.0, T, 2 * n_steps + 1)
-    return valuation.cached_path(model, ("simgrid", T, times.size), times)
-
-
-def simulate_q_paths(model: Model, ep: Eigenpair, coefficient_path, cfg: SimConfig,
-                     chi: float | None = None,
+def simulate_q_paths(model: Model, cfg: SimConfig, chi: float | None = None,
                      workers: int | None = None) -> PathEnsemble:
-    """Sample the decomposition dynamics; per path (X_T, int f ds).
-
-    ``coefficient_path`` must be the half-step grid path for (T, n_steps)
-    (see :func:`simulation_grid_path`); it pins the drift and tilt-rate
-    coefficients the engine freezes per step.
-    """
+    """Sample the decomposition dynamics; per path (X_T, int f ds)."""
     if not model.spec.has_path:
         raise UnsupportedModelError("decomposition sampling needs a factor model")
-    _check_scheme(model, cfg)
-    chi = initial_state(model, chi)
-    if cfg.T == 0.0:
-        return PathEnsemble(x_T=np.full(cfg.n_paths, chi),
-                            integral=np.zeros(cfg.n_paths),
-                            min_x=float(chi), config=cfg)
-    expected = 2 * cfg.n_steps + 1
-    if coefficient_path.grid.size != expected or \
-            abs(coefficient_path.grid[-1] - cfg.T) > 1e-12 * max(1.0, cfg.T):
-        raise ValueError(
-            f"coefficient path must have {expected} half-step nodes on [0, {cfg.T}]"
-        )
-    c0, c1, g2, g1, g0 = _grid_and_arrays(model, ep, cfg, "q", coefficient_path)
-    return _simulate_paths(model, cfg, chi, c0, c1, g2, g1, g0, workers)
+    return _ensemble(model, cfg, initial_state(model, chi), "q", workers)
 
 
 def estimate_error_term(ensemble: PathEnsemble, ep: Eigenpair) -> tuple[float, float]:
@@ -286,12 +261,13 @@ def estimate_error_term(ensemble: PathEnsemble, ep: Eigenpair) -> tuple[float, f
     """
     if ensemble.x_T.size == 0:
         raise ValueError("empty ensemble")
-    expo = ensemble.integral - phi_log(ep, ensemble.x_T)
-    w = np.exp(expo)
-    mean = float(np.mean(w))
-    n = w.size
-    se = float(np.std(w, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, se
+    return _mean_se(np.exp(ensemble.integral - phi_log(ep, ensemble.x_T)))
+
+
+def _mean_se(w: np.ndarray) -> tuple[float, float]:
+    """Sample mean and standard error of per-path weights."""
+    se = float(np.std(w, ddof=1) / math.sqrt(w.size)) if w.size > 1 else 0.0
+    return float(np.mean(w)), se
 
 
 def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfig,
@@ -317,8 +293,7 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
             v_closed=math.exp(lv), skeleton=skeleton, mc_error_term=mc, mc_se=se,
             ratio_gap=gap, passed=bool(gap <= 1e-12), seed=cfg.seed,
         )
-    path = simulation_grid_path(model, T, cfg.n_steps)
-    ens = simulate_q_paths(model, ep, path, cfg, chi=chi, workers=workers)
+    ens = simulate_q_paths(model, cfg, chi=chi, workers=workers)
     mc, se = estimate_error_term(ens, ep)
     gap = abs(ratio - mc)
     passed = gap < 3.0 * se
@@ -327,8 +302,7 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
     if check_dt_halving:
         n2 = max(min(cfg.n_paths, 10000), cfg.n_paths // 2)
         cfg2 = cfg.with_(n_steps=2 * cfg.n_steps, n_paths=n2)
-        path2 = simulation_grid_path(model, T, cfg2.n_steps)
-        ens2 = simulate_q_paths(model, ep, path2, cfg2, chi=chi, workers=workers)
+        ens2 = simulate_q_paths(model, cfg2, chi=chi, workers=workers)
         mc2, se2 = estimate_error_term(ens2, ep)
         halved = mc2
         halved_gap = abs(mc - mc2)
@@ -346,14 +320,7 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
 def _phat_weights(model: Model, chi: float, T: float, cfg: SimConfig,
                   workers: int | None = None) -> np.ndarray:
     """Per-path exp of the value exponent under the representation measure."""
-    cfg = cfg.with_(T=T)
-    _check_scheme(model, cfg)
-    if T == 0.0:
-        return np.ones(cfg.n_paths)
-    ep = eigenpair(model)
-    c0, c1, g2, g1, g0 = _grid_and_arrays(model, ep, cfg, "phat")
-    ens = _simulate_paths(model, cfg, chi, c0, c1, g2, g1, g0, workers)
-    return np.exp(ens.integral)
+    return np.exp(_ensemble(model, cfg.with_(T=T), chi, "phat", workers).integral)
 
 
 def simulate_phat_value(model: Model, chi: float | None, T: float, cfg: SimConfig,
@@ -364,10 +331,7 @@ def simulate_phat_value(model: Model, chi: float | None, T: float, cfg: SimConfi
     complete-market model it is the only finite-horizon route.
     """
     chi = initial_state(model, chi)
-    w = _phat_weights(model, chi, T, cfg, workers)
-    mean = float(np.mean(w))
-    se = float(np.std(w, ddof=1) / math.sqrt(w.size)) if w.size > 1 else 0.0
-    return mean, se
+    return _mean_se(_phat_weights(model, chi, T, cfg, workers))
 
 
 def mc_bump_sensitivity(model: Model, chi: float | None, T: float, parameter: str,
@@ -389,6 +353,5 @@ def mc_bump_sensitivity(model: Model, chi: float | None, T: float, parameter: st
     w_dn = _phat_weights(legs[1][0], legs[1][1], T, cfg, workers)
     m_up, m_dn = float(np.mean(w_up)), float(np.mean(w_dn))
     est = (math.log(m_up) - math.log(m_dn)) / (2.0 * h)
-    diff = w_up / m_up - w_dn / m_dn
-    se = float(np.std(diff, ddof=1) / math.sqrt(diff.size)) / (2.0 * h)
-    return est, se
+    _, se = _mean_se(w_up / m_up - w_dn / m_dn)
+    return est, se / (2.0 * h)

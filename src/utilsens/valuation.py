@@ -1,4 +1,5 @@
-"""Finite-horizon dual value, optimal controls, and decomposition ingredients.
+"""Finite-horizon dual value, optimal controls, and the pointwise drift kappa
+and tilt rate f of the eigenfunction decomposition.
 
 The normalized dual value v(chi, T) has the closed forms
 
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import coefficients as coeff
-from .eigenpairs import Eigenpair, eigenpair, phi_ratios
+from .eigenpairs import eigenpair, phi_ratios
 from .models import (
     Model,
     UnsupportedModelError,
@@ -42,25 +43,22 @@ class ValueResult:
     growth_rate_estimate: float | None  # -(ln v)/T, None at T = 0
 
     def as_dict(self) -> dict:
-        return {
-            "v": self.v,
-            "utility": self.utility,
-            "growth_rate_estimate": self.growth_rate_estimate,
-        }
+        return asdict(self)
 
 
-def cached_path(model: Model, grid_key: tuple, grid) -> coeff.CoefficientPath:
-    """Coefficient path cache; keyed by model content and grid identity.
+def cached_path(model: Model, T: float, n: int) -> coeff.CoefficientPath:
+    """Coefficient path on the uniform grid linspace(0, T, n), cached by model
+    content and (T, n).
 
     Read-mostly: concurrent readers are safe, writers are serialized.  The
-    cached path is built on a copy of ``grid`` and its arrays are read-only,
-    so no caller can change what later lookups get.
+    cached path's arrays are read-only, so no caller can change what later
+    lookups get.
     """
-    key = (model.content_key(), grid_key)
+    key = (model.content_key(), T, n)
     path = _PATH_CACHE.get(key)
     if path is not None:
         return path
-    path = coeff.build_path(model, np.array(grid, dtype=float))
+    path = coeff.build_path(model, np.linspace(0.0, T, n))
     for arr in (path.grid, path.beta, path.gamma, path.Lambda):
         if arr is not None:
             arr.flags.writeable = False
@@ -79,7 +77,7 @@ def coefficients_at(model: Model, t: float) -> tuple[float, float, float]:
         raise ValueError("time-to-go must be >= 0")
     if t == 0.0:
         return 0.0, 0.0, 0.0
-    path = cached_path(model, ("point", t), np.array([0.0, t]))
+    path = cached_path(model, t, 2)
     lam = float(path.Lambda[-1]) if path.Lambda is not None else 0.0
     return float(path.beta[-1]), float(path.gamma[-1]), lam
 
@@ -177,54 +175,3 @@ def kappa_eval_generic(model: Model, x: float, t: float, T: float) -> float:
     u, w = model.spec.scales(x)
     return (pa.k * (pa.m_bar - x) - q * theta * (c.sigma1 * u)
             - q * xi_hat * (c.sigma2 * u) + r1 * (pa.sigma**2 * w))
-
-
-def _check_uniform_sim_grid(times: np.ndarray, T: float) -> None:
-    if times[0] != 0.0 or abs(times[-1] - T) > 1e-12 * max(1.0, T):
-        raise ValueError("simulation grid must span [0, T]")
-    steps = np.diff(times)
-    if steps.size and (np.max(steps) - np.min(steps)) > 1e-9 * np.max(steps):
-        raise ValueError("simulation grid must be uniform")
-
-
-def _reversed_path(model: Model, times: np.ndarray, T: float, measure: str, path):
-    """(beta, gamma)(T - t) on the uniform simulation grid; (None, None) for
-    a model without a closed path, which supports only the phat measure."""
-    if measure not in ("q", "phat"):
-        raise ValueError("measure must be 'q' or 'phat'")
-    if not model.spec.has_path:
-        if measure != "phat":
-            raise UnsupportedModelError(f"{model.kind} supports only the phat measure")
-        return None, None
-    _check_uniform_sim_grid(times, T)
-    if path is None:
-        path = cached_path(model, ("simgrid", T, times.size), times)
-    return path.beta[::-1], path.gamma[::-1]
-
-
-def drift_coefficients(model: Model, ep: Eigenpair, times: np.ndarray, T: float,
-                       measure: str, path=None) -> tuple[np.ndarray, np.ndarray]:
-    """(c0(t), c1(t)) of the affine drift c0 - c1*x at the given calendar times.
-
-    measure "q" is the decomposition measure (kappa), measure "phat" the
-    value-representation measure with the finite-horizon control in the drift.
-    For heston the drift multiplies x with sqrt(x) diffusion; for kim_omberg
-    the diffusion is constant.  ``path`` overrides the cached coefficient path.
-    """
-    beta, gamma = _reversed_path(model, times, T, measure, path)
-    c0, c1 = model.spec.drift(model, ep, measure, beta, gamma)
-    one = np.ones_like(times)
-    return c0 * one, c1 * one
-
-
-def exponent_coefficients(model: Model, ep: Eigenpair, times: np.ndarray, T: float,
-                          measure: str, path=None
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g2, g1, g0)(t) of the accumulated exponent integrand g2 x^2 + g1 x + g0.
-
-    measure "q": the tilt rate f of the decomposition (for heston the x^2
-    coefficient is zero and g1 carries the rate).  measure "phat": the value
-    exponent -(q/2)(1-q)(theta^2 + xi_hat^2).
-    """
-    beta, gamma = _reversed_path(model, times, T, measure, path)
-    return model.spec.exponent(model, ep, measure, times, beta, gamma)

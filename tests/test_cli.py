@@ -1,11 +1,13 @@
 """CLI integration: exit codes, schemas, formatting, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import utilsens
 from utilsens.cli import format_float, main, to_csv, to_json
 
 HESTON_CFG = {
@@ -161,6 +163,21 @@ def test_malformed_config_exit_2(tmp_path, capsys, command, patch):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, patch", [
+    (["simulate", "--config", "{cfg}", "--seed", "-1"], {}),
+    (["simulate", "--config", "{cfg}", "--seed", str(2**64)], {}),
+    (["eigenpair", "--config", "{cfg}"], {"output": {"path": ["x"]}}),
+    (["eigenpair", "--config", "{cfg}"], {"output": {"path": 1.5}}),
+    (["eigenpair", "--config", "{dir}"], {}),
+])
+def test_bad_argv_or_output_exit_2(tmp_path, capsys, argv, patch):
+    cfg = _write(tmp_path, {**HESTON_CFG, **patch})
+    args = [a.format(cfg=cfg, dir=tmp_path) for a in argv]
+    code, _ = _run(args)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_diagnose_requires_sweep(tmp_path, capsys):
     code, _ = _run(["diagnose", "--config", _write(tmp_path, HESTON_CFG)])
     assert code == 2
@@ -232,8 +249,13 @@ def test_verify_byte_identical_across_workers(tmp_path):
 
 def test_console_script_entry_point(tmp_path):
     cfg = _write(tmp_path, HESTON_CFG)
+    # the child imports the same package as the suite, installed or not
+    src = os.path.dirname(os.path.dirname(utilsens.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run([sys.executable, "-m", "utilsens.cli", "eigenpair",
-                           "--config", cfg], capture_output=True, text=True)
+                           "--config", cfg], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["model"] == "heston"
 

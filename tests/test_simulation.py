@@ -18,7 +18,6 @@ from utilsens import (
     mc_bump_sensitivity,
     simulate_phat_value,
     simulate_q_paths,
-    simulation_grid_path,
     validate,
 )
 from utilsens import simulation as si
@@ -28,9 +27,7 @@ from conftest import HESTON_SET, KO_SET, draw_heston, draw_ko
 
 
 def _ens(model, cfg, **kw):
-    ep = eigenpair(model)
-    path = simulation_grid_path(model, cfg.T, cfg.n_steps)
-    return simulate_q_paths(model, ep, path, cfg, **kw)
+    return simulate_q_paths(model, cfg, **kw)
 
 
 def test_normals_chunk_and_worker_independence(ko_model):
@@ -86,9 +83,8 @@ def test_ko_terminal_mean_matches_ode_oracle(ko_model):
     cfg = SimConfig(T=T, n_steps=n_steps, n_paths=40000, seed=23,
                     scheme="exact_gaussian")
     ens = _ens(ko_model, cfg)
-    ep = eigenpair(ko_model)
     times = np.linspace(0.0, T, 2 * n_steps + 1)
-    c0, c1 = va.drift_coefficients(ko_model, ep, times, T, "q")
+    c0, c1, _, _, _ = si._coefficients(ko_model, cfg, "q")
 
     def rhs(t, y):
         c0t = np.interp(t, times, c0)
@@ -100,6 +96,35 @@ def test_ko_terminal_mean_matches_ode_oracle(ko_model):
     mean_oracle = sol.y[0, -1]
     sd = np.std(ens.x_T) / math.sqrt(cfg.n_paths)
     assert abs(np.mean(ens.x_T) - mean_oracle) < 3.0 * sd
+
+
+@pytest.mark.parametrize("name, xs", [("ko_model", (-0.3, 0.1, 0.5)),
+                                      ("heston_model", (0.02, 0.09, 0.3))])
+def test_engine_coefficients_match_pointwise_routes(request, name, xs):
+    # the arrays the engine integrates against the library's pointwise
+    # definitions: the q drift c0 - c1 x is kappa, and the q integrand
+    # (g2 x + g1) x + g0 is the tilt rate f = -(q/2)(1-q)(xi* - xi_hat)^2.
+    # Both are differences of larger terms (early on xi_hat ~ xi* and f is
+    # ~1e-5 of the controls' size), so the tolerance is relative to the
+    # size of those terms, not to the difference
+    m = request.getfixturevalue(name)
+    T, n_steps = 5.0, 50
+    cfg = SimConfig(T=T, n_steps=n_steps, n_paths=100, seed=1,
+                    scheme=m.spec.schemes[0])
+    c0, c1, g2, g1, g0 = si._coefficients(m, cfg, "q")
+    times = np.linspace(0.0, T, 2 * n_steps + 1)
+    half = 0.5 * m.q * (1.0 - m.q)
+    for k in (0, 1, 37, 50, 99, 100):
+        t = times[k]
+        for x in xs:
+            kappa = va.kappa_eval_generic(m, x, t, T)
+            kappa_scale = abs(c0[k]) + abs(c1[k] * x)
+            assert abs(c0[k] - c1[k] * x - kappa) <= 1e-10 * kappa_scale, (k, x)
+            f = va.f_eval(m, x, t, T)
+            f_scale = half * (abs(va.control_star_xi(m, x))
+                              + abs(va.control_hat_xi(m, x, t, T))) ** 2
+            assert abs((g2[k] * x + g1[k]) * x + g0[k] - f) <= 1e-10 * f_scale, \
+                (k, x)
 
 
 def test_euler_scheme_agrees_with_exact_gaussian(ko_model):
@@ -185,6 +210,8 @@ def test_scheme_model_mismatch_rejected(ko_model, heston_model):
                      scheme="exact_gaussian")
     with pytest.raises(ValueError, match="scheme"):
         _ens(heston_model, cfg2)
+    with pytest.raises(ValueError, match="scheme"):
+        simulate_phat_value(heston_model, None, 1.0, cfg2)
 
 
 def test_stability_floor_error(heston_model):

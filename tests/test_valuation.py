@@ -223,14 +223,12 @@ def test_path_cache_reuse(ko_model):
 
 def test_cached_path_is_read_only(ko_model, heston_model):
     for m in (ko_model, heston_model):
-        grid = np.linspace(0.0, 2.0, 5)
-        path = va.cached_path(m, ("read-only test", 2.0), grid)
+        path = va.cached_path(m, 2.0, 5)
         for arr in (path.grid, path.beta, path.gamma, path.Lambda):
             if arr is not None:
                 with pytest.raises(ValueError):
                     arr[-1] = 1.0
-        assert grid.flags.writeable  # the caller's grid is not frozen
-        assert va.cached_path(m, ("read-only test", 2.0), grid) is path
+        assert va.cached_path(m, 2.0, 5) is path
 
 
 def test_time_pair_validation(ko_model):
