@@ -3,10 +3,8 @@
 from .coefficients import (
     CoefficientPath,
     build_path,
-    heston_beta,
-    heston_gamma,
-    ko_beta,
-    ko_gamma_lambda,
+    closed_beta,
+    closed_gamma,
     riccati_oracle,
 )
 from .eigenpairs import Eigenpair, eigenpair, ergodic_residual, phi_eval

@@ -213,8 +213,10 @@ def cmd_value(rc: RunConfig, workers: int | None) -> int:
         if not model.spec.has_path:
             cfg = _require_sim(rc).with_(T=T)
             v, se = sim.simulate_phat_value(model, None, T, cfg, workers)
-            growth = None if T == 0 else -math.log(v) / T
+            lv = math.log(v)
+            growth = None if T == 0 else -lv / T
             rows.append({"T": T, "v": v, "utility": v ** (1 - model.p) / model.p,
+                         "log_abs_utility": (1 - model.p) * lv - math.log(-model.p),
                          "growth_rate_estimate": growth, "mc_se": se})
         else:
             res = valuation.dual_value(model, chi, T)

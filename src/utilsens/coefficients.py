@@ -6,9 +6,10 @@ Kim-Omberg: v(x, t) = exp(Lambda(t) - beta(t) x^2 / 2 - gamma(t) x) with
     gamma'  = -(alpha1 + alpha2 beta) gamma + alpha3 beta
     Lambda' = alpha2 gamma^2 / 2 - alpha3 gamma - sigma^2 beta / 2
 
-all starting from 0.  beta has the standard Riccati closed form; gamma has
-an integrating-factor representation whose weight is kept in log space so
-nothing overflows at large horizons; Lambda is a plain integral.
+all starting from 0.  Linearizing the Riccati equation as
+beta = u'/(alpha2 u) gives beta and gamma in closed form, written with
+decaying exponentials only so they stay finite at any horizon; Lambda is a
+plain integral, taken by cumulative Simpson on a refined grid.
 
 Heston: v(x, t) = exp(-gamma(t) - beta(t) x); substituting into the HJB
 yields the Riccati equation
@@ -16,7 +17,8 @@ yields the Riccati equation
     beta' = -(alpha2/2) beta^2 - beta1 beta + (q/2)(1-q) mu^2 / varsigma^2
 
 (with alpha2 = sigma1^2 + sigma2^2/(1-q) as in Kim-Omberg) whose closed form
-is the sinh/cosh display, and gamma(t) = k m_bar * integral of beta.
+is the sinh/cosh display, and gamma(t) = k m_bar * integral of beta, the
+logarithm of the same linearization, also closed.
 
 The per-kind formulas live in the model's spec.  ``riccati_oracle``
 integrates the governing ODE systems with classical RK4 at a fixed step as
@@ -64,13 +66,19 @@ def _path_spec(model: Model) -> ModelSpec:
     return model.spec
 
 
-def closed_beta(model: Model, t):
-    """Closed-form beta(t) (vectorized in t), overflow-safe at any t."""
-    out = _path_spec(model).beta(model, np.asarray(t, dtype=float))
+def _closed(model: Model, name: str, t):
+    out = getattr(_path_spec(model), name)(model, np.asarray(t, dtype=float))
     return out if out.ndim else float(out)
 
 
-ko_beta = heston_beta = closed_beta  # the per-kind names of the closed form
+def closed_beta(model: Model, t):
+    """Closed-form beta(t) (vectorized in t), overflow-safe at any t."""
+    return _closed(model, "beta", t)
+
+
+def closed_gamma(model: Model, t):
+    """Closed-form gamma(t) (vectorized in t), overflow-safe at any t."""
+    return _closed(model, "gamma", t)
 
 
 def _refined_grid(rate: float, grid: np.ndarray):
@@ -81,30 +89,55 @@ def _refined_grid(rate: float, grid: np.ndarray):
     them, and the index map avoids any floating-point grid matching.
     """
     h_quad = QUAD_RESOLUTION / rate * 2.0
-    # beta varies on the timescale 2/mixing_rate; QUAD_RESOLUTION of that
-    nodes = [0.0]
+    # Lambda' varies on the timescale 2/mixing_rate; QUAD_RESOLUTION of that
+    pieces = [np.zeros(1)]
     idx = [0]
     for a, b in zip(grid[:-1], grid[1:]):
         width = b - a
         m = max(2, 2 * math.ceil(width / (2.0 * h_quad)))
         sub = a + width * np.arange(1, m + 1) / m
         sub[-1] = b  # land exactly on the grid point
-        nodes.extend(sub)
-        idx.append(len(nodes) - 1)
-    return np.asarray(nodes), np.asarray(idx)
+        pieces.append(sub)
+        idx.append(idx[-1] + m)
+    return np.concatenate(pieces), np.asarray(idx)
+
+
+def _cumulative_simpson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cumulative integral over pairwise-uniform nodes (odd count per pair).
+
+    Even nodes get composite Simpson; interior nodes the half-interval
+    Newton-Cotes rule through the same three points.
+    """
+    out = np.empty_like(y)
+    out[0] = 0.0
+    if x.size == 1:
+        return out
+    i = np.arange(0, x.size - 2, 2)
+    h = x[i + 1] - x[i]
+    full = h / 3.0 * (y[i] + 4.0 * y[i + 1] + y[i + 2])
+    left = h / 12.0 * (5.0 * y[i] + 8.0 * y[i + 1] - y[i + 2])
+    out[2::2] = np.cumsum(full)
+    out[1::2] = out[0:-1:2] + left
+    return out
 
 
 def _check_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
         raise ValueError("grid must be 1-d and start at 0")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid points must be finite")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
     return grid
 
 
 def build_path(model: Model, grid) -> CoefficientPath:
-    """Closed-form coefficient path sampled on ``grid``."""
+    """Closed-form coefficient path sampled on ``grid``.
+
+    beta and gamma are evaluated on the grid itself; Lambda (Kim-Omberg)
+    integrates its rate over refined nodes, counted in ``meta["n_quad_nodes"]``.
+    """
     grid = _check_grid(grid)
     spec = _path_spec(model)
     rate = spec.mixing_rate(model.constants)
@@ -112,29 +145,22 @@ def build_path(model: Model, grid) -> CoefficientPath:
     if grid.size > 1:
         max_step = float(np.max(np.diff(grid)))
         if max_step > 1.0 / rate:
-            # internal refinement keeps the values accurate; the warning notes
-            # that the returned sampling cannot resolve the transient
+            # the closed forms and Lambda's refinement keep the values
+            # accurate; the warning notes that the returned sampling cannot
+            # resolve the transient
             meta["refinement_warning"] = (
                 f"grid step {max_step:g} is coarse relative to the mixing "
                 f"time 1/rate = {1.0 / rate:g}"
             )
-    nodes, idx = _refined_grid(rate, grid)
-    meta["n_quad_nodes"] = int(nodes.size)
-    gamma, Lam = spec.gamma_lambda(model, nodes, spec.beta(model, nodes))
-    return CoefficientPath(grid=grid, beta=spec.beta(model, grid), gamma=gamma[idx],
-                           Lambda=None if Lam is None else Lam[idx], meta=meta)
-
-
-def ko_gamma_lambda(model: Model, grid) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(gamma, Lambda) sampled on ``grid`` plus quadrature metadata."""
-    path = build_path(model, grid)
-    return path.gamma, path.Lambda, path.meta
-
-
-def heston_gamma(model: Model, grid) -> tuple[np.ndarray, dict]:
-    """gamma(t) = k m_bar * int_0^t beta(s) ds plus quadrature metadata."""
-    path = build_path(model, grid)
-    return path.gamma, path.meta
+    Lam = None
+    if spec.lambda_rate is not None:
+        nodes, idx = _refined_grid(rate, grid)
+        meta["n_quad_nodes"] = int(nodes.size)
+        lam_rate = spec.lambda_rate(model, spec.beta(model, nodes),
+                                    spec.gamma(model, nodes))
+        Lam = _cumulative_simpson(nodes, lam_rate)[idx]
+    return CoefficientPath(grid=grid, beta=spec.beta(model, grid),
+                           gamma=spec.gamma(model, grid), Lambda=Lam, meta=meta)
 
 
 # --- independent ODE oracle --------------------------------------------------

@@ -177,11 +177,6 @@ class Model:
     def p(self) -> float:
         return self.prefs.p
 
-    def content_key(self) -> tuple:
-        """Hashable identity used as a cache key."""
-        pf = tuple(getattr(self.params, f.name) for f in fields(self.params))
-        return (self.kind, pf, self.prefs.p)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -213,7 +208,8 @@ class ModelSpec:
     exponent: Callable               # (model, ep, measure, times, beta, gamma) -> (g2, g1, g0)
     mixing_rate: Callable | None = None     # path: constants -> rate
     beta: Callable | None = None            # path: (model, t array) -> beta(t)
-    gamma_lambda: Callable | None = None    # path: (model, nodes, beta) -> (gamma, Lambda)
+    gamma: Callable | None = None           # path: (model, t array) -> gamma(t)
+    lambda_rate: Callable | None = None     # kim_omberg: (model, beta, gamma) -> Lambda'
     ode_constants: Callable | None = None   # path: model -> oracle RHS constants
     oracle_rhs: Callable | None = None      # path: (*constants) -> rhs(state tuple)
 
@@ -370,25 +366,6 @@ def _factor_exponent(model: Model, ep, measure: str, times, beta, gamma):
     return poly
 
 
-def _cumulative_simpson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cumulative integral over pairwise-uniform nodes (odd count per pair).
-
-    Even nodes get composite Simpson; interior nodes the half-interval
-    Newton-Cotes rule through the same three points.
-    """
-    out = np.empty_like(y)
-    out[0] = 0.0
-    if x.size == 1:
-        return out
-    i = np.arange(0, x.size - 2, 2)
-    h = x[i + 1] - x[i]
-    full = h / 3.0 * (y[i] + 4.0 * y[i + 1] + y[i + 2])
-    left = h / 12.0 * (5.0 * y[i] + 8.0 * y[i + 1] - y[i + 2])
-    out[2::2] = np.cumsum(full)
-    out[1::2] = out[0:-1:2] + left
-    return out
-
-
 # --- Kim-Omberg formulas -----------------------------------------------------
 
 def _ko_constants(params: KimOmbergParams, prefs: Preferences) -> DerivedConstants:
@@ -435,39 +412,21 @@ def _ko_beta(model: Model, t: np.ndarray) -> np.ndarray:
         / (c.alpha4 + c.alpha1 + (c.alpha4 - c.alpha1) * e)
 
 
-def _ko_gamma_lambda(model: Model, nodes: np.ndarray, beta_n: np.ndarray):
-    """gamma and Lambda on pairwise-uniform refined nodes.
-
-    gamma comes from the integrating-factor formula
-        gamma(t) = alpha3 * exp(-L(t)) * int_0^t beta(s) exp(L(s)) ds,
-        L(t) = int_0^t (alpha1 + alpha2 beta(s)) ds,
-    advanced pairwise with composite Simpson weights; the weight
-    exp(L(s) - L(t)) is assembled in log space per pair so the computation
-    never overflows however large alpha1 t gets.  Lambda is a plain integral.
-    """
+def _ko_gamma(model: Model, t: np.ndarray) -> np.ndarray:
+    # linearizing the beta equation as beta = u'/(alpha2 u) integrates the
+    # gamma equation; only decaying exponentials appear, so any t is safe
     c = model.constants
-    g = c.alpha1 + c.alpha2 * beta_n          # integrand of L
-    gam = np.empty(nodes.size)
-    gam[0] = 0.0
-    for j in range((nodes.size - 1) // 2):
-        i = 2 * j
-        h = nodes[i + 1] - nodes[i]           # uniform within the pair
-        g0, g1, g2 = g[i], g[i + 1], g[i + 2]
-        dL_full = h / 3.0 * (g0 + 4.0 * g1 + g2)          # L_{i+2} - L_i
-        dL_right = h / 12.0 * (-g0 + 8.0 * g1 + 5.0 * g2)  # L_{i+2} - L_{i+1}
-        w0 = math.exp(-dL_full)
-        w1 = math.exp(-dL_right)
-        # Simpson for int_{t_i}^{t_{i+2}} beta(s) exp(L(s) - L_{i+2}) ds
-        inc = h / 3.0 * (beta_n[i] * w0 + 4.0 * beta_n[i + 1] * w1 + beta_n[i + 2])
-        gam[i + 2] = w0 * gam[i] + c.alpha3 * inc
-        # interior node via the left-half Newton-Cotes rule, same integrand
-        inc_half = h / 12.0 * (
-            5.0 * beta_n[i] * w0 / w1 + 8.0 * beta_n[i + 1] - beta_n[i + 2] / w1
-        )
-        gam[i + 1] = (w0 / w1) * gam[i] + c.alpha3 * inc_half
-    lam_integrand = 0.5 * c.alpha2 * gam**2 - c.alpha3 * gam \
-        - 0.5 * model.params.sigma**2 * beta_n
-    return gam, _cumulative_simpson(nodes, lam_integrand)
+    w = -np.expm1(-c.alpha4 * t)
+    e = np.exp(-2.0 * c.alpha4 * t)
+    return c.alpha3 * _riccati_source(model) * w * w \
+        / (c.alpha4 * (c.alpha4 + c.alpha1 + (c.alpha4 - c.alpha1) * e))
+
+
+def _ko_lambda_rate(model: Model, beta, gamma):
+    """Lambda' = alpha2 gamma^2 / 2 - alpha3 gamma - sigma^2 beta / 2."""
+    c = model.constants
+    return (0.5 * c.alpha2 * gamma**2 - c.alpha3 * gamma
+            - 0.5 * model.params.sigma**2 * beta)
 
 
 def _ko_ode_constants(model: Model) -> tuple:
@@ -537,9 +496,13 @@ def _heston_beta(model: Model, t: np.ndarray) -> np.ndarray:
         / (c.beta2 * (1.0 + e) + c.beta1 * (1.0 - e))
 
 
-def _heston_gamma(model: Model, nodes: np.ndarray, beta_n: np.ndarray):
-    """gamma(t) = k m_bar * int_0^t beta(s) ds; no Lambda."""
-    return model.params.k * model.params.m_bar * _cumulative_simpson(nodes, beta_n), None
+def _heston_gamma(model: Model, t: np.ndarray) -> np.ndarray:
+    """gamma(t) = k m_bar * int_0^t beta(s) ds = (2 k m_bar / a2h) ln u(t)
+    under beta = 2 u' / (a2h u), written with expm1/log1p of decaying terms."""
+    n, b1, a2h, km = _heston_ode_constants(model)
+    b2 = model.constants.beta2
+    d = _radical_minus_linear(b1, a2h * n)  # beta2 - beta1 without cancellation
+    return 2.0 * km / a2h * (0.5 * d * t + np.log1p(d * np.expm1(-b2 * t) / (2.0 * b2)))
 
 
 def _heston_ode_constants(model: Model) -> tuple:
@@ -583,7 +546,8 @@ SPECS: dict[str, ModelSpec] = {
         stationary_sd=lambda pa: pa.sigma / math.sqrt(2.0 * pa.k),
         drift=_factor_drift, exponent=_factor_exponent,
         mixing_rate=lambda c: 2.0 * c.alpha4, beta=_ko_beta,
-        gamma_lambda=_ko_gamma_lambda, ode_constants=_ko_ode_constants,
+        gamma=_ko_gamma, lambda_rate=_ko_lambda_rate,
+        ode_constants=_ko_ode_constants,
         oracle_rhs=_ko_rhs,
     ),
     HESTON: ModelSpec(
@@ -597,7 +561,7 @@ SPECS: dict[str, ModelSpec] = {
         stationary_sd=lambda pa: pa.sigma * math.sqrt(pa.m_bar / (2.0 * pa.k)),
         drift=_factor_drift, exponent=_factor_exponent,
         mixing_rate=lambda c: c.beta2, beta=_heston_beta,
-        gamma_lambda=_heston_gamma, ode_constants=_heston_ode_constants,
+        gamma=_heston_gamma, ode_constants=_heston_ode_constants,
         oracle_rhs=_heston_rhs,
     ),
 }

@@ -264,8 +264,6 @@ def initial_factor_sensitivity(model: Model, chi: float | None = None,
             "use simulation.mc_bump_sensitivity"
         )
     chi = initial_state(model, chi)
-    if T < 0:
-        raise ValueError("T must be >= 0")
     omp = 1.0 - model.p
     a2, a1, _ = model.spec.log_value_coefficients(*valuation.coefficients_at(model, T))
     fh = -omp * (a2 * chi + a1)

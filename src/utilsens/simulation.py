@@ -19,8 +19,8 @@ uniform per draw.
 
 The module owns the simulation grid: every run reads its drift and exponent
 coefficients on the half-step grid linspace(0, T, 2 n_steps + 1), taken for a
-factor model from the cached closed coefficient path
-(``valuation.cached_path``) at time-to-go T - t.
+factor model from the closed forms ``coefficients.closed_beta`` and
+``closed_gamma`` at time-to-go T - t.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
+from . import coefficients as coeff
 from . import valuation
 from .eigenpairs import Eigenpair, eigenpair, phi_log
 from .models import (
@@ -68,10 +69,7 @@ class SimConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
 
     def with_(self, **kw) -> "SimConfig":
-        d = {"T": self.T, "n_steps": self.n_steps, "n_paths": self.n_paths,
-             "seed": self.seed, "scheme": self.scheme}
-        d.update(kw)
-        return SimConfig(**d)
+        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -146,14 +144,14 @@ def _coefficients(model: Model, cfg: SimConfig, measure: str):
 
     The factor drift is c0 - c1 x and the accumulated exponent integrand
     g2 x^2 + g1 x + g0: the tilt rate f under measure "q", the value
-    exponent under "phat".  A factor model reads its cached closed path at
+    exponent under "phat".  A factor model reads its closed beta and gamma at
     time-to-go T - t.
     """
     times = np.linspace(0.0, cfg.T, 2 * cfg.n_steps + 1)
     beta = gamma = None
     if model.spec.has_path:
-        path = valuation.cached_path(model, cfg.T, times.size)
-        beta, gamma = path.beta[::-1], path.gamma[::-1]
+        beta = coeff.closed_beta(model, times)[::-1]
+        gamma = coeff.closed_gamma(model, times)[::-1]
     ep = eigenpair(model)
     c0, c1 = model.spec.drift(model, ep, measure, beta, gamma)
     g2, g1, g0 = model.spec.exponent(model, ep, measure, times, beta, gamma)

@@ -17,10 +17,7 @@ horizon T and read the coefficients at time-to-go T - t.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from . import coefficients as coeff
 from .eigenpairs import eigenpair, phi_ratios
@@ -31,53 +28,27 @@ from .models import (
     market_price_of_risk,
 )
 
-_PATH_CACHE: dict[tuple, coeff.CoefficientPath] = {}
-_PATH_CACHE_LOCK = threading.Lock()
-_PATH_CACHE_MAX = 256
-
 
 @dataclass(frozen=True)
 class ValueResult:
     v: float
     utility: float
+    log_abs_utility: float  # (1-p) ln v - ln|p|, finite where utility underflows
     growth_rate_estimate: float | None  # -(ln v)/T, None at T = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def cached_path(model: Model, T: float, n: int) -> coeff.CoefficientPath:
-    """Coefficient path on the uniform grid linspace(0, T, n), cached by model
-    content and (T, n).
-
-    Read-mostly: concurrent readers are safe, writers are serialized.  The
-    cached path's arrays are read-only, so no caller can change what later
-    lookups get.
-    """
-    key = (model.content_key(), T, n)
-    path = _PATH_CACHE.get(key)
-    if path is not None:
-        return path
-    path = coeff.build_path(model, np.linspace(0.0, T, n))
-    for arr in (path.grid, path.beta, path.gamma, path.Lambda):
-        if arr is not None:
-            arr.flags.writeable = False
-    with _PATH_CACHE_LOCK:
-        if len(_PATH_CACHE) >= _PATH_CACHE_MAX:
-            _PATH_CACHE.clear()
-        _PATH_CACHE[key] = path
-    return path
-
-
 def coefficients_at(model: Model, t: float) -> tuple[float, float, float]:
     """(beta(t), gamma(t), Lambda(t)) for a factor model; Lambda 0 for heston."""
     if not model.spec.has_path:
         raise UnsupportedModelError(f"no coefficient path for {model.kind}")
-    if t < 0:
-        raise ValueError("time-to-go must be >= 0")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"horizon T must be finite and >= 0, got {t}")
     if t == 0.0:
         return 0.0, 0.0, 0.0
-    path = cached_path(model, t, 2)
+    path = coeff.build_path(model, [0.0, t])
     lam = float(path.Lambda[-1]) if path.Lambda is not None else 0.0
     return float(path.beta[-1]), float(path.gamma[-1]), lam
 
@@ -104,14 +75,14 @@ def dual_value(model: Model, chi: float | None = None, T: float = 0.0) -> ValueR
             "use simulation.simulate_phat_value"
         )
     chi = initial_state(model, chi)
-    if T < 0:
-        raise ValueError("T must be >= 0")
     lv = log_dual_value(model, chi, T)
     v = math.exp(lv)
     p = model.p
     utility = v ** (1.0 - p) / p
     growth = None if T == 0.0 else -lv / T
-    return ValueResult(v=v, utility=utility, growth_rate_estimate=growth)
+    return ValueResult(v=v, utility=utility,
+                       log_abs_utility=(1.0 - p) * lv - math.log(-p),
+                       growth_rate_estimate=growth)
 
 
 def _check_time_pair(t: float, T: float) -> None:

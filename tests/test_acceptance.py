@@ -108,10 +108,10 @@ def test_c04_convergence_rates():
         lam = u.eigenpair(m).lam
         B = u.eigenpair(m).a2
         ts = np.linspace(1.5 / a4, 5.0 / a4, 20)
-        gaps = B - co.ko_beta(m, ts)
+        gaps = B - co.closed_beta(m, ts)
         slope = np.polyfit(ts, np.log(gaps), 1)[0]
         ok &= abs(slope + 2.0 * a4) <= 0.10 * 2.0 * a4
-        _, L, _ = co.ko_gamma_lambda(m, np.array([0.0, 50.0]))
+        L = co.build_path(m, np.array([0.0, 50.0])).Lambda
         ok &= abs(L[-1] / 50.0 + lam) < 0.05 * abs(lam)
     for _ in range(10):
         m = draw_heston(rng, mixing_floor=0.5)
@@ -121,10 +121,10 @@ def test_c04_convergence_rates():
         lam = u.eigenpair(m).lam
         B = u.eigenpair(m).a1
         ts = np.linspace(1.5 / b2, 6.0 / b2, 20)
-        gaps = B - co.heston_beta(m, ts)
+        gaps = B - co.closed_beta(m, ts)
         slope = np.polyfit(ts, np.log(gaps), 1)[0]
         ok &= abs(slope + b2) <= 0.15 * b2
-        g, _ = co.heston_gamma(m, np.array([0.0, 50.0]))
+        g = co.closed_gamma(m, np.array([0.0, 50.0]))
         ok &= abs(g[-1] / 50.0 - lam) < 0.05 * lam
     _report(4, ok, "beta decay slopes -2*alpha4 (10%) / -beta2 (15%) and "
                    "Lambda(50)/50, gamma(50)/50 eigenvalue checks (5%)")

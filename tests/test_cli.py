@@ -123,7 +123,7 @@ def test_value_and_sweep(tmp_path):
     code, out = _run(["value", "--config", _write(tmp_path, cfg)])
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == {"model", "chi", "T", "v", "utility",
+    assert set(payload) == {"model", "chi", "T", "v", "utility", "log_abs_utility",
                             "growth_rate_estimate", "lambda"}
     cfg_sweep = {**cfg, "sweep": {"T_grid": [1.0, 2.0, 4.0]}}
     code, out = _run(["value", "--config", _write(tmp_path, cfg_sweep)])

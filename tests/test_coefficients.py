@@ -1,6 +1,7 @@
 """Closed-form coefficient paths against independent ODE/quadrature oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,22 +64,23 @@ def _heston_rhs(model):
 
 
 def test_ko_beta_zero_and_limit(ko_model):
-    assert co.ko_beta(ko_model, 0.0) == 0.0
+    assert co.closed_beta(ko_model, 0.0) == 0.0
     B = eigenpair(ko_model).a2
     t_inf = 100.0 / ko_model.constants.alpha4
-    assert abs(co.ko_beta(ko_model, t_inf) - B) < B * 1e-12
+    assert abs(co.closed_beta(ko_model, t_inf) - B) < B * 1e-12
 
 
 def test_ko_beta_matches_test_local_rk4(ko_model):
     b1 = _rk4(_ko_rhs(ko_model), [0.0, 0.0, 0.0], 1.0, 1e-4)[0]
     assert b1 == pytest.approx(0.7448361153365184, abs=1e-12)  # frozen oracle
-    assert co.ko_beta(ko_model, 1.0) == pytest.approx(b1, abs=1e-8)
+    assert co.closed_beta(ko_model, 1.0) == pytest.approx(b1, abs=1e-8)
 
 
 def test_ko_gamma_lambda_trivial_mu_zero():
     m = validate(KimOmbergParams(**{**KO_SET, "mu": 0.0}), Preferences(p=-1.0))
     grid = np.linspace(0.0, 10.0, 21)
-    g, L, _ = co.ko_gamma_lambda(m, grid)
+    path = co.build_path(m, grid)
+    g, L = path.gamma, path.Lambda
     assert np.all(g == 0.0) and np.all(L == 0.0)
     path = co.riccati_oracle(m, np.linspace(0.0, 5.0, 6))
     assert np.all(path.beta == 0.0) and np.all(path.gamma == 0.0)
@@ -89,7 +91,8 @@ def test_ko_gamma_lambda_match_coupled_rk4(ko_model):
     vals = _rk4(_ko_rhs(ko_model), [0.0, 0.0, 0.0], 1.0, 1e-4)
     assert vals[1] == pytest.approx(0.03466275077061422, abs=1e-12)  # frozen
     assert vals[2] == pytest.approx(-0.022861560863889168, abs=1e-12)  # frozen
-    g, L, _ = co.ko_gamma_lambda(ko_model, np.array([0.0, 1.0]))
+    path = co.build_path(ko_model, np.array([0.0, 1.0]))
+    g, L = path.gamma, path.Lambda
     assert g[-1] == pytest.approx(vals[1], abs=1e-8)
     assert L[-1] == pytest.approx(vals[2], abs=1e-8)
 
@@ -105,11 +108,11 @@ def test_ko_gamma_converges_to_c_exponentially(ko_model):
     a4 = ko_model.constants.alpha4
     C = ep.a1
     ts = np.linspace(1.0, 8.0 / a4, 30)
-    g, _, _ = co.ko_gamma_lambda(ko_model, np.concatenate([[0.0], ts]))
+    g = co.closed_gamma(ko_model, np.concatenate([[0.0], ts]))
     gaps = np.abs(g[1:] - C)
     c0 = np.max(gaps * np.exp(a4 * ts))
     later = np.linspace(8.0 / a4, 12.0 / a4, 10)
-    g2, _, _ = co.ko_gamma_lambda(ko_model, np.concatenate([[0.0], later]))
+    g2 = co.closed_gamma(ko_model, np.concatenate([[0.0], later]))
     late_gaps = np.abs(g2[1:] - C)
     assert np.all(late_gaps <= 1.05 * c0 * np.exp(-a4 * later))
     # asymptotic coefficient is 2C
@@ -118,49 +121,75 @@ def test_ko_gamma_converges_to_c_exponentially(ko_model):
 
 
 def test_heston_beta_zero_limit_and_rk4(heston_model):
-    assert co.heston_beta(heston_model, 0.0) == 0.0
+    assert co.closed_beta(heston_model, 0.0) == 0.0
     ep = eigenpair(heston_model)
     c = heston_model.constants
     pa = heston_model.params
     q = heston_model.q
     limit = q * (1 - q) * (pa.mu / pa.varsigma) ** 2 / (c.beta1 + c.beta2)
     assert limit == pytest.approx(ep.a1, rel=1e-14)
-    assert abs(co.heston_beta(heston_model, 100.0 / c.beta2) - ep.a1) < 1e-10
+    assert abs(co.closed_beta(heston_model, 100.0 / c.beta2) - ep.a1) < 1e-10
     b1 = _rk4(_heston_rhs(heston_model), [0.0, 0.0], 1.0, 1e-4)[0]
     assert b1 == pytest.approx(0.2315911982905709, abs=1e-12)  # frozen oracle
-    assert co.heston_beta(heston_model, 1.0) == pytest.approx(b1, abs=1e-8)
+    assert co.closed_beta(heston_model, 1.0) == pytest.approx(b1, abs=1e-8)
 
 
 def test_heston_beta_overflow_safe(heston_model):
     # t large enough that naive sinh/cosh would overflow
-    val = co.heston_beta(heston_model, 5000.0)
+    val = co.closed_beta(heston_model, 5000.0)
     assert math.isfinite(val)
     assert val == pytest.approx(eigenpair(heston_model).a1, rel=1e-14)
 
 
 def test_heston_gamma_trivial_and_quadrature(heston_model):
     m0 = validate(HestonParams(**{**HESTON_SET, "mu": 0.0}), Preferences(p=-1.0))
-    g, _ = co.heston_gamma(m0, np.linspace(0.0, 5.0, 11))
+    g = co.closed_gamma(m0, np.linspace(0.0, 5.0, 11))
     assert np.all(g == 0.0)
     # adaptive-quadrature oracle at t = 1
     pa = heston_model.params
-    val, err = quad(lambda t: co.heston_beta(heston_model, t), 0.0, 1.0,
+    val, err = quad(lambda t: co.closed_beta(heston_model, t), 0.0, 1.0,
                     epsabs=1e-14, epsrel=1e-13)
     oracle = pa.k * pa.m_bar * val
     assert oracle == pytest.approx(0.026810219032828153, abs=1e-12)  # frozen
-    g1, _ = co.heston_gamma(heston_model, np.array([0.0, 1.0]))
+    g1 = co.closed_gamma(heston_model, np.array([0.0, 1.0]))
     assert g1[-1] == pytest.approx(oracle, abs=1e-10)
 
 
 def test_heston_gamma_growth_rate(heston_model):
     lam = eigenpair(heston_model).lam
-    g, _ = co.heston_gamma(heston_model, np.array([0.0, 50.0]))
+    g = co.closed_gamma(heston_model, np.array([0.0, 50.0]))
     assert abs(g[-1] / 50.0 - lam) < lam * 0.05
+
+
+def test_closed_gamma_finite_at_large_horizon(ko_model, heston_model):
+    # only decaying exponentials appear, so nothing overflows or warns at t = 1e6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g_ko = co.closed_gamma(ko_model, 1e6)
+        g_h = co.closed_gamma(heston_model, 1e6)
+    assert g_ko == pytest.approx(eigenpair(ko_model).a1, rel=1e-14)
+    assert g_h / 1e6 == pytest.approx(eigenpair(heston_model).lam, rel=1e-6)
+
+
+def test_closed_gamma_matches_oracle():
+    rng = np.random.default_rng(25)
+    grid = np.linspace(0.0, 10.0, 21)
+    for kind_draw in (draw_ko, draw_heston):
+        models = [kind_draw(rng) for _ in range(20)]
+        for m, oracle in zip(models, co.riccati_oracle_batch(models, grid)):
+            assert np.max(np.abs(co.closed_gamma(m, grid) - oracle.gamma)) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("route", [co.build_path, co.riccati_oracle])
+def test_non_finite_grid_rejected(ko_model, route, bad):
+    with pytest.raises(ValueError, match="finite"):
+        route(ko_model, [0.0, 1.0, bad])
 
 
 def test_ko_lambda_growth_rate(ko_model):
     lam = eigenpair(ko_model).lam
-    _, L, _ = co.ko_gamma_lambda(ko_model, np.array([0.0, 50.0]))
+    L = co.build_path(ko_model, np.array([0.0, 50.0])).Lambda
     assert abs(L[-1] / 50.0 + lam) < abs(lam) * 0.05
 
 
@@ -195,7 +224,7 @@ def test_ko_convergence_rate_bound_and_slope():
         B = eigenpair(m).a2
         bound = 2.0 * c.alpha4 * (c.alpha4 - c.alpha1) / (c.alpha2 * (c.alpha4 + c.alpha1))
         ts = np.linspace(0.0, 4.0 / c.alpha4, 41)
-        beta = co.ko_beta(m, ts)
+        beta = co.closed_beta(m, ts)
         gaps = B - beta
         assert np.all(gaps <= bound * np.exp(-2.0 * c.alpha4 * ts) * (1 + 1e-12))
         # log-gap slope is -2 alpha4 within 10% on the tail window
@@ -213,7 +242,7 @@ def test_heston_beta_decay_slope():
         b2 = m.constants.beta2
         B = eigenpair(m).a1
         ts = np.linspace(1.5 / b2, 6.0 / b2, 30)
-        gaps = B - co.heston_beta(m, ts)
+        gaps = B - co.closed_beta(m, ts)
         slope = np.polyfit(ts, np.log(gaps), 1)[0]
         assert slope == pytest.approx(-b2, rel=0.15)
 
@@ -248,7 +277,7 @@ def test_riccati_oracle_rejects_ou():
 
 
 def test_coarse_grid_refinement_warning_in_meta(ko_model):
-    _, _, meta = co.ko_gamma_lambda(ko_model, np.array([0.0, 30.0]))
+    meta = co.build_path(ko_model, np.array([0.0, 30.0])).meta
     assert "refinement_warning" in meta
 
 

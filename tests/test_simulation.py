@@ -237,6 +237,10 @@ def test_sim_config_validation():
         SimConfig(T=1.0, n_steps=10, n_paths=200, seed=1, scheme="milstein")
     with pytest.raises(ValueError):
         SimConfig(T=-1.0, n_steps=10, n_paths=200, seed=1)
+    cfg = SimConfig(T=1.0, n_steps=10, n_paths=200, seed=1)
+    assert cfg.with_(T=2.0, seed=3) == SimConfig(T=2.0, n_steps=10, n_paths=200, seed=3)
+    with pytest.raises(ValueError):
+        cfg.with_(n_paths=50)
 
 
 def test_error_term_log_scale_robust():

@@ -15,6 +15,7 @@ from utilsens import (
     dual_value,
     eigenpair,
     f_eval,
+    initial_factor_sensitivity,
     kappa_eval,
     validate,
 )
@@ -213,22 +214,25 @@ def test_growth_gap_decreasing_past_mixing_time(ko_model, heston_model):
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
-def test_path_cache_reuse(ko_model):
-    va._PATH_CACHE.clear()
-    dual_value(ko_model, None, 7.0)
-    n1 = len(va._PATH_CACHE)
-    dual_value(ko_model, None, 7.0)
-    assert len(va._PATH_CACHE) == n1
-
-
-def test_cached_path_is_read_only(ko_model, heston_model):
+def test_log_abs_utility_where_utility_underflows(ko_model, heston_model):
     for m in (ko_model, heston_model):
-        path = va.cached_path(m, 2.0, 5)
-        for arr in (path.grid, path.beta, path.gamma, path.Lambda):
-            if arr is not None:
-                with pytest.raises(ValueError):
-                    arr[-1] = 1.0
-        assert va.cached_path(m, 2.0, 5) is path
+        res = dual_value(m, None, 1e4)
+        assert res.utility == 0.0
+        assert math.isfinite(res.log_abs_utility)
+        lv = va.log_dual_value(m, m.params.chi, 1e4)
+        assert res.log_abs_utility == (1.0 - m.p) * lv - math.log(abs(m.p))
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan])
+@pytest.mark.parametrize("route", [
+    lambda m, T: dual_value(m, None, T),
+    va.coefficients_at,
+    lambda m, T: initial_factor_sensitivity(m, None, T),
+], ids=["dual_value", "coefficients_at", "initial_factor_sensitivity"])
+def test_non_finite_horizon_rejected(ko_model, heston_model, route, T):
+    for m in (ko_model, heston_model):
+        with pytest.raises(ValueError, match="T must be finite"):
+            route(m, T)
 
 
 def test_time_pair_validation(ko_model):
