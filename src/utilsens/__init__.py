@@ -40,6 +40,7 @@ from .simulation import (
     decomposition_check,
     estimate_error_term,
     mc_bump_sensitivity,
+    simulate_phat_log_value,
     simulate_phat_value,
     simulate_q_paths,
 )

@@ -212,8 +212,7 @@ def cmd_value(rc: RunConfig, workers: int | None) -> int:
     for T in horizons:
         if not model.spec.has_path:
             cfg = _require_sim(rc).with_(T=T)
-            v, se = sim.simulate_phat_value(model, None, T, cfg, workers)
-            lv = math.log(v)
+            v, se, lv = sim.simulate_phat_log_value(model, None, T, cfg, workers)
             growth = None if T == 0 else -lv / T
             rows.append({"T": T, "v": v, "utility": v ** (1 - model.p) / model.p,
                          "log_abs_utility": (1 - model.p) * lv - math.log(-model.p),
@@ -308,8 +307,9 @@ def cmd_simulate(rc: RunConfig, workers: int | None) -> int:
     if not model.spec.has_path:
         rows = []
         for T in horizons:
-            v, se = sim.simulate_phat_value(model, None, T, cfg.with_(T=T), workers)
-            growth = None if T == 0 else -math.log(v) / T
+            v, se, lv = sim.simulate_phat_log_value(model, None, T, cfg.with_(T=T),
+                                                    workers)
+            growth = None if T == 0 else -lv / T
             rows.append({"T": T, "v_estimate": v, "mc_se": se,
                          "growth_rate_estimate": growth})
         payload = {"model": model.kind, "chi": chi, "seed": cfg.seed, "rows": rows}

@@ -13,9 +13,12 @@ Two discretizations cover all supported runs:
 
 Noise is counter-based: path i at step j always reads the same Philox word
 (index j * n_paths + i), so results are bit-identical for any worker count
-or path blocking, and bumped reruns with the same seed share their Gaussian
-increments (common random numbers).  Normals come from the inverse CDF, one
-uniform per draw.
+or path blocking.  Normals come from the inverse CDF, one uniform per draw.
+Each path block reads its words through one generator (``BlockStream``) for
+the whole run, moved only when it is not already at the block's next word.
+One engine call steps several legs (model, initial state) together on one
+draw per step and block: the two legs of a bump share their Gaussian
+increments (common random numbers) and the normals are computed once.
 
 The module owns the simulation grid: every run reads its drift and exponent
 coefficients on the half-step grid linspace(0, T, 2 n_steps + 1), taken for a
@@ -100,20 +103,46 @@ class DecompositionResult:
         return asdict(self)
 
 
-def normals_for(seed: int, n_paths: int, step: int, lo: int, hi: int) -> np.ndarray:
+class BlockStream:
+    """The Philox words of one path block, read forward through one generator.
+
+    ``read(word, size)`` returns the uniforms of words [word, word + size).  The
+    generator moves only when it is not already at ``word``: it discards the
+    rest of a 4-word Philox block, or advances its counter over whole blocks.
+    A read behind the current position starts a fresh generator.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._seed = seed
+        self._word = -1  # next word of the generator; -1 before the first read
+
+    def read(self, word: int, size: int) -> np.ndarray:
+        if word < self._word or self._word < 0:
+            self._bg = Philox(key=self._seed)
+            self._gen = Generator(self._bg)
+            self._word = 0
+        gap = word - self._word
+        if gap >= 4:
+            # the counter stands at ceil(self._word / 4); advance empties the buffer
+            self._bg.advance(word // 4 - (self._word + 3) // 4)
+            gap = word % 4
+        if gap:
+            self._bg.random_raw(gap)
+        self._word = word + size
+        return self._gen.random(size)
+
+
+def normals_for(seed: int, n_paths: int, step: int, lo: int, hi: int,
+                stream: BlockStream | None = None) -> np.ndarray:
     """Standard normals for paths [lo, hi) at the given step.
 
-    Word index of (path i, step j) is j * n_paths + i; Philox advances in
-    4-word blocks, so position = advance(offset // 4) + discard offset % 4.
+    Word index of (path i, step j) is j * n_paths + i, one uniform per word.
+    ``stream`` is the block's own generator for ``seed``, reused from step to
+    step; the normals are the same with or without it.
     """
-    offset = step * n_paths + lo
-    bg = Philox(key=seed)
-    blocks, rem = divmod(offset, 4)
-    if blocks:
-        bg.advance(blocks)
-    if rem:
-        bg.random_raw(rem)
-    u = Generator(bg).random(hi - lo)
+    if stream is None:
+        stream = BlockStream(seed)
+    u = stream.read(step * n_paths + lo, hi - lo)
     # u = 0 would map to -inf; nudge the (2^-53-probability) exact zero
     return ndtri(np.maximum(u, 2.0**-54))
 
@@ -159,87 +188,101 @@ def _coefficients(model: Model, cfg: SimConfig, measure: str):
     return c0 * one, c1 * one, g2, g1, g0
 
 
-def _ensemble(model: Model, cfg: SimConfig, chi: float, measure: str,
-              workers: int | None) -> PathEnsemble:
+def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
+              workers: int | None) -> list[PathEnsemble]:
     """Integrate the SDE and the exponent integral of ``measure`` over the
-    step grid.
+    step grid, for each leg (model, initial state) on the same normals.
 
-    Odd entries of the half-step drift arrays are the midpoints used by
-    exact_gaussian; the exponent integrand is read at the n_steps + 1 nodes
-    and accumulated by the trapezoid rule.
+    Each step draws one row of normals per path block and moves every leg
+    with it: the state, the integral and the coefficient tables carry a
+    leading leg axis.  Odd entries of the half-step drift arrays are the
+    midpoints used by exact_gaussian; the exponent integrand is read at the
+    n_steps + 1 nodes and accumulated by the trapezoid rule.
     """
-    if cfg.scheme not in model.spec.schemes:
-        raise ValueError(
-            f"scheme '{cfg.scheme}' not supported for {model.kind}; "
-            f"allowed: {model.spec.schemes}"
-        )
+    for model, _ in legs:
+        if cfg.scheme not in model.spec.schemes:
+            raise ValueError(
+                f"scheme '{cfg.scheme}' not supported for {model.kind}; "
+                f"allowed: {model.spec.schemes}"
+            )
     n, steps = cfg.n_paths, cfg.n_steps
     if cfg.T == 0.0:
-        return PathEnsemble(x_T=np.full(n, chi), integral=np.zeros(n),
-                            min_x=float(chi), config=cfg)
-    c0, c1, g2, g1, g0 = _coefficients(model, cfg, measure)
+        return [PathEnsemble(x_T=np.full(n, chi), integral=np.zeros(n),
+                             min_x=float(chi), config=cfg) for _, chi in legs]
     dt = cfg.T / steps
-    sigma = getattr(model.params, model.spec.vol_field)
-    max_rate = float(np.max(np.abs(c1)))
-    if cfg.scheme in ("euler", "full_truncation_euler"):
-        floor = math.ceil(2.0 * cfg.T * max_rate)
-        if steps < floor:
-            raise ValueError(
-                f"n_steps={steps} below the explicit-scheme stability floor "
-                f"{floor} (= ceil(2 T max drift rate))"
+    tables = []
+    for model, _ in legs:
+        c0, c1, g2, g1, g0 = _coefficients(model, cfg, measure)
+        sigma = getattr(model.params, model.spec.vol_field)
+        max_rate = float(np.max(np.abs(c1)))
+        if cfg.scheme in ("euler", "full_truncation_euler"):
+            floor = math.ceil(2.0 * cfg.T * max_rate)
+            if steps < floor:
+                raise ValueError(
+                    f"n_steps={steps} below the explicit-scheme stability floor "
+                    f"{floor} (= ceil(2 T max drift rate))"
+                )
+        if steps < 10.0 * cfg.T * max_rate:
+            warnings.warn(
+                f"n_steps={steps} is below 10 * T * max mean-reversion rate "
+                f"(~{10.0 * cfg.T * max_rate:.0f}); discretization bias may be visible",
+                stacklevel=2,
             )
-    if steps < 10.0 * cfg.T * max_rate:
-        warnings.warn(
-            f"n_steps={steps} is below 10 * T * max mean-reversion rate "
-            f"(~{10.0 * cfg.T * max_rate:.0f}); discretization bias may be visible",
-            stacklevel=2,
-        )
-    x_T = np.empty(n)
-    integral = np.empty(n)
-    n_blocks = (n + _BLOCK - 1) // _BLOCK
-    block_min = np.full(n_blocks, np.inf)
-    c0_left, c1_left = c0[0:-1:2], c1[0:-1:2]
-    if cfg.scheme == "exact_gaussian":
-        decay, shift, sd = _affine_gaussian_tables(c0[1::2], c1[1::2], sigma, dt)
+        if cfg.scheme == "exact_gaussian":
+            per_step = _affine_gaussian_tables(c0[1::2], c1[1::2], sigma, dt)
+        else:
+            per_step = (c0[0:-1:2], c1[0:-1:2], np.full(steps, sigma))
+        tables.append((*per_step, g2, g1, g0))
+    # (decay, shift, sd) for exact_gaussian and (c0, c1, sigma) at the step's
+    # left end for the Euler schemes; t[j] is the (legs, 1) column of step j
+    t0, t1, t2, g2, g1, g0 = (np.stack(col, axis=1)[:, :, None]
+                              for col in zip(*tables))
+    chi = np.array([[c] for _, c in legs])
+    g_start = (g2[0] * chi + g1[0]) * chi + g0[0]
+    x_T = np.empty((len(legs), n))
+    integral = np.empty((len(legs), n))
+    block_min = np.full((len(legs), (n + _BLOCK - 1) // _BLOCK), np.inf)
     sqdt = math.sqrt(dt)
     half_dt = 0.5 * dt
+    exact = cfg.scheme == "exact_gaussian"
     truncate = cfg.scheme == "full_truncation_euler"
 
     def kernel(lo: int, hi: int) -> None:
         # x is the raw scheme state; xr the reported path value.  Full
         # truncation keeps x unclamped but evaluates drift, diffusion and the
         # integrand at the positive part, so the reported path is >= 0.
-        x = np.full(hi - lo, chi)
+        stream = BlockStream(cfg.seed)
+        x = np.repeat(chi, hi - lo, axis=1)
         xr = x
-        acc = np.zeros(hi - lo)
-        g_prev = (g2[0] * chi + g1[0]) * chi + g0[0]
-        blk_min = float(chi)
+        acc = np.zeros_like(x)
+        g_prev = g_start
+        blk_min = chi[:, 0]
         for j in range(steps):
-            z = normals_for(cfg.seed, n, j, lo, hi)
-            if cfg.scheme == "exact_gaussian":
-                x = decay[j] * x + shift[j] + sd[j] * z
+            z = normals_for(cfg.seed, n, j, lo, hi, stream)
+            if exact:
+                x = t0[j] * x + t1[j] + t2[j] * z
                 xr = x
             elif truncate:
                 xp = np.maximum(x, 0.0)
-                x = x + (c0_left[j] - c1_left[j] * xp) * dt \
-                    + sigma * np.sqrt(xp) * sqdt * z
+                x = x + (t0[j] - t1[j] * xp) * dt + t2[j] * np.sqrt(xp) * sqdt * z
                 xr = np.maximum(x, 0.0)
             else:
-                x = x + (c0_left[j] - c1_left[j] * x) * dt + sigma * sqdt * z
+                x = x + (t0[j] - t1[j] * x) * dt + t2[j] * sqdt * z
                 xr = x
             k = 2 * (j + 1)
             g_new = (g2[k] * xr + g1[k]) * xr + g0[k]
             acc += half_dt * (g_prev + g_new)
             g_prev = g_new
             if truncate:
-                blk_min = min(blk_min, float(np.min(xr)))
-        x_T[lo:hi] = xr
-        integral[lo:hi] = acc
-        block_min[lo // _BLOCK] = blk_min
+                blk_min = np.minimum(blk_min, np.min(xr, axis=1))
+        x_T[:, lo:hi] = xr
+        integral[:, lo:hi] = acc
+        block_min[:, lo // _BLOCK] = blk_min
 
     _run_blocks(kernel, n, workers)
-    return PathEnsemble(x_T=x_T, integral=integral,
-                        min_x=float(np.min(block_min)), config=cfg)
+    return [PathEnsemble(x_T=x_T[i], integral=integral[i],
+                         min_x=float(np.min(block_min[i])), config=cfg)
+            for i in range(len(legs))]
 
 
 def simulate_q_paths(model: Model, cfg: SimConfig, chi: float | None = None,
@@ -247,7 +290,7 @@ def simulate_q_paths(model: Model, cfg: SimConfig, chi: float | None = None,
     """Sample the decomposition dynamics; per path (X_T, int f ds)."""
     if not model.spec.has_path:
         raise UnsupportedModelError("decomposition sampling needs a factor model")
-    return _ensemble(model, cfg, initial_state(model, chi), "q", workers)
+    return _ensemble([(model, initial_state(model, chi))], cfg, "q", workers)[0]
 
 
 def estimate_error_term(ensemble: PathEnsemble, ep: Eigenpair) -> tuple[float, float]:
@@ -315,10 +358,18 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
     )
 
 
-def _phat_weights(model: Model, chi: float, T: float, cfg: SimConfig,
-                  workers: int | None = None) -> np.ndarray:
-    """Per-path exp of the value exponent under the representation measure."""
-    return np.exp(_ensemble(model, cfg.with_(T=T), chi, "phat", workers).integral)
+def _phat_integral(model: Model, chi: float | None, T: float, cfg: SimConfig,
+                   workers: int | None) -> np.ndarray:
+    """Per-path value exponent under the representation measure."""
+    legs = [(model, initial_state(model, chi))]
+    return _ensemble(legs, cfg.with_(T=T), "phat", workers)[0].integral
+
+
+def _log_mean_exp(l: np.ndarray) -> float:
+    """ln mean(exp(l)), shifted by max(l) so that it stays finite where every
+    exp(l) underflows."""
+    top = float(np.max(l))
+    return top + math.log(float(np.mean(np.exp(l - top))))
 
 
 def simulate_phat_value(model: Model, chi: float | None, T: float, cfg: SimConfig,
@@ -328,8 +379,17 @@ def simulate_phat_value(model: Model, chi: float | None, T: float, cfg: SimConfi
     This is the second, measure-changed route to the dual value; for the
     complete-market model it is the only finite-horizon route.
     """
-    chi = initial_state(model, chi)
-    return _mean_se(_phat_weights(model, chi, T, cfg, workers))
+    return _mean_se(np.exp(_phat_integral(model, chi, T, cfg, workers)))
+
+
+def simulate_phat_log_value(model: Model, chi: float | None, T: float,
+                            cfg: SimConfig,
+                            workers: int | None = None) -> tuple[float, float, float]:
+    """(value, SE, ln value): ``simulate_phat_value`` and the log of its
+    estimate, taken as a log-mean-exp of the per-path exponents so that it
+    stays finite where the value itself underflows to 0."""
+    integral = _phat_integral(model, chi, T, cfg, workers)
+    return (*_mean_se(np.exp(integral)), _log_mean_exp(integral))
 
 
 def mc_bump_sensitivity(model: Model, chi: float | None, T: float, parameter: str,
@@ -337,9 +397,9 @@ def mc_bump_sensitivity(model: Model, chi: float | None, T: float, parameter: st
                         workers: int | None = None) -> tuple[float, float]:
     """Central log-difference of the MC value under a parameter bump.
 
-    Both legs consume identical Gaussian increments (same seed and stream
-    layout), so the finite-difference noise scales with the bump response,
-    not with the absolute value level.  Returns (d ln v / d parameter, SE).
+    Both legs are stepped together on one draw of Gaussian increments, so the
+    finite-difference noise scales with the bump response, not with the
+    absolute value level.  Returns (d ln v / d parameter, SE).
     """
     chi = initial_state(model, chi)
     if parameter in ("chi", "s0"):
@@ -347,9 +407,8 @@ def mc_bump_sensitivity(model: Model, chi: float | None, T: float, parameter: st
     else:
         up, dn, h = bumped_models(model, parameter, h)
         legs = [(up, chi), (dn, chi)]
-    w_up = _phat_weights(legs[0][0], legs[0][1], T, cfg, workers)
-    w_dn = _phat_weights(legs[1][0], legs[1][1], T, cfg, workers)
-    m_up, m_dn = float(np.mean(w_up)), float(np.mean(w_dn))
-    est = (math.log(m_up) - math.log(m_dn)) / (2.0 * h)
-    _, se = _mean_se(w_up / m_up - w_dn / m_dn)
-    return est, se / (2.0 * h)
+    l_up, l_dn = (e.integral for e in _ensemble(legs, cfg.with_(T=T), "phat", workers))
+    # ln of each leg's mean, and the SE from the legs' normalized weights
+    m_up, m_dn = _log_mean_exp(l_up), _log_mean_exp(l_dn)
+    _, se = _mean_se(np.exp(l_up - m_up) - np.exp(l_dn - m_dn))
+    return (m_up - m_dn) / (2.0 * h), se / (2.0 * h)

@@ -1,6 +1,7 @@
 """CLI integration: exit codes, schemas, formatting, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -129,6 +130,25 @@ def test_value_and_sweep(tmp_path):
     code, out = _run(["value", "--config", _write(tmp_path, cfg_sweep)])
     assert code == 0
     assert len(json.loads(out)["rows"]) == 3
+
+
+def test_ou_value_and_simulate_finite_where_value_underflows(tmp_path):
+    # the Monte Carlo value underflows to 0 at T = 1e4; ln v comes from a
+    # log-mean-exp of the per-path exponents, so both commands exit 0
+    ou = {"ou_complete": {"mu": 0.3, "b": 0.8, "varsigma": 0.4, "s0": 0.5},
+          "preferences": {"p": -3.0},
+          "sim": {"T": 1.0, "n_steps": 2000, "n_paths": 200, "seed": 7},
+          "sweep": {"T_grid": [10000]}}
+    cfg = _write(tmp_path, ou)
+    with pytest.warns(UserWarning, match="mean-reversion"):
+        code, out = _run(["value", "--config", cfg])
+        code_sim, out_sim = _run(["simulate", "--config", cfg])
+    assert code == 0 and code_sim == 0
+    row = json.loads(out)
+    assert row["v"] == 0.0
+    assert math.isfinite(row["log_abs_utility"]) and row["log_abs_utility"] < -2000.0
+    growth = json.loads(out_sim)["rows"][0]["growth_rate_estimate"]
+    assert growth == row["growth_rate_estimate"] and math.isfinite(growth)
 
 
 def test_riccati_csv(tmp_path):

@@ -16,10 +16,12 @@ from utilsens import (
     eigenpair,
     estimate_error_term,
     mc_bump_sensitivity,
+    simulate_phat_log_value,
     simulate_phat_value,
     simulate_q_paths,
     validate,
 )
+from utilsens.models import bumped_models
 from utilsens import simulation as si
 from utilsens import valuation as va
 
@@ -42,6 +44,135 @@ def test_normals_chunk_and_worker_independence(ko_model):
     for o in outs[1:]:
         assert np.array_equal(o.x_T, outs[0].x_T)
         assert np.array_equal(o.integral, outs[0].integral)
+
+
+@pytest.mark.parametrize("seed", [123, 2**63 + 5, 2**64 - 1])
+def test_block_stream_matches_normals_for(seed):
+    # one generator per block, read step after step, gives normals_for's
+    # words: blocks starting at lo > 0, a row length that is no multiple of 4
+    # (so offsets fall inside Philox's 4-word blocks), several blocks read
+    # in turn, and a gap of 1 to 3 words that is discarded, not advanced
+    n = 1003
+    blocks = [(0, 400), (400, 401), (401, 1003)]
+    streams = [si.BlockStream(seed) for _ in blocks]
+    for step in range(6):
+        for (lo, hi), stream in zip(blocks, streams):
+            got = si.normals_for(seed, n, step, lo, hi, stream)
+            assert np.array_equal(got, si.normals_for(seed, n, step, lo, hi))
+    stream = si.BlockStream(seed)
+    for word in (0, 5, 7, 8, 13, 50, 49):  # the last read is behind: restart
+        u = stream.read(word, 3)
+        ref = si.BlockStream(seed).read(0, word + 3)[word:]
+        assert np.array_equal(u, ref), word
+
+
+def _single_leg_reference(model, chi, cfg, measure):
+    """The engine one leg at a time, a fresh generator per (step, block)."""
+    c0, c1, g2, g1, g0 = si._coefficients(model, cfg, measure)
+    dt, sigma = cfg.T / cfg.n_steps, getattr(model.params, model.spec.vol_field)
+    decay, shift, sd = si._affine_gaussian_tables(c0[1::2], c1[1::2], sigma, dt)
+    x_T, integral, lows = [], [], [chi]
+    for lo in range(0, cfg.n_paths, si._BLOCK):
+        hi = min(lo + si._BLOCK, cfg.n_paths)
+        x = xr = np.full(hi - lo, chi)
+        acc = np.zeros(hi - lo)
+        g_prev = (g2[0] * chi + g1[0]) * chi + g0[0]
+        for j in range(cfg.n_steps):
+            z = si.normals_for(cfg.seed, cfg.n_paths, j, lo, hi)
+            if cfg.scheme == "exact_gaussian":
+                x = xr = decay[j] * x + shift[j] + sd[j] * z
+            elif cfg.scheme == "euler":
+                x = xr = x + (c0[2 * j] - c1[2 * j] * x) * dt + sigma * math.sqrt(dt) * z
+            else:
+                xp = np.maximum(x, 0.0)
+                x = x + (c0[2 * j] - c1[2 * j] * xp) * dt \
+                    + sigma * np.sqrt(xp) * math.sqrt(dt) * z
+                xr = np.maximum(x, 0.0)
+                lows.append(float(np.min(xr)))
+            g_new = (g2[2 * j + 2] * xr + g1[2 * j + 2]) * xr + g0[2 * j + 2]
+            acc += 0.5 * dt * (g_prev + g_new)
+            g_prev = g_new
+        x_T.append(xr)
+        integral.append(acc)
+    return np.concatenate(x_T), np.concatenate(integral), min(lows)
+
+
+@pytest.mark.parametrize("kind, scheme, parameter, n_paths, workers", [
+    ("ou", "exact_gaussian", "mu", 500, 1),
+    ("ou", "euler", "s0", 500, 1),
+    ("ko", "exact_gaussian", "rho", 500, 1),
+    ("ko", "euler", "chi", 500, 1),
+    ("heston", "full_truncation_euler", "sigma", 500, 1),
+    ("ko", "exact_gaussian", "k", si._BLOCK + 700, 1),
+    ("ko", "exact_gaussian", "k", si._BLOCK + 700, 2),
+    ("heston", "full_truncation_euler", "m_bar", si._BLOCK + 700, 2),
+])
+def test_bump_legs_bit_identical_to_single_leg_runs(ko_model, heston_model, ou_model,
+                                                    kind, scheme, parameter, n_paths,
+                                                    workers):
+    # both legs stepped together on one draw give, bit for bit, what each
+    # leg gives run alone with its own draw
+    model = {"ko": ko_model, "heston": heston_model, "ou": ou_model}[kind]
+    T, h = 1.0, 1e-3
+    cfg = SimConfig(T=T, n_steps=40, n_paths=n_paths, seed=2**63 + 11, scheme=scheme)
+    chi = si.initial_state(model)
+    if parameter in ("chi", "s0"):
+        legs = [(model, chi + h), (model, chi - h)]
+        h_used = h
+    else:
+        up, dn, h_used = bumped_models(model, parameter, h)
+        legs = [(up, chi), (dn, chi)]
+    stacked = si._ensemble(legs, cfg, "phat", workers)
+    refs = [_single_leg_reference(m, c, cfg, "phat") for m, c in legs]
+    for ens, (x_T, integral, min_x) in zip(stacked, refs):
+        assert np.array_equal(ens.x_T, x_T)
+        assert np.array_equal(ens.integral, integral)
+        assert ens.min_x == min_x
+    l_up, l_dn = refs[0][1], refs[1][1]
+    m_up, m_dn = si._log_mean_exp(l_up), si._log_mean_exp(l_dn)
+    se = np.std(np.exp(l_up - m_up) - np.exp(l_dn - m_dn), ddof=1) / math.sqrt(n_paths)
+    est_se = mc_bump_sensitivity(model, None, T, parameter, h, cfg, workers)
+    assert est_se == ((m_up - m_dn) / (2.0 * h_used), se / (2.0 * h_used))
+    assert simulate_phat_value(legs[0][0], legs[0][1], T, cfg, workers) == \
+        si._mean_se(np.exp(l_up))
+
+
+def test_bump_legs_share_one_draw(ko_model, monkeypatch):
+    # regression guard on shared noise: the engine reads each step's normals
+    # once per path block for both legs of a bump
+    sizes = []
+    draw = si.normals_for
+
+    def counted(*args, **kwargs):
+        z = draw(*args, **kwargs)
+        sizes.append(z.size)
+        return z
+
+    monkeypatch.setattr(si, "normals_for", counted)
+    cfg = SimConfig(T=1.0, n_steps=100, n_paths=2000, seed=3, scheme="exact_gaussian")
+    mc_bump_sensitivity(ko_model, None, 1.0, "mu", 1e-3, cfg)
+    assert sizes == [2000] * 100
+
+
+def test_mc_bump_finite_where_value_underflows(ou_model):
+    # configs/ou_complete.json at T = 1e4: every per-path weight exp(int)
+    # underflows to 0, so each leg's mean is taken in log space
+    m = ou_model
+    cfg = SimConfig(T=1e4, n_steps=2000, n_paths=2000, seed=1)
+    with pytest.warns(UserWarning, match="mean-reversion"):
+        est, se = mc_bump_sensitivity(m, None, 1e4, "mu", 1e-3, cfg)
+        v, _, lv = simulate_phat_log_value(m, None, 1e4, cfg)
+    assert math.isfinite(est) and math.isfinite(se) and se > 0.0
+    assert v == 0.0 and math.isfinite(lv) and lv < -700.0
+
+
+def test_phat_log_value_matches_value(ko_model, ou_model):
+    for m in (ko_model, ou_model):
+        cfg = SimConfig(T=2.0, n_steps=200, n_paths=3000, seed=19,
+                        scheme="exact_gaussian")
+        v, se, lv = simulate_phat_log_value(m, None, 2.0, cfg)
+        assert (v, se) == simulate_phat_value(m, None, 2.0, cfg)
+        assert lv == pytest.approx(math.log(v), rel=1e-12)
 
 
 def test_mu_zero_error_term_exactly_one():
