@@ -7,9 +7,10 @@ Kim-Omberg: v(x, t) = exp(Lambda(t) - beta(t) x^2 / 2 - gamma(t) x) with
     Lambda' = alpha2 gamma^2 / 2 - alpha3 gamma - sigma^2 beta / 2
 
 all starting from 0.  Linearizing the Riccati equation as
-beta = u'/(alpha2 u) gives beta and gamma in closed form, written with
-decaying exponentials only so they stay finite at any horizon; Lambda is a
-plain integral, taken by cumulative Simpson on a refined grid.
+beta = u'/(alpha2 u) gives beta and gamma in closed form; Lambda' is then
+rational in exp(-alpha4 t) and integrates in closed form too.  All three are
+written with decaying exponentials only, so they stay finite at any horizon
+and cost the same at any horizon.
 
 Heston: v(x, t) = exp(-gamma(t) - beta(t) x); substituting into the HJB
 yields the Riccati equation
@@ -36,7 +37,6 @@ from .models import Model, ModelSpec, UnsupportedModelError
 
 H_ODE = 1e-3          # fixed RK4 step of the oracle
 TOL_ODE = 1e-8        # half-step Richardson gate of the oracle
-QUAD_RESOLUTION = 0.01  # target quadrature step, in units of the mixing time
 
 
 @dataclass(frozen=True)
@@ -81,46 +81,6 @@ def closed_gamma(model: Model, t):
     return _closed(model, "gamma", t)
 
 
-def _refined_grid(rate: float, grid: np.ndarray):
-    """Split each grid interval into an even number of sub-steps <= h_quad.
-
-    Returns (nodes, indices of the original grid points).  Grid points land
-    on even refined indices, so pairwise cumulative Simpson passes through
-    them, and the index map avoids any floating-point grid matching.
-    """
-    h_quad = QUAD_RESOLUTION / rate * 2.0
-    # Lambda' varies on the timescale 2/mixing_rate; QUAD_RESOLUTION of that
-    pieces = [np.zeros(1)]
-    idx = [0]
-    for a, b in zip(grid[:-1], grid[1:]):
-        width = b - a
-        m = max(2, 2 * math.ceil(width / (2.0 * h_quad)))
-        sub = a + width * np.arange(1, m + 1) / m
-        sub[-1] = b  # land exactly on the grid point
-        pieces.append(sub)
-        idx.append(idx[-1] + m)
-    return np.concatenate(pieces), np.asarray(idx)
-
-
-def _cumulative_simpson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cumulative integral over pairwise-uniform nodes (odd count per pair).
-
-    Even nodes get composite Simpson; interior nodes the half-interval
-    Newton-Cotes rule through the same three points.
-    """
-    out = np.empty_like(y)
-    out[0] = 0.0
-    if x.size == 1:
-        return out
-    i = np.arange(0, x.size - 2, 2)
-    h = x[i + 1] - x[i]
-    full = h / 3.0 * (y[i] + 4.0 * y[i + 1] + y[i + 2])
-    left = h / 12.0 * (5.0 * y[i] + 8.0 * y[i + 1] - y[i + 2])
-    out[2::2] = np.cumsum(full)
-    out[1::2] = out[0:-1:2] + left
-    return out
-
-
 def _check_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
@@ -133,34 +93,11 @@ def _check_grid(grid) -> np.ndarray:
 
 
 def build_path(model: Model, grid) -> CoefficientPath:
-    """Closed-form coefficient path sampled on ``grid``.
-
-    beta and gamma are evaluated on the grid itself; Lambda (Kim-Omberg)
-    integrates its rate over refined nodes, counted in ``meta["n_quad_nodes"]``.
-    """
+    """Closed-form coefficient path: every column evaluated on ``grid``."""
     grid = _check_grid(grid)
     spec = _path_spec(model)
-    rate = spec.mixing_rate(model.constants)
-    meta: dict = {}
-    if grid.size > 1:
-        max_step = float(np.max(np.diff(grid)))
-        if max_step > 1.0 / rate:
-            # the closed forms and Lambda's refinement keep the values
-            # accurate; the warning notes that the returned sampling cannot
-            # resolve the transient
-            meta["refinement_warning"] = (
-                f"grid step {max_step:g} is coarse relative to the mixing "
-                f"time 1/rate = {1.0 / rate:g}"
-            )
-    Lam = None
-    if spec.lambda_rate is not None:
-        nodes, idx = _refined_grid(rate, grid)
-        meta["n_quad_nodes"] = int(nodes.size)
-        lam_rate = spec.lambda_rate(model, spec.beta(model, nodes),
-                                    spec.gamma(model, nodes))
-        Lam = _cumulative_simpson(nodes, lam_rate)[idx]
-    return CoefficientPath(grid=grid, beta=spec.beta(model, grid),
-                           gamma=spec.gamma(model, grid), Lambda=Lam, meta=meta)
+    return CoefficientPath(grid=grid, **{f: _closed(model, f, grid)
+                                         for f in spec.path_fields})
 
 
 # --- independent ODE oracle --------------------------------------------------

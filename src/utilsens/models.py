@@ -206,10 +206,9 @@ class ModelSpec:
     stationary_sd: Callable          # params -> stationary sd of the state
     drift: Callable                  # (model, ep, measure, beta, gamma) -> (c0, c1)
     exponent: Callable               # (model, ep, measure, times, beta, gamma) -> (g2, g1, g0)
-    mixing_rate: Callable | None = None     # path: constants -> rate
     beta: Callable | None = None            # path: (model, t array) -> beta(t)
     gamma: Callable | None = None           # path: (model, t array) -> gamma(t)
-    lambda_rate: Callable | None = None     # kim_omberg: (model, beta, gamma) -> Lambda'
+    Lambda: Callable | None = None          # kim_omberg: (model, t array) -> Lambda(t)
     ode_constants: Callable | None = None   # path: model -> oracle RHS constants
     oracle_rhs: Callable | None = None      # path: (*constants) -> rhs(state tuple)
 
@@ -422,11 +421,43 @@ def _ko_gamma(model: Model, t: np.ndarray) -> np.ndarray:
         / (c.alpha4 * (c.alpha4 + c.alpha1 + (c.alpha4 - c.alpha1) * e))
 
 
-def _ko_lambda_rate(model: Model, beta, gamma):
-    """Lambda' = alpha2 gamma^2 / 2 - alpha3 gamma - sigma^2 beta / 2."""
+def _ratio_near_zero(f, x, slope):
+    """f(x)/x, or its series 1 + slope*x below 1e-8, where that is exact."""
+    small = np.abs(x) < 1e-8
+    safe = np.where(small, 1.0, x)
+    return np.where(small, 1.0 + slope * x, f(safe) / safe)
+
+
+def _ko_Lambda(model: Model, t: np.ndarray) -> np.ndarray:
+    """Lambda(t) = int_0^t (alpha2 gamma^2/2 - alpha3 gamma - sigma^2 beta/2).
+
+    With s = e^{-alpha4 t}, A = alpha4 + alpha1 and B = alpha4 - alpha1, the
+    rate is rational in s; dI1..dI4 are the increments from s to 1 of its four
+    integrals (Kim and Omberg 1996).  AB = alpha2 n, so K/B is written without
+    dividing by B, which vanishes with mu.
+    """
     c = model.constants
-    return (0.5 * c.alpha2 * gamma**2 - c.alpha3 * gamma
-            - 0.5 * model.params.sigma**2 * beta)
+    n = _riccati_source(model)
+    A = c.alpha4 + c.alpha1
+    B = _radical_minus_linear(c.alpha1, c.alpha2 * n)
+    K = c.alpha3 * n / c.alpha4
+    K_B = c.alpha3 * A / (c.alpha2 * c.alpha4)
+    s = np.exp(-c.alpha4 * t)
+    om = -np.expm1(-c.alpha4 * t)
+    om2 = -np.expm1(-2.0 * c.alpha4 * t)
+    D = A + B * s * s
+    E = A + B * s
+    dI1 = om2 / (2.0 * D) * _ratio_near_zero(np.log1p, B * om2 / D, -0.5)
+    dI2 = om / E * _ratio_near_zero(np.arctan, om * math.sqrt(A * B) / E, 0.0)
+    dI3 = om2 / (4.0 * c.alpha4 * D)
+    dI4 = (om * (A - B * s) / (2.0 * c.alpha4 * D) + dI2) / (2.0 * A)
+    a4t = c.alpha4 * t
+    quadratic = 0.5 * c.alpha2 * (K * K * a4t / A**2 + K * K_B * (
+        (A * A - B * B) / A**2 * dI1 - 4.0 * dI2
+        - (A * A - 6.0 * A * B + B * B) / A * dI3 + 4.0 * (A - B) * dI4))
+    linear = -c.alpha3 * K * (a4t / A + (A - B) / A * dI1 - 2.0 * dI2)
+    source = -0.5 * model.params.sigma**2 * n * (a4t / A - (A + B) / A * dI1)
+    return (quadratic + linear + source) / c.alpha4
 
 
 def _ko_ode_constants(model: Model) -> tuple:
@@ -545,10 +576,8 @@ SPECS: dict[str, ModelSpec] = {
         theta=_factor_theta, hjb_terms=_factor_hjb_terms,
         stationary_sd=lambda pa: pa.sigma / math.sqrt(2.0 * pa.k),
         drift=_factor_drift, exponent=_factor_exponent,
-        mixing_rate=lambda c: 2.0 * c.alpha4, beta=_ko_beta,
-        gamma=_ko_gamma, lambda_rate=_ko_lambda_rate,
-        ode_constants=_ko_ode_constants,
-        oracle_rhs=_ko_rhs,
+        beta=_ko_beta, gamma=_ko_gamma, Lambda=_ko_Lambda,
+        ode_constants=_ko_ode_constants, oracle_rhs=_ko_rhs,
     ),
     HESTON: ModelSpec(
         kind=HESTON, params_type=HestonParams, state_field="chi",
@@ -560,9 +589,8 @@ SPECS: dict[str, ModelSpec] = {
         eigen=_heston_eigen, theta=_factor_theta, hjb_terms=_factor_hjb_terms,
         stationary_sd=lambda pa: pa.sigma * math.sqrt(pa.m_bar / (2.0 * pa.k)),
         drift=_factor_drift, exponent=_factor_exponent,
-        mixing_rate=lambda c: c.beta2, beta=_heston_beta,
-        gamma=_heston_gamma, ode_constants=_heston_ode_constants,
-        oracle_rhs=_heston_rhs,
+        beta=_heston_beta, gamma=_heston_gamma,
+        ode_constants=_heston_ode_constants, oracle_rhs=_heston_rhs,
     ),
 }
 _SPEC_BY_TYPE = {spec.params_type: spec for spec in SPECS.values()}

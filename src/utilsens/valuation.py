@@ -48,9 +48,9 @@ def coefficients_at(model: Model, t: float) -> tuple[float, float, float]:
         raise ValueError(f"horizon T must be finite and >= 0, got {t}")
     if t == 0.0:
         return 0.0, 0.0, 0.0
-    path = coeff.build_path(model, [0.0, t])
-    lam = float(path.Lambda[-1]) if path.Lambda is not None else 0.0
-    return float(path.beta[-1]), float(path.gamma[-1]), lam
+    cols = {"Lambda": 0.0}
+    cols.update((f, coeff._closed(model, f, t)) for f in model.spec.path_fields)
+    return cols["beta"], cols["gamma"], cols["Lambda"]
 
 
 def _log_value_coefficients(model: Model, t: float) -> tuple[float, float, float]:

@@ -132,6 +132,16 @@ def test_value_and_sweep(tmp_path):
     assert len(json.loads(out)["rows"]) == 3
 
 
+def test_ko_value_at_horizon_1e6(tmp_path):
+    # the shipped config: its closed value costs the same at any horizon
+    shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "kim_omberg.json")
+    with open(shipped, encoding="utf-8") as fh:
+        cfg = {**json.load(fh), "sweep": {"T_grid": [1e6]}}
+    code, out = _run(["value", "--config", _write(tmp_path, cfg)])
+    assert code == 0
+    assert math.isfinite(json.loads(out)["log_abs_utility"])
+
+
 def test_ou_value_and_simulate_finite_where_value_underflows(tmp_path):
     # the Monte Carlo value underflows to 0 at T = 1e4; ln v comes from a
     # log-mean-exp of the per-path exponents, so both commands exit 0

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -167,17 +168,67 @@ def test_closed_gamma_finite_at_large_horizon(ko_model, heston_model):
         warnings.simplefilter("error")
         g_ko = co.closed_gamma(ko_model, 1e6)
         g_h = co.closed_gamma(heston_model, 1e6)
+        L_ko = co.build_path(ko_model, [0.0, 1e3, 1e6]).Lambda
     assert g_ko == pytest.approx(eigenpair(ko_model).a1, rel=1e-14)
     assert g_h / 1e6 == pytest.approx(eigenpair(heston_model).lam, rel=1e-6)
+    # past the transient Lambda(t) = -lambda t + const
+    assert np.all(np.isfinite(L_ko))
+    lam = eigenpair(ko_model).lam
+    assert abs((L_ko[2] + lam * 1e6) - (L_ko[1] + lam * 1e3)) < 1e-8
 
 
 def test_closed_gamma_matches_oracle():
+    # every closed column, Lambda included, against the RK4 oracle
     rng = np.random.default_rng(25)
     grid = np.linspace(0.0, 10.0, 21)
     for kind_draw in (draw_ko, draw_heston):
         models = [kind_draw(rng) for _ in range(20)]
         for m, oracle in zip(models, co.riccati_oracle_batch(models, grid)):
-            assert np.max(np.abs(co.closed_gamma(m, grid) - oracle.gamma)) < 1e-10
+            closed = co.build_path(m, grid)
+            for f in m.spec.path_fields:
+                gap = np.max(np.abs(getattr(closed, f) - getattr(oracle, f)))
+                assert gap < 1e-10, f
+
+
+def _mp_ko_Lambda(pa, p, T):
+    """30-digit quadrature of Lambda' with beta and gamma in closed form,
+    every constant recomputed from the parameters in mpmath."""
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        mu, vs, k, mb, sig, rho = (mp.mpf(x) for x in (
+            pa.mu, pa.varsigma, pa.k, pa.m_bar, pa.sigma, pa.rho))
+        q = -mp.mpf(p) / (1 - mp.mpf(p))
+        a1 = k + q * mu * rho * sig / vs
+        a2 = (rho * sig) ** 2 + (1 - rho**2) * sig**2 / (1 - q)
+        a3 = k * mb
+        n = q * (1 - q) * (mu / vs) ** 2
+        a4 = mp.sqrt(a1**2 + a2 * n)
+        A = a4 + a1
+        B = a2 * n / A  # = a4 - a1, without cancellation
+
+        def rate(t):
+            s = mp.exp(-a4 * t)
+            beta = n * (1 - s * s) / (A + B * s * s)
+            gamma = a3 * n / a4 * (1 - s) ** 2 / (A + B * s * s)
+            return a2 * gamma**2 / 2 - a3 * gamma - sig**2 * beta / 2
+
+        return float(mp.quad(rate, mp.linspace(0, T, 7)))
+
+
+@pytest.mark.parametrize("params, p", [
+    *[(KimOmbergParams(**{**KO_SET, "mu": mu}), -1.0) for mu in (1e-12, 1e-8, 1e-5)],
+    (KimOmbergParams(mu=1.0, varsigma=0.2, k=0.3, m_bar=0.1, sigma=1.5,
+                     rho=-0.95, chi=0.2), -0.5),
+], ids=["mu=1e-12", "mu=1e-8", "mu=1e-5", "alpha1<0"])
+def test_closed_Lambda_matches_mpmath(params, p):
+    m = validate(params, Preferences(p=p))
+    Ts = [0.3, 3.0, 30.0]
+    got = co.build_path(m, [0.0] + Ts).Lambda[1:]
+    for T, L in zip(Ts, got):
+        ref = _mp_ko_Lambda(params, p, T)
+        assert abs(L - ref) <= 1e-12 * (1.0 + abs(ref)), T
+        # Lambda scales with mu^2: also relative, where the bound above is loose
+        assert abs(L - ref) <= 1e-12 * abs(ref), T
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -274,11 +325,6 @@ def test_riccati_oracle_rejects_ou():
                  Preferences(p=-3.0))
     with pytest.raises(UnsupportedModelError):
         co.riccati_oracle(m, np.array([0.0, 1.0]))
-
-
-def test_coarse_grid_refinement_warning_in_meta(ko_model):
-    meta = co.build_path(ko_model, np.array([0.0, 30.0])).meta
-    assert "refinement_warning" in meta
 
 
 def test_csv_serialization(ko_model, heston_model):

@@ -1,6 +1,7 @@
 """Dual value, optimal controls, and decomposition ingredients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,21 @@ def test_log_abs_utility_where_utility_underflows(ko_model, heston_model):
         assert math.isfinite(res.log_abs_utility)
         lv = va.log_dual_value(m, m.params.chi, 1e4)
         assert res.log_abs_utility == (1.0 - m.p) * lv - math.log(abs(m.p))
+
+
+def test_ko_dual_value_cost_flat_in_horizon(ko_model):
+    # every coefficient is closed, so T = 1e6 costs what T = 1 costs
+    res = dual_value(ko_model, None, 1e6)
+    assert math.isfinite(res.log_abs_utility)
+    lam = eigenpair(ko_model).lam
+    assert res.growth_rate_estimate == pytest.approx(lam, rel=1e-5)
+    tracemalloc.start()
+    try:
+        dual_value(ko_model, None, 1e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("T", [math.inf, math.nan])
