@@ -33,11 +33,8 @@ from .models import (
     ConfigError,
     Model,
     UnsupportedModelError,
-    ValidationError,
-    bump_params,
     bumped_models,
     initial_state,
-    validate,
 )
 
 FD_SCALE = 1e-6          # relative finite-difference step
@@ -46,13 +43,10 @@ AUDIT_TOL_ABS = 1e-6     # flag when |closed - fd| >= AUDIT_TOL_ABS * (1 + |clos
 
 @dataclass(frozen=True)
 class FDEstimate:
-    """Central difference of lambda with a Richardson error estimate."""
+    """Central difference of lambda and the step it was taken at."""
 
     value: float          # (lambda(t+h) - lambda(t-h)) / (2h)
-    half_step: float      # same at h/2
-    richardson: float     # (4 * half_step - value) / 3
-    error_estimate: float  # estimated error of half_step
-    h: float
+    h: float              # the step after any shrink by bumped_models
 
 
 @dataclass(frozen=True)
@@ -97,34 +91,27 @@ def eigenvalue(model: Model) -> float:
     return eigenpair(model).lam
 
 
-def lambda_fd(model: Model, parameter: str, h: float | None = None) -> FDEstimate:
-    """Central finite difference of the eigenvalue in ``parameter``.
-
-    Both bumped parameter sets must be admissible; if not, the step shrinks
-    once by 10x before giving up.
-    """
+def _step(model: Model, parameter: str, h: float | None = None) -> float:
+    """``h``, or the default step FD_SCALE * max(|theta|, 1) for ``parameter``."""
     theta = getattr(model.params, parameter, None)
     if theta is None:
         raise ConfigError(f"unknown parameter '{parameter}' for {model.kind}")
-    if h is None:
-        h = FD_SCALE * max(abs(theta), 1.0)
+    return FD_SCALE * max(abs(theta), 1.0) if h is None else h
 
-    def lam_at(step: float) -> float:
-        return eigenvalue(validate(bump_params(model.params, parameter, step),
-                                   model.prefs))
 
-    def central(step: float) -> float:
-        return (lam_at(+step) - lam_at(-step)) / (2.0 * step)
+def _central(up: Model, dn: Model, h: float) -> float:
+    return (eigenvalue(up) - eigenvalue(dn)) / (2.0 * h)
 
-    try:
-        value = central(h)
-    except ValidationError:
-        h = h / 10.0
-        value = central(h)
-    half = central(h / 2.0)
-    rich = (4.0 * half - value) / 3.0
-    return FDEstimate(value=value, half_step=half, richardson=rich,
-                      error_estimate=abs(half - value) / 3.0, h=h)
+
+def lambda_fd(model: Model, parameter: str, h: float | None = None) -> FDEstimate:
+    """Central finite difference of the eigenvalue in ``parameter``.
+
+    The two legs come from ``models.bumped_models``: both bumped parameter
+    sets must be admissible, and if one is not the step shrinks once by 10x
+    before giving up.
+    """
+    up, dn, h = bumped_models(model, parameter, _step(model, parameter, h))
+    return FDEstimate(value=_central(up, dn, h), h=h)
 
 
 # --- published limit tables ---------------------------------------------------
@@ -285,13 +272,14 @@ class DiagnosticRow:
 
 
 def convergence_diagnostic(model: Model, parameter: str, T_grid,
-                           h: float | None = None,
                            sim_config=None) -> list[DiagnosticRow]:
     """Table of (1/T) d ln v / d theta against the long-horizon limit.
 
-    Factor models differentiate the closed-form log value by re-solving the
-    coefficient paths under theta +- h.  The complete-market model has no
-    closed value; pass a sim config and the Monte Carlo bump route is used.
+    One pair of models from ``models.bumped_models`` at ``lambda_fd``'s
+    default step gives both columns: the limit, exactly
+    ``-lambda_fd(model, parameter).value``, and the slopes, from the pair's
+    closed-form log values or, for the complete-market model, which has no
+    closed value, from the Monte Carlo bump route given a sim config.
     """
     if parameter == "chi":
         raise ConfigError("use initial_factor_sensitivity for the chi derivative")
@@ -299,14 +287,12 @@ def convergence_diagnostic(model: Model, parameter: str, T_grid,
     if T_grid.ndim != 1 or T_grid.size == 0 or np.any(np.diff(T_grid) <= 0) \
             or T_grid[0] <= 0:
         raise ValueError("T grid must be positive and strictly increasing")
-    limit = -lambda_fd(model, parameter).value  # rejects unknown parameters
-    theta = getattr(model.params, parameter)
-    hh = h if h is not None else FD_SCALE * max(abs(theta), 1.0)
+    up, dn, h = bumped_models(model, parameter, _step(model, parameter))
+    limit = -_central(up, dn, h)
     if model.spec.has_path:
-        up, dn, hh = bumped_models(model, parameter, hh)
         chi = model.params.chi
         slopes = [(valuation.log_dual_value(up, chi, float(T))
-                   - valuation.log_dual_value(dn, chi, float(T))) / (2.0 * hh)
+                   - valuation.log_dual_value(dn, chi, float(T))) / (2.0 * h)
                   for T in T_grid]
     else:
         if sim_config is None:
@@ -316,7 +302,7 @@ def convergence_diagnostic(model: Model, parameter: str, T_grid,
         from . import simulation  # local import keeps module deps one-way
 
         slopes = [simulation.mc_bump_sensitivity(
-            model, None, float(T), parameter, hh, sim_config.with_(T=float(T)))[0]
+            model, None, float(T), parameter, h, sim_config.with_(T=float(T)))[0]
             for T in T_grid]
     rows = []
     for T, slope in zip(T_grid, slopes):

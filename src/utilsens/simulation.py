@@ -45,6 +45,7 @@ from .models import (
     UnsupportedModelError,
     bumped_models,
     initial_state,
+    validate,
 )
 
 SCHEMES = ("exact_gaussian", "euler", "full_truncation_euler")
@@ -297,12 +298,18 @@ def estimate_error_term(ensemble: PathEnsemble, ep: Eigenpair) -> tuple[float, f
     """Sample mean and standard error of exp(int f ds) / phi(X_T).
 
     The per-path exponent int f - log phi(X_T) is assembled in log scale and
-    exponentiated per path, so large eigenfunction exponents cannot overflow
-    intermediate products.
+    shifted by its largest value before it is exponentiated, so the weights
+    lie in (0, 1] and neither they nor their squares in the SE overflow; the
+    mean and SE are scaled back by exp of that shift.
     """
     if ensemble.x_T.size == 0:
         raise ValueError("empty ensemble")
-    return _mean_se(np.exp(ensemble.integral - phi_log(ep, ensemble.x_T)))
+    log_w = ensemble.integral - phi_log(ep, ensemble.x_T)
+    top = float(np.max(log_w))
+    log_w -= top
+    mean, se = _mean_se(np.exp(log_w, out=log_w))
+    scale = math.exp(top)
+    return mean * scale, se * scale
 
 
 def _mean_se(w: np.ndarray) -> tuple[float, float]:
@@ -400,13 +407,19 @@ def mc_bump_sensitivity(model: Model, chi: float | None, T: float, parameter: st
     Both legs are stepped together on one draw of Gaussian increments, so the
     finite-difference noise scales with the bump response, not with the
     absolute value level.  Returns (d ln v / d parameter, SE).
+
+    The legs come from ``models.bumped_models``.  A state bump (``chi`` or
+    the state field) bumps the model revalidated with its state set to
+    ``chi``, so a leg outside the state's domain shrinks the step once by
+    10x or raises, as an inadmissible parameter bump does.
     """
     chi = initial_state(model, chi)
-    if parameter in ("chi", "s0"):
-        legs = [(model, chi + h), (model, chi - h)]
-    else:
-        up, dn, h = bumped_models(model, parameter, h)
-        legs = [(up, chi), (dn, chi)]
+    state = model.spec.state_field
+    if parameter in ("chi", state):
+        model = validate(replace(model.params, **{state: chi}), model.prefs)
+        chi = None  # each leg starts at its own bumped state
+    up, dn, h = bumped_models(model, parameter, h)
+    legs = [(leg, initial_state(leg, chi)) for leg in (up, dn)]
     l_up, l_dn = (e.integral for e in _ensemble(legs, cfg.with_(T=T), "phat", workers))
     # ln of each leg's mean, and the SE from the legs' normalized weights
     m_up, m_dn = _log_mean_exp(l_up), _log_mean_exp(l_dn)

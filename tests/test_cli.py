@@ -307,3 +307,24 @@ def test_to_json_stable_and_parseable():
 def test_to_csv_floats():
     out = to_csv([["h1", "h2"], [0.1, 2]])
     assert out.splitlines()[1].split(",")[0] == format(0.1, ".17g")
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+@pytest.mark.parametrize("command, config, code", [
+    ("eigenpair", "heston", 0),
+    ("eigenpair", "kim_omberg", 0),
+    ("eigenpair", "ou_complete", 0),
+    ("sensitivities", "heston", 0),
+    ("sensitivities", "kim_omberg", 1),  # the audit flags the mu and varsigma rows
+    ("sensitivities", "ou_complete", 0),
+])
+def test_deterministic_output_byte_stable(command, config, code):
+    # closed forms and the eigenvalue FD only, no Monte Carlo or quadrature:
+    # any change to these bytes is a change to a deterministic output
+    got, out = _run([command, "--config", os.path.join(SHIPPED, f"{config}.json")])
+    assert got == code
+    with open(os.path.join(GOLDEN, f"{command}_{config}.out"), "rb") as fh:
+        assert out.encode() == fh.read()

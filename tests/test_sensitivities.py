@@ -14,6 +14,7 @@ from utilsens import (
     long_term_sensitivities,
     validate,
 )
+from utilsens import models
 from utilsens import sensitivities as se
 from utilsens.models import ConfigError
 
@@ -54,7 +55,6 @@ def test_lambda_fd_exact_for_linear_dependence(heston_model):
     fd = lambda_fd(heston_model, "m_bar")
     exact = heston_model.params.k * eigenpair(heston_model).a1
     assert fd.value == pytest.approx(exact, rel=1e-10)
-    assert fd.error_estimate < 1e-10
 
 
 def test_lambda_fd_zero_at_mu_zero_uncorrelated():
@@ -71,15 +71,42 @@ def test_lambda_fd_two_routes_ko_sigma(ko_model):
                                 rel=1e-8, abs=1e-10)
 
 
-def test_lambda_fd_richardson_consistency(ko_model):
-    fd = lambda_fd(ko_model, "k")
-    assert abs(fd.half_step - fd.value) <= 4.0 * fd.error_estimate + 1e-14
-    assert fd.richardson == pytest.approx(fd.value, rel=1e-6)
-
-
-def test_lambda_fd_unknown_parameter(ko_model):
+def test_lambda_fd_unknown_parameter(ko_model, ou_model):
     with pytest.raises(ConfigError):
         lambda_fd(ko_model, "nope")
+    # bump_params reads chi as the complete-market s0; the eigenvalue FD
+    # must not take that alias
+    with pytest.raises(ConfigError):
+        lambda_fd(ou_model, "chi")
+
+
+def test_one_validated_pair_per_derivative(ko_model, heston_model, monkeypatch):
+    # lambda_fd and convergence_diagnostic each validate exactly one pair of
+    # bumped models, through models.bumped_models
+    calls = []
+    validate_model = models.validate
+
+    def counted(*args):
+        calls.append(args)
+        return validate_model(*args)
+
+    monkeypatch.setattr(models, "validate", counted)
+    # and any direct validation from this module, were one to come back
+    monkeypatch.setattr(se, "validate", counted, raising=False)
+    for m, name in ((ko_model, "k"), (heston_model, "m_bar")):
+        calls.clear()
+        lambda_fd(m, name)
+        assert len(calls) == 2
+        calls.clear()
+        se.convergence_diagnostic(m, name, [1.0, 10.0])
+        assert len(calls) == 2
+
+
+def test_diagnostic_limit_is_the_lambda_fd(ko_model, heston_model):
+    for m in (ko_model, heston_model):
+        for name in m.spec.sensitivity_params:
+            row = se.convergence_diagnostic(m, name, [5.0])[0]
+            assert row.limit == -lambda_fd(m, name).value
 
 
 def test_lambda_fd_shrinks_near_admissibility_boundary():

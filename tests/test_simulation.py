@@ -287,6 +287,16 @@ def test_decomposition_t0_trivial(ko_model):
     assert r.passed and r.mc_se == 0.0 and r.ratio_gap <= 1e-12
 
 
+def test_decomposition_se_finite_for_huge_weights(ko_model):
+    # at chi = 35 the per-path weights are near e^545, so their squares
+    # overflow unless the log-weights are shifted by their largest value
+    cfg = SimConfig(T=0.1, n_steps=20, n_paths=1000, seed=1)
+    r = decomposition_check(ko_model, 35.0, 0.1, cfg, check_dt_halving=False)
+    assert math.isfinite(r.mc_error_term) and math.isfinite(r.mc_se)
+    assert 0.0 < r.mc_se < r.mc_error_term
+    assert r.passed == (r.ratio_gap < 3.0 * r.mc_se)
+
+
 def test_two_route_value_agreement():
     prefs = Preferences(p=-1.0)
     ko = validate(KimOmbergParams(**KO_SET), prefs)
@@ -321,6 +331,15 @@ def test_mc_bump_chi_matches_closed_form(ko_model):
     b, g, _ = va.coefficients_at(ko_model, 10.0)
     closed = -b * ko_model.params.chi - g
     assert abs(est - closed) < 3.0 * se
+
+
+def test_mc_bump_state_step_shrinks_into_the_domain(heston_model):
+    # chi = 0.09: a 0.1 bump would start the down leg at chi = -0.01, outside
+    # the Heston domain, so the step shrinks to 0.01 as a parameter bump's does
+    cfg = SimConfig(T=1.0, n_steps=100, n_paths=2000, seed=1,
+                    scheme="full_truncation_euler")
+    assert mc_bump_sensitivity(heston_model, None, 1.0, "chi", 0.1, cfg) == \
+        mc_bump_sensitivity(heston_model, None, 1.0, "chi", 0.01, cfg)
 
 
 def test_ou_complete_growth_trend(ou_model):
