@@ -22,8 +22,11 @@ is the sinh/cosh display, and gamma(t) = k m_bar * integral of beta, the
 logarithm of the same linearization, also closed.
 
 The per-kind formulas live in the model's spec.  ``riccati_oracle``
-integrates the governing ODE systems with classical RK4 at a fixed step as
-an independent verification path for the closed forms.
+integrates the governing ODE systems with classical RK4 as an independent
+verification path for the closed forms.  The coefficients approach their
+limits at the model's mixing rate (2 alpha4 for Kim-Omberg, beta2 for
+Heston), so the oracle steps at a fixed fraction of the mixing time, never
+below ``H_ODE``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ import numpy as np
 
 from .models import Model, ModelSpec, UnsupportedModelError
 
-H_ODE = 1e-3          # fixed RK4 step of the oracle
+H_ODE = 1e-3          # smallest RK4 step of the oracle
+H_MIX = 0.02          # oracle step in units of the model's mixing time
 TOL_ODE = 1e-8        # half-step Richardson gate of the oracle
 
 
@@ -105,8 +109,8 @@ def build_path(model: Model, grid) -> CoefficientPath:
 def _rk4(rhs, state: tuple, grid: np.ndarray, h: float) -> np.ndarray:
     """Classical RK4 at steps <= h, landing exactly on the grid points.
 
-    ``state`` is a tuple whose entries are floats for one model or 1-d
-    arrays for a batch; returns the states at the grid points, stacked.
+    ``state`` is a tuple of floats; returns the states at the grid points,
+    stacked.
     """
     out = [state]
     for t0, t1 in zip(grid[:-1], grid[1:]):
@@ -126,61 +130,26 @@ def _rk4(rhs, state: tuple, grid: np.ndarray, h: float) -> np.ndarray:
     return np.array(out)
 
 
-def _rk4_richardson(rhs, state: tuple, grid: np.ndarray, h_ode: float):
-    """RK4 at steps h_ode and h_ode/2: (half-step states, |full - half|)."""
-    full = _rk4(rhs, state, grid, h_ode)
-    half = _rk4(rhs, state, grid, h_ode / 2.0)
-    return half, np.abs(full - half)
-
-
-def _oracle_path(spec: ModelSpec, grid: np.ndarray, vals: np.ndarray,
-                 h_ode: float, disagreement: float) -> CoefficientPath:
-    meta = {"h_ode": h_ode, "richardson_disagreement": disagreement}
-    return CoefficientPath(grid=grid, meta=meta, **dict(zip(spec.path_fields, vals.T)))
-
-
-def riccati_oracle(model: Model, grid, h_ode: float = H_ODE,
-                   tol_ode: float = TOL_ODE) -> CoefficientPath:
+def riccati_oracle(model: Model, grid) -> CoefficientPath:
     """RK4 integration of the coefficient ODEs, Richardson-gated.
 
-    The systems are integrated at steps ``h_ode`` and ``h_ode/2``; if the two
-    disagree beyond ``tol_ode`` at any grid point the step is declared too
+    The step is ``max(H_ODE, H_MIX / rate)`` for the model's mixing rate, so
+    a slowly mixing model is not stepped finer than its coefficients vary.
+    The systems are integrated at that step and at half of it; if the two
+    disagree beyond ``TOL_ODE`` at any grid point the step is declared too
     large and an error is raised.
     """
     grid = _check_grid(grid)
     spec = _path_spec(model)
+    h_ode = max(H_ODE, H_MIX / spec.mixing_rate(model))
     rhs = spec.oracle_rhs(*spec.ode_constants(model))
-    half, gap = _rk4_richardson(rhs, (0.0,) * len(spec.path_fields), grid, h_ode)
-    disagreement = float(np.max(gap))
-    if disagreement > tol_ode:
+    zero = (0.0,) * len(spec.path_fields)
+    half = _rk4(rhs, zero, grid, h_ode / 2.0)
+    disagreement = float(np.max(np.abs(_rk4(rhs, zero, grid, h_ode) - half)))
+    if disagreement > TOL_ODE:
         raise ValueError(
             f"RK4 step h_ode={h_ode:g} too large: half-step disagreement "
-            f"{disagreement:.3e} exceeds tol_ode={tol_ode:g}"
+            f"{disagreement:.3e} exceeds TOL_ODE={TOL_ODE:g}"
         )
-    return _oracle_path(spec, grid, half, h_ode, disagreement)
-
-
-def riccati_oracle_batch(models: list[Model], grid, h_ode: float = H_ODE,
-                         tol_ode: float = TOL_ODE) -> list[CoefficientPath]:
-    """Vectorized oracle for a sweep of same-kind parameter sets."""
-    if not models:
-        return []
-    if len({m.kind for m in models}) > 1:
-        raise ValueError("riccati_oracle_batch needs models of one kind")
-    grid = _check_grid(grid)
-    spec = _path_spec(models[0])
-    consts = zip(*(spec.ode_constants(m) for m in models))
-    rhs = spec.oracle_rhs(*(np.array(col) for col in consts))
-    zero = (np.zeros(len(models)),) * len(spec.path_fields)
-    half, gap = _rk4_richardson(rhs, zero, grid, h_ode)
-    disagreement = np.max(gap, axis=(0, 1))
-    out = []
-    for j in range(len(models)):
-        if disagreement[j] > tol_ode:
-            raise ValueError(
-                f"RK4 step h_ode={h_ode:g} too large for draw {j}: "
-                f"disagreement {disagreement[j]:.3e}"
-            )
-        out.append(_oracle_path(spec, grid, half[:, :, j], h_ode,
-                                float(disagreement[j])))
-    return out
+    meta = {"h_ode": h_ode, "richardson_disagreement": disagreement}
+    return CoefficientPath(grid=grid, meta=meta, **dict(zip(spec.path_fields, half.T)))

@@ -211,6 +211,7 @@ class ModelSpec:
     Lambda: Callable | None = None          # kim_omberg: (model, t array) -> Lambda(t)
     ode_constants: Callable | None = None   # path: model -> oracle RHS constants
     oracle_rhs: Callable | None = None      # path: (*constants) -> rhs(state tuple)
+    mixing_rate: Callable | None = None     # path: model -> rate the path nears its limit
 
     @cached_property
     def fields(self) -> tuple[str, ...]:
@@ -578,6 +579,7 @@ SPECS: dict[str, ModelSpec] = {
         drift=_factor_drift, exponent=_factor_exponent,
         beta=_ko_beta, gamma=_ko_gamma, Lambda=_ko_Lambda,
         ode_constants=_ko_ode_constants, oracle_rhs=_ko_rhs,
+        mixing_rate=lambda m: 2.0 * m.constants.alpha4,
     ),
     HESTON: ModelSpec(
         kind=HESTON, params_type=HestonParams, state_field="chi",
@@ -591,6 +593,7 @@ SPECS: dict[str, ModelSpec] = {
         drift=_factor_drift, exponent=_factor_exponent,
         beta=_heston_beta, gamma=_heston_gamma,
         ode_constants=_heston_ode_constants, oracle_rhs=_heston_rhs,
+        mixing_rate=lambda m: m.constants.beta2,
     ),
 }
 _SPEC_BY_TYPE = {spec.params_type: spec for spec in SPECS.values()}

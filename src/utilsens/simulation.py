@@ -50,6 +50,7 @@ from .models import (
 
 SCHEMES = ("exact_gaussian", "euler", "full_truncation_euler")
 _BLOCK = 16384  # fixed path block; block geometry never depends on workers
+_LOG_HEADROOM = 300.0  # terms compared below exp(300) keep finite squares
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,6 @@ class PathEnsemble:
 
     x_T: np.ndarray
     integral: np.ndarray
-    min_x: float
-    config: SimConfig
 
 
 @dataclass(frozen=True)
@@ -208,8 +207,8 @@ def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
             )
     n, steps = cfg.n_paths, cfg.n_steps
     if cfg.T == 0.0:
-        return [PathEnsemble(x_T=np.full(n, chi), integral=np.zeros(n),
-                             min_x=float(chi), config=cfg) for _, chi in legs]
+        return [PathEnsemble(x_T=np.full(n, chi), integral=np.zeros(n))
+                for _, chi in legs]
     dt = cfg.T / steps
     tables = []
     for model, _ in legs:
@@ -242,7 +241,6 @@ def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
     g_start = (g2[0] * chi + g1[0]) * chi + g0[0]
     x_T = np.empty((len(legs), n))
     integral = np.empty((len(legs), n))
-    block_min = np.full((len(legs), (n + _BLOCK - 1) // _BLOCK), np.inf)
     sqdt = math.sqrt(dt)
     half_dt = 0.5 * dt
     exact = cfg.scheme == "exact_gaussian"
@@ -257,7 +255,6 @@ def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
         xr = x
         acc = np.zeros_like(x)
         g_prev = g_start
-        blk_min = chi[:, 0]
         for j in range(steps):
             z = normals_for(cfg.seed, n, j, lo, hi, stream)
             if exact:
@@ -274,16 +271,11 @@ def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
             g_new = (g2[k] * xr + g1[k]) * xr + g0[k]
             acc += half_dt * (g_prev + g_new)
             g_prev = g_new
-            if truncate:
-                blk_min = np.minimum(blk_min, np.min(xr, axis=1))
         x_T[:, lo:hi] = xr
         integral[:, lo:hi] = acc
-        block_min[:, lo // _BLOCK] = blk_min
 
     _run_blocks(kernel, n, workers)
-    return [PathEnsemble(x_T=x_T[i], integral=integral[i],
-                         min_x=float(np.min(block_min[i])), config=cfg)
-            for i in range(len(legs))]
+    return [PathEnsemble(x_T=x_T[i], integral=integral[i]) for i in range(len(legs))]
 
 
 def simulate_q_paths(model: Model, cfg: SimConfig, chi: float | None = None,
@@ -294,22 +286,39 @@ def simulate_q_paths(model: Model, cfg: SimConfig, chi: float | None = None,
     return _ensemble([(model, initial_state(model, chi))], cfg, "q", workers)[0]
 
 
+def _shifted_error_term(ensemble: PathEnsemble, ep: Eigenpair) -> tuple[float, float, float]:
+    """(top, mean, SE) of the weights exp(int f ds - log phi(X_T) - top),
+    with top the largest per-path exponent, so the weights lie in (0, 1]."""
+    if ensemble.x_T.size == 0:
+        raise ValueError("empty ensemble")
+    log_w = ensemble.integral - phi_log(ep, ensemble.x_T)
+    top = float(np.max(log_w))
+    log_w -= top
+    return (top, *_mean_se(np.exp(log_w, out=log_w)))
+
+
+def _times_exp(x: float, s: float) -> float:
+    """x * exp(s) for x >= 0, inf where that overflows."""
+    try:
+        return x * math.exp(s)
+    except OverflowError:
+        if x == 0.0:
+            return 0.0
+        with np.errstate(over="ignore"):
+            return float(np.exp(s + math.log(x)))
+
+
 def estimate_error_term(ensemble: PathEnsemble, ep: Eigenpair) -> tuple[float, float]:
     """Sample mean and standard error of exp(int f ds) / phi(X_T).
 
     The per-path exponent int f - log phi(X_T) is assembled in log scale and
     shifted by its largest value before it is exponentiated, so the weights
     lie in (0, 1] and neither they nor their squares in the SE overflow; the
-    mean and SE are scaled back by exp of that shift.
+    mean and SE are scaled back by exp of that shift, inf where that
+    overflows.
     """
-    if ensemble.x_T.size == 0:
-        raise ValueError("empty ensemble")
-    log_w = ensemble.integral - phi_log(ep, ensemble.x_T)
-    top = float(np.max(log_w))
-    log_w -= top
-    mean, se = _mean_se(np.exp(log_w, out=log_w))
-    scale = math.exp(top)
-    return mean * scale, se * scale
+    top, mean, se = _shifted_error_term(ensemble, ep)
+    return _times_exp(mean, top), _times_exp(se, top)
 
 
 def _mean_se(w: np.ndarray) -> tuple[float, float]:
@@ -326,42 +335,56 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
     The dt-halving gate reruns with doubled n_steps (at least 10^4 paths) and
     requires the error-term shift to stay below 3 combined SE, which bounds
     the visible discretization bias of the scheme.
+
+    The closed ratio v e^{lambda T} / phi(chi) and the error terms are
+    compared on one scale exp(shift), so the gates see finite numbers at any
+    state.  The shift stays 0 until a term would pass exp(_LOG_HEADROOM), so
+    results in range are computed as on the plain scale, bit for bit.  A
+    reported field out of floating-point range is inf.
     """
     chi = initial_state(model, chi)
     cfg = cfg.with_(T=T)
     ep = eigenpair(model)
     lphi = float(phi_log(ep, chi))
     lv = valuation.log_dual_value(model, chi, T)
-    skeleton = math.exp(-ep.lam * T + lphi)
-    ratio = math.exp(lv + ep.lam * T - lphi)
-    if T == 0.0:
-        mc, se = math.exp(-lphi), 0.0
-        gap = abs(ratio - mc)
-        return DecompositionResult(
-            v_closed=math.exp(lv), skeleton=skeleton, mc_error_term=mc, mc_se=se,
-            ratio_gap=gap, passed=bool(gap <= 1e-12), seed=cfg.seed,
-        )
-    ens = simulate_q_paths(model, cfg, chi=chi, workers=workers)
-    mc, se = estimate_error_term(ens, ep)
-    gap = abs(ratio - mc)
-    passed = gap < 3.0 * se
-    halved = halved_gap = combined = None
-    halved_passed = None
-    if check_dt_halving:
-        n2 = max(min(cfg.n_paths, 10000), cfg.n_paths // 2)
-        cfg2 = cfg.with_(n_steps=2 * cfg.n_steps, n_paths=n2)
-        ens2 = simulate_q_paths(model, cfg2, chi=chi, workers=workers)
-        mc2, se2 = estimate_error_term(ens2, ep)
-        halved = mc2
+    log_ratio = lv + ep.lam * T - lphi
+    # (top, mean, SE) of the main run and, if any, the halved-dt run
+    runs = [(-lphi, 1.0, 0.0)]
+    if T > 0.0:
+        runs = [_shifted_error_term(simulate_q_paths(model, cfg, chi=chi,
+                                                     workers=workers), ep)]
+        if check_dt_halving:
+            n2 = max(min(cfg.n_paths, 10000), cfg.n_paths // 2)
+            cfg2 = cfg.with_(n_steps=2 * cfg.n_steps, n_paths=n2)
+            runs.append(_shifted_error_term(
+                simulate_q_paths(model, cfg2, chi=chi, workers=workers), ep))
+    shift = max(0.0, max(log_ratio, *(top for top, _, _ in runs)) - _LOG_HEADROOM)
+
+    def on_scale(run):  # (mean, SE) in units of exp(shift)
+        top, mean, s = run
+        return mean * math.exp(top - shift), s * math.exp(top - shift)
+
+    mc, se = on_scale(runs[0])
+    gap = abs(math.exp(log_ratio - shift) - mc)
+    passed = gap <= 1e-12 if T == 0.0 else gap < 3.0 * se
+    halved = halved_gap = combined = halved_passed = None
+    if len(runs) > 1:
+        mc2, se2 = on_scale(runs[1])
         halved_gap = abs(mc - mc2)
         combined = math.sqrt(se**2 + se2**2)
         halved_passed = halved_gap < 3.0 * combined
         passed = passed and halved_passed
+        top2, mean2, _ = runs[1]
+        halved = _times_exp(mean2, top2)
+        halved_gap, combined = _times_exp(halved_gap, shift), _times_exp(combined, shift)
+    top, mean, s = runs[0]
     return DecompositionResult(
-        v_closed=math.exp(lv), skeleton=skeleton, mc_error_term=mc, mc_se=se,
-        ratio_gap=gap, passed=bool(passed), halved_dt_error_term=halved,
-        halved_dt_gap=halved_gap, halved_dt_combined_se=combined,
-        halved_dt_passed=halved_passed, seed=cfg.seed,
+        v_closed=_times_exp(1.0, lv), skeleton=_times_exp(1.0, -ep.lam * T + lphi),
+        mc_error_term=_times_exp(mean, top), mc_se=_times_exp(s, top),
+        ratio_gap=_times_exp(gap, shift), passed=bool(passed),
+        halved_dt_error_term=halved, halved_dt_gap=halved_gap,
+        halved_dt_combined_se=combined, halved_dt_passed=halved_passed,
+        seed=cfg.seed,
     )
 
 

@@ -46,8 +46,6 @@ def coefficients_at(model: Model, t: float) -> tuple[float, float, float]:
         raise UnsupportedModelError(f"no coefficient path for {model.kind}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"horizon T must be finite and >= 0, got {t}")
-    if t == 0.0:
-        return 0.0, 0.0, 0.0
     cols = {"Lambda": 0.0}
     cols.update((f, coeff._closed(model, f, t)) for f in model.spec.path_fields)
     return cols["beta"], cols["gamma"], cols["Lambda"]

@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import utilsens
 from utilsens.cli import format_float, main, to_csv, to_json
+from utilsens.models import SPECS
 
 HESTON_CFG = {
     "heston": {"mu": 0.5, "varsigma": 0.25, "k": 2.0, "m_bar": 0.09,
@@ -263,6 +265,29 @@ def test_verify_small_paths_still_passes(tmp_path):
            "sim": {**HESTON_CFG["sim"], "n_paths": 100, "n_steps": 400}}
     code, out = _run(["verify", "--config", _write(tmp_path, cfg)])
     assert code == 0
+
+
+def test_verify_t0_identities_evaluates_the_closed_forms(tmp_path, monkeypatch):
+    # a closed gamma that is 1e-9 off at t = 0 must fail t0_identities
+    spec = SPECS["kim_omberg"]
+    planted = replace(spec, gamma=lambda m, t: spec.gamma(m, t) + 1e-9)
+    monkeypatch.setitem(SPECS, "kim_omberg", planted)
+    cfg = {**KO_CFG, "sim": {**KO_CFG["sim"], "n_paths": 200, "n_steps": 100}}
+    code, out = _run(["verify", "--config", _write(tmp_path, cfg)])
+    assert code == 1
+    assert "FAIL t0_identities" in out.splitlines()
+
+
+def test_simulate_large_state_exits_cleanly(tmp_path):
+    # the closed ratio and the error term overflow a double at chi = 50;
+    # the gate compares them on one shifted scale and reports inf as null
+    cfg = {**KO_CFG, "kim_omberg": {**KO_CFG["kim_omberg"], "chi": 50.0},
+           "sim": {"T": 0.1, "n_steps": 20, "n_paths": 1000, "seed": 1}}
+    code, out = _run(["simulate", "--config", _write(tmp_path, cfg)])
+    assert code in (0, 1)
+    res = json.loads(out)["results"][0]
+    assert res["mc_error_term"] is None and res["ratio_gap"] is None
+    assert isinstance(res["passed"], bool) and math.isfinite(res["v_closed"])
 
 
 def test_verify_byte_identical_across_workers(tmp_path):

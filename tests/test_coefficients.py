@@ -1,7 +1,9 @@
 """Closed-form coefficient paths against independent ODE/quadrature oracles."""
 
 import math
+import os
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -17,8 +19,12 @@ from utilsens import (
     validate,
 )
 from utilsens import coefficients as co
+from utilsens.cli import _closed_and_oracle_gap
+from utilsens.models import SPECS, load_config, model_from_config
 
 from conftest import HESTON_SET, KO_SET, draw_heston, draw_ko
+
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def _rk4(rhs, y0, t1, h):
@@ -183,7 +189,8 @@ def test_closed_gamma_matches_oracle():
     grid = np.linspace(0.0, 10.0, 21)
     for kind_draw in (draw_ko, draw_heston):
         models = [kind_draw(rng) for _ in range(20)]
-        for m, oracle in zip(models, co.riccati_oracle_batch(models, grid)):
+        for m in models:
+            oracle = co.riccati_oracle(m, grid)
             closed = co.build_path(m, grid)
             for f in m.spec.path_fields:
                 gap = np.max(np.abs(getattr(closed, f) - getattr(oracle, f)))
@@ -303,8 +310,8 @@ def test_closed_forms_match_oracle_uniformly():
     grid = np.linspace(0.0, 50.0, 101)
     for kind_draw in (draw_ko, draw_heston):
         models = [kind_draw(rng) for _ in range(10)]
-        paths = co.riccati_oracle_batch(models, grid)
-        for m, oracle in zip(models, paths):
+        for m in models:
+            oracle = co.riccati_oracle(m, grid)
             closed = co.build_path(m, grid)
             assert np.max(np.abs(closed.beta - oracle.beta)) < 1e-6
             assert np.max(np.abs(closed.gamma - oracle.gamma)) < 1e-6
@@ -312,10 +319,56 @@ def test_closed_forms_match_oracle_uniformly():
                 assert np.max(np.abs(closed.Lambda - oracle.Lambda)) < 1e-6
 
 
-def test_riccati_oracle_step_too_large_detected(ko_model):
+def test_riccati_oracle_step_too_large_detected(ko_model, monkeypatch):
+    monkeypatch.setattr(co, "H_ODE", 0.5)
     with pytest.raises(ValueError, match="too large"):
-        co.riccati_oracle(ko_model, np.linspace(0.0, 5.0, 6), h_ode=0.5,
-                          tol_ode=1e-12)
+        co.riccati_oracle(ko_model, np.linspace(0.0, 5.0, 6))
+
+
+def test_riccati_oracle_step_set_by_mixing_rate(ko_model, heston_model):
+    # a fast-mixing model is stepped at the H_ODE floor
+    fast = validate(KimOmbergParams(**{**KO_SET, "k": 30.0}), Preferences(p=-1.0))
+    for m, rate in ((ko_model, 2.0 * ko_model.constants.alpha4),
+                    (heston_model, heston_model.constants.beta2),
+                    (fast, 2.0 * fast.constants.alpha4)):
+        h = co.riccati_oracle(m, [0.0, 1.0]).meta["h_ode"]
+        assert h == max(co.H_ODE, co.H_MIX / rate)
+    assert h == co.H_ODE
+
+
+@pytest.mark.parametrize("config", ["kim_omberg", "heston"])
+def test_riccati_oracle_steps_on_shipped_config(config, monkeypatch):
+    # both Richardson passes on verify's 501-point grid, counted at the RHS
+    # (4 evaluations per RK4 step)
+    model = model_from_config(load_config(os.path.join(SHIPPED, f"{config}.json")))
+    spec, calls = model.spec, [0]
+
+    def counted_rhs(*constants):
+        rhs = spec.oracle_rhs(*constants)
+
+        def wrapped(state):
+            calls[0] += 1
+            return rhs(state)
+
+        return wrapped
+
+    monkeypatch.setitem(SPECS, model.kind, replace(spec, oracle_rhs=counted_rhs))
+    co.riccati_oracle(model, np.linspace(0.0, 50.0, 501))
+    assert calls[0] % 4 == 0 and 0 < calls[0] // 4 <= 15000
+
+
+@pytest.mark.parametrize("kind, field", [("kim_omberg", "Lambda"), ("heston", "gamma")])
+def test_planted_error_shows_in_oracle_gap(ko_model, heston_model, kind, field,
+                                           monkeypatch):
+    # +1e-7 at every t > 0 in one closed column: the oracle gap on verify's
+    # grid reads 1e-7 to within its own error, far below the 1e-6 bounds
+    model = ko_model if kind == "kim_omberg" else heston_model
+    closed = getattr(model.spec, field)
+    planted = replace(model.spec,
+                      **{field: lambda m, t: closed(m, t) + 1e-7 * np.sign(t)})
+    monkeypatch.setitem(SPECS, kind, planted)
+    _, sup = _closed_and_oracle_gap(model, np.linspace(0.0, 50.0, 501))
+    assert abs(sup - 1e-7) < 1e-9
 
 
 def test_riccati_oracle_rejects_ou():

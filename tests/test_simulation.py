@@ -71,7 +71,7 @@ def _single_leg_reference(model, chi, cfg, measure):
     c0, c1, g2, g1, g0 = si._coefficients(model, cfg, measure)
     dt, sigma = cfg.T / cfg.n_steps, getattr(model.params, model.spec.vol_field)
     decay, shift, sd = si._affine_gaussian_tables(c0[1::2], c1[1::2], sigma, dt)
-    x_T, integral, lows = [], [], [chi]
+    x_T, integral = [], []
     for lo in range(0, cfg.n_paths, si._BLOCK):
         hi = min(lo + si._BLOCK, cfg.n_paths)
         x = xr = np.full(hi - lo, chi)
@@ -88,13 +88,12 @@ def _single_leg_reference(model, chi, cfg, measure):
                 x = x + (c0[2 * j] - c1[2 * j] * xp) * dt \
                     + sigma * np.sqrt(xp) * math.sqrt(dt) * z
                 xr = np.maximum(x, 0.0)
-                lows.append(float(np.min(xr)))
             g_new = (g2[2 * j + 2] * xr + g1[2 * j + 2]) * xr + g0[2 * j + 2]
             acc += 0.5 * dt * (g_prev + g_new)
             g_prev = g_new
         x_T.append(xr)
         integral.append(acc)
-    return np.concatenate(x_T), np.concatenate(integral), min(lows)
+    return np.concatenate(x_T), np.concatenate(integral)
 
 
 @pytest.mark.parametrize("kind, scheme, parameter, n_paths, workers", [
@@ -124,10 +123,9 @@ def test_bump_legs_bit_identical_to_single_leg_runs(ko_model, heston_model, ou_m
         legs = [(up, chi), (dn, chi)]
     stacked = si._ensemble(legs, cfg, "phat", workers)
     refs = [_single_leg_reference(m, c, cfg, "phat") for m, c in legs]
-    for ens, (x_T, integral, min_x) in zip(stacked, refs):
+    for ens, (x_T, integral) in zip(stacked, refs):
         assert np.array_equal(ens.x_T, x_T)
         assert np.array_equal(ens.integral, integral)
-        assert ens.min_x == min_x
     l_up, l_dn = refs[0][1], refs[1][1]
     m_up, m_dn = si._log_mean_exp(l_up), si._log_mean_exp(l_dn)
     se = np.std(np.exp(l_up - m_up) - np.exp(l_dn - m_dn), ddof=1) / math.sqrt(n_paths)
@@ -203,7 +201,6 @@ def test_heston_paths_nonnegative():
         cfg = SimConfig(T=3.0, n_steps=600, n_paths=2000, seed=17,
                         scheme="full_truncation_euler")
         ens = _ens(m, cfg)
-        assert ens.min_x >= 0.0
         assert np.all(ens.x_T >= 0.0)
 
 
@@ -404,12 +401,20 @@ def test_error_term_log_scale_robust():
     ens = si.PathEnsemble(
         x_T=np.array([30.0, 0.0, 0.0]),
         integral=np.array([-900.0, 0.0, -math.log(2.0)]),
-        min_x=0.0,
-        config=SimConfig(T=1.0, n_steps=10, n_paths=300, seed=1),
     )
     mean, se = estimate_error_term(ens, ep)
     assert math.isfinite(mean) and math.isfinite(se)
     assert mean == pytest.approx(2.5 / 3.0, rel=1e-12)
+
+
+def test_decomposition_finite_gates_at_large_state(ko_model):
+    # exp of the closed ratio's exponent (and of the largest log-weight)
+    # overflows at chi = 45; both are compared on one shifted log scale
+    cfg = SimConfig(T=0.1, n_steps=20, n_paths=1000, seed=1)
+    r = decomposition_check(ko_model, 45.0, 0.1, cfg)
+    assert r.passed is True and r.halved_dt_passed is True
+    assert r.mc_error_term == math.inf and r.ratio_gap == math.inf
+    assert math.isfinite(r.v_closed)
 
 
 def test_q_paths_rejects_ou(ou_model):
