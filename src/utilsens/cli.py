@@ -6,7 +6,8 @@ Subcommands: ``eigenpair``, ``value``, ``riccati``, ``sensitivities``,
 emits machine-readable JSON or CSV with all floats printed at 17 significant
 digits so runs are diffable.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error
+(including a finite input whose arithmetic leaves floating-point range).
 """
 
 from __future__ import annotations
@@ -212,11 +213,9 @@ def cmd_value(rc: RunConfig, workers: int | None) -> int:
     for T in horizons:
         if not model.spec.has_path:
             cfg = _require_sim(rc).with_(T=T)
-            v, se, lv = sim.simulate_phat_log_value(model, None, T, cfg, workers)
-            growth = None if T == 0 else -lv / T
-            rows.append({"T": T, "v": v, "utility": v ** (1 - model.p) / model.p,
-                         "log_abs_utility": (1 - model.p) * lv - math.log(-model.p),
-                         "growth_rate_estimate": growth, "mc_se": se})
+            v, se, lv = sim.simulate_phat_value(model, None, T, cfg, workers)
+            res = valuation.ValueResult.of(v, lv, model.p, T)
+            rows.append({"T": T, **res.as_dict(), "mc_se": se})
         else:
             res = valuation.dual_value(model, chi, T)
             rows.append({"T": T, **res.as_dict()})
@@ -307,8 +306,8 @@ def cmd_simulate(rc: RunConfig, workers: int | None) -> int:
     if not model.spec.has_path:
         rows = []
         for T in horizons:
-            v, se, lv = sim.simulate_phat_log_value(model, None, T, cfg.with_(T=T),
-                                                    workers)
+            v, se, lv = sim.simulate_phat_value(model, None, T, cfg.with_(T=T),
+                                                workers)
             growth = None if T == 0 else -lv / T
             rows.append({"T": T, "v_estimate": v, "mc_se": se,
                          "growth_rate_estimate": growth})
@@ -378,16 +377,16 @@ def _verify_checks(model: Model, cfg: sim.SimConfig,
         checks.append(_check("decomposition_identity", deco_ok,
                              {"runs": deco_details}))
 
-        v_hat, se = sim.simulate_phat_value(model, chi, TWO_ROUTE_T,
-                                            cfg.with_(T=TWO_ROUTE_T), workers)
+        v_hat, se, _ = sim.simulate_phat_value(model, chi, TWO_ROUTE_T,
+                                               cfg.with_(T=TWO_ROUTE_T), workers)
         v_closed = valuation.dual_value(model, chi, TWO_ROUTE_T).v
         two_ok = abs(v_hat - v_closed) < 3.0 * se
         checks.append(_check("two_route_value", two_ok,
                              {"T": TWO_ROUTE_T, "mc": v_hat, "closed": v_closed,
                               "mc_se": se}))
     else:
-        v0, se0 = sim.simulate_phat_value(model, None, 0.0, cfg.with_(T=0.0),
-                                          workers)
+        v0, se0, _ = sim.simulate_phat_value(model, None, 0.0, cfg.with_(T=0.0),
+                                             workers)
         checks.append(_check("t0_identities", v0 == 1.0 and se0 == 0.0,
                              {"v": v0, "mc_se": se0}))
 
@@ -473,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"invalid --seed: {exc}") from exc
         return _COMMANDS[args.command](rc, args.workers)
     except (ConfigError, ValidationError, UnsupportedModelError,
-            OSError) as exc:
+            ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

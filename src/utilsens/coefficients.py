@@ -65,8 +65,12 @@ class CoefficientPath:
 
 
 def _path_spec(model: Model) -> ModelSpec:
+    """``model.spec``; the one refusal of a kind without a closed path."""
     if not model.spec.has_path:
-        raise UnsupportedModelError(f"no coefficient path for {model.kind}")
+        raise UnsupportedModelError(
+            f"no closed finite-horizon path for {model.kind}; "
+            "use simulation.simulate_phat_value"
+        )
     return model.spec
 
 
@@ -137,17 +141,19 @@ def riccati_oracle(model: Model, grid) -> CoefficientPath:
     a slowly mixing model is not stepped finer than its coefficients vary.
     The systems are integrated at that step and at half of it; if the two
     disagree beyond ``TOL_ODE`` at any grid point the step is declared too
-    large and an error is raised.
+    large and :class:`UnsupportedModelError` is raised; a pass that overflows
+    (a step past RK4's stability limit) disagrees by NaN and is refused too.
     """
     grid = _check_grid(grid)
     spec = _path_spec(model)
     h_ode = max(H_ODE, H_MIX / spec.mixing_rate(model))
     rhs = spec.oracle_rhs(*spec.ode_constants(model))
     zero = (0.0,) * len(spec.path_fields)
-    half = _rk4(rhs, zero, grid, h_ode / 2.0)
-    disagreement = float(np.max(np.abs(_rk4(rhs, zero, grid, h_ode) - half)))
-    if disagreement > TOL_ODE:
-        raise ValueError(
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = _rk4(rhs, zero, grid, h_ode / 2.0)
+        disagreement = float(np.max(np.abs(_rk4(rhs, zero, grid, h_ode) - half)))
+    if not disagreement <= TOL_ODE:
+        raise UnsupportedModelError(
             f"RK4 step h_ode={h_ode:g} too large: half-step disagreement "
             f"{disagreement:.3e} exceeds TOL_ODE={TOL_ODE:g}"
         )

@@ -16,8 +16,9 @@ between kinds: the parameter type and its fields, the initial-state field,
 the sensitivity parameters, the simulation schemes (the first one is the
 kind's default), whether the diffusion and the market price of risk scale
 with sqrt(x), the columns of the closed coefficient path (none for the
-complete-market model), and the per-kind formulas.  The other modules are
-written once against the spec.
+complete-market model), and the per-kind formulas, down to the published
+long-term sensitivity table.  The other modules are written once against
+the spec; no other module names a kind.
 
 Parameter sets are immutable.  ``validate`` is the single entry point that
 turns raw parameters into a :class:`Model` bundle carrying the derived
@@ -82,6 +83,9 @@ class Preferences:
         if not math.isfinite(self.p):
             raise ValidationError("finite", f"p must be finite, got {self.p}")
         dual_exponent(self.p)  # rejects p >= 0
+        if not self.q < 1.0:
+            raise ValidationError(
+                "risk_exponent", f"p = {self.p} rounds q = -p/(1-p) to 1")
 
     @property
     def q(self) -> float:
@@ -206,6 +210,7 @@ class ModelSpec:
     stationary_sd: Callable          # params -> stationary sd of the state
     drift: Callable                  # (model, ep, measure, beta, gamma) -> (c0, c1)
     exponent: Callable               # (model, ep, measure, times, beta, gamma) -> (g2, g1, g0)
+    sensitivity_rows: Callable       # model -> {parameter: published long-term limit}
     beta: Callable | None = None            # path: (model, t array) -> beta(t)
     gamma: Callable | None = None           # path: (model, t array) -> gamma(t)
     Lambda: Callable | None = None          # kim_omberg: (model, t array) -> Lambda(t)
@@ -552,6 +557,89 @@ def _heston_rhs(n, b1, a2h, km):
     return rhs
 
 
+# --- published long-term sensitivity tables ----------------------------------
+# Each row is the closed-form long-horizon limit of (1/T) d ln|U| / d theta,
+# reproduced verbatim; products through alpha3 are rewritten with
+# C = alpha3 B / alpha4 so the m_bar = 0 case stays well defined (an exact
+# algebraic identity, not a reformulation).
+
+def _ou_rows(model: Model) -> dict[str, float]:
+    p = model.p
+    w = math.sqrt(1.0 - p)
+    return {"mu": 0.0, "b": -(w - 1.0) / 2.0, "varsigma": 0.0}
+
+
+def _ko_rows(model: Model) -> dict[str, float]:
+    pa = model.params
+    if pa.mu == 0.0:
+        return {k: 0.0 for k in model.spec.sensitivity_params}
+    p, q = model.p, model.q
+    c = model.constants
+    a1, a2, a3, a4 = c.alpha1, c.alpha2, c.alpha3, c.alpha4
+    k, mb, mu, vs, rho, sig = pa.k, pa.m_bar, pa.mu, pa.varsigma, pa.rho, pa.sigma
+    _, B, C = _ko_eigen(model)
+    omp = 1.0 - p
+    row_k = (
+        omp * a2 * (mb * a3 * B**2 / a4**2 - (a4 + a1) / a4**2 * C**2)
+        - omp * (2.0 * mb * C - a3 * (a4 + a1) / a4**2 * C)
+        + omp * sig**2 * B / (2.0 * a4)
+    )
+    row_mb = omp * k * a2 * a3 * B**2 / a4**2 - 2.0 * omp * k * C
+    row_mu = (
+        -p * sig * a1 * a3**2 * (rho * vs * a4**2 - k * rho * vs * a1 - mu * sig * a1)
+        / (vs**2 * a2 * a4**4)
+        - p * sig**3 * (rho * vs * a4 - q * rho * vs - mu * sig)
+        / (2.0 * vs**2 * a2 * a4)
+    )
+    row_vs = (
+        p * q * mu**2 * sig**2 * a1 * a3**2
+        * (rho * vs * a4**2 - k * rho * vs * a1 - mu * sig * a1)
+        / (vs**3 * a2 * a4**4)
+        + p * mu * sig**3 * (rho * vs * a4 - k * rho * vs - mu * sig)
+        / (2.0 * vs**3 * a2 * a4)
+    )
+    e1 = (k - a4) * mu * sig / (vs * a4 * (a4 - a1))
+    row_rho = (
+        -a2 * p * C**2 * (e1 + rho * sig**2 / ((1.0 - q) * a2) - k * mu * sig / (vs * a4**2))
+        + a3 * p * C * (e1 + 2.0 * rho * sig**2 / ((1.0 - q) * a2) - k * mu * sig / (vs * a4**2))
+        + 0.5 * p * sig**2 * B * (e1 + 2.0 * rho * sig**2 / ((1.0 - q) * a2))
+    )
+    f0 = (rho * vs * a4 - k * rho * vs - mu * sig) / (vs**2 * a4 * (a4 - a1))
+    f2 = p * mu * (k * rho * vs + mu * sig) / (vs**2 * a4**2)
+    row_sig = (
+        a2 * (p * mu * f0 - omp / sig + f2) * C**2
+        - a3 * (p * mu * f0 - 2.0 * omp / sig + f2) * C
+        - 0.5 * p * mu * sig**2 * f0 * B
+    )
+    return {"k": row_k, "m_bar": row_mb, "mu": row_mu, "varsigma": row_vs,
+            "rho": row_rho, "sigma": row_sig}
+
+
+def _heston_rows(model: Model) -> dict[str, float]:
+    pa = model.params
+    if pa.mu == 0.0:
+        return {k: 0.0 for k in model.spec.sensitivity_params}
+    p, q = model.p, model.q
+    c = model.constants
+    b1, b2 = c.beta1, c.beta2
+    k, mb, mu, vs, rho, sig = pa.k, pa.m_bar, pa.mu, pa.varsigma, pa.rho, pa.sigma
+    B = _heston_eigen(model)[2]
+    omp = 1.0 - p
+    return {
+        "k": omp * mb * B * (k / b2 - 1.0),
+        "m_bar": -omp * k * B,
+        "mu": k * mb * q * (rho * vs * b2 - k * rho * vs - mu * sig)
+        / ((1.0 - q * rho**2) * sig * vs**2 * b2),
+        "varsigma": k * mb * p * mu * sig * B * (rho * vs * b2 - rho * k * vs - mu * sig)
+        / (vs**3 * b2 * (b2 - b1)),
+        "rho": k * mb * B * (-p * mu * sig * (b2 - k) / (vs * b2 * (b2 - b1))
+                             + 2.0 * p * rho / (1.0 - q * rho**2)),
+        "sigma": k * mb * B * (2.0 * omp / sig
+                               + p * mu * (k * rho * vs + mu * sig - rho * vs * b2)
+                               / (vs**2 * b2 * (b2 - b1))),
+    }
+
+
 # --- the descriptions ------------------------------------------------------
 
 _FACTOR_SENSITIVITIES = ("k", "m_bar", "mu", "varsigma", "rho", "sigma")
@@ -565,7 +653,7 @@ SPECS: dict[str, ModelSpec] = {
         derive=_ou_constants, admissible=lambda params, prefs, c: None,
         eigen=_ou_eigen, theta=_ou_theta, hjb_terms=_ou_hjb_terms,
         stationary_sd=lambda pa: pa.varsigma / math.sqrt(2.0 * pa.b),
-        drift=_ou_drift, exponent=_ou_exponent,
+        drift=_ou_drift, exponent=_ou_exponent, sensitivity_rows=_ou_rows,
     ),
     KIM_OMBERG: ModelSpec(
         kind=KIM_OMBERG, params_type=KimOmbergParams, state_field="chi",
@@ -577,6 +665,7 @@ SPECS: dict[str, ModelSpec] = {
         theta=_factor_theta, hjb_terms=_factor_hjb_terms,
         stationary_sd=lambda pa: pa.sigma / math.sqrt(2.0 * pa.k),
         drift=_factor_drift, exponent=_factor_exponent,
+        sensitivity_rows=_ko_rows,
         beta=_ko_beta, gamma=_ko_gamma, Lambda=_ko_Lambda,
         ode_constants=_ko_ode_constants, oracle_rhs=_ko_rhs,
         mixing_rate=lambda m: 2.0 * m.constants.alpha4,
@@ -591,6 +680,7 @@ SPECS: dict[str, ModelSpec] = {
         eigen=_heston_eigen, theta=_factor_theta, hjb_terms=_factor_hjb_terms,
         stationary_sd=lambda pa: pa.sigma * math.sqrt(pa.m_bar / (2.0 * pa.k)),
         drift=_factor_drift, exponent=_factor_exponent,
+        sensitivity_rows=_heston_rows,
         beta=_heston_beta, gamma=_heston_gamma,
         ode_constants=_heston_ode_constants, oracle_rhs=_heston_rhs,
         mixing_rate=lambda m: m.constants.beta2,
@@ -627,11 +717,18 @@ def validate(params: Params, prefs: Preferences) -> Model:
     """Accept iff every invariant, including admissibility, holds.
 
     Raises :class:`ValidationError` naming the violated condition.  Strict
-    inequalities are enforced with margin ``ADMISSIBILITY_MARGIN``.
+    inequalities are enforced with margin ``ADMISSIBILITY_MARGIN``; finite
+    parameters whose derived constants leave floating-point range fail
+    condition "finite".
     """
     spec = _checked_spec(params)
-    constants = spec.derive(params, prefs)
-    spec.admissible(params, prefs, constants)
+    try:
+        constants = spec.derive(params, prefs)
+        spec.admissible(params, prefs, constants)
+    except ArithmeticError as exc:
+        raise ValidationError(
+            "finite", f"derived constants out of floating-point range: {exc}"
+        ) from exc
     return Model(kind=spec.kind, params=params, prefs=prefs, constants=constants)
 
 

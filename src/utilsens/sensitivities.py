@@ -2,9 +2,11 @@
 
 For each drift/volatility parameter theta the long-horizon limit of
 (1/T) d/d theta ln|optimal expected utility| equals -(1-p) dlambda/dtheta.
-This module evaluates the published closed-form limit tables for the three
-models next to an independent central-finite-difference derivative of the
-eigenvalue, and reports the disagreement per row.
+This module evaluates the published closed-form limit table of each model,
+``model.spec.sensitivity_rows`` (the tables themselves live with the other
+per-kind formulas in ``models``), next to an independent
+central-finite-difference derivative of the eigenvalue, and reports the
+disagreement per row.
 
 Disagreement policy: rows whose closed form misses the FD oracle beyond
 1e-6 * (1 + |limit|) are flagged, never silently patched; the oracle is the
@@ -19,7 +21,6 @@ un-normalized by the horizon.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,9 +28,6 @@ import numpy as np
 from . import valuation
 from .eigenpairs import eigenpair
 from .models import (
-    HESTON,
-    KIM_OMBERG,
-    OU_COMPLETE,
     ConfigError,
     Model,
     UnsupportedModelError,
@@ -114,95 +112,9 @@ def lambda_fd(model: Model, parameter: str, h: float | None = None) -> FDEstimat
     return FDEstimate(value=_central(up, dn, h), h=h)
 
 
-# --- published limit tables ---------------------------------------------------
-# Each row is the closed-form long-horizon limit of (1/T) d ln|U| / d theta,
-# reproduced verbatim; products through alpha3 are rewritten with
-# C = alpha3 B / alpha4 so the m_bar = 0 case stays well defined (an exact
-# algebraic identity, not a reformulation).
-
-def _ou_rows(model: Model) -> dict[str, float]:
-    p = model.p
-    w = math.sqrt(1.0 - p)
-    return {"mu": 0.0, "b": -(w - 1.0) / 2.0, "varsigma": 0.0}
-
-
-def _ko_rows(model: Model) -> dict[str, float]:
-    pa = model.params
-    if pa.mu == 0.0:
-        return {k: 0.0 for k in model.spec.sensitivity_params}
-    p, q = model.p, model.q
-    c = model.constants
-    a1, a2, a3, a4 = c.alpha1, c.alpha2, c.alpha3, c.alpha4
-    k, mb, mu, vs, rho, sig = pa.k, pa.m_bar, pa.mu, pa.varsigma, pa.rho, pa.sigma
-    ep = eigenpair(model)
-    B, C = ep.a2, ep.a1
-    omp = 1.0 - p
-    row_k = (
-        omp * a2 * (mb * a3 * B**2 / a4**2 - (a4 + a1) / a4**2 * C**2)
-        - omp * (2.0 * mb * C - a3 * (a4 + a1) / a4**2 * C)
-        + omp * sig**2 * B / (2.0 * a4)
-    )
-    row_mb = omp * k * a2 * a3 * B**2 / a4**2 - 2.0 * omp * k * C
-    row_mu = (
-        -p * sig * a1 * a3**2 * (rho * vs * a4**2 - k * rho * vs * a1 - mu * sig * a1)
-        / (vs**2 * a2 * a4**4)
-        - p * sig**3 * (rho * vs * a4 - q * rho * vs - mu * sig)
-        / (2.0 * vs**2 * a2 * a4)
-    )
-    row_vs = (
-        p * q * mu**2 * sig**2 * a1 * a3**2
-        * (rho * vs * a4**2 - k * rho * vs * a1 - mu * sig * a1)
-        / (vs**3 * a2 * a4**4)
-        + p * mu * sig**3 * (rho * vs * a4 - k * rho * vs - mu * sig)
-        / (2.0 * vs**3 * a2 * a4)
-    )
-    e1 = (k - a4) * mu * sig / (vs * a4 * (a4 - a1))
-    row_rho = (
-        -a2 * p * C**2 * (e1 + rho * sig**2 / ((1.0 - q) * a2) - k * mu * sig / (vs * a4**2))
-        + a3 * p * C * (e1 + 2.0 * rho * sig**2 / ((1.0 - q) * a2) - k * mu * sig / (vs * a4**2))
-        + 0.5 * p * sig**2 * B * (e1 + 2.0 * rho * sig**2 / ((1.0 - q) * a2))
-    )
-    f0 = (rho * vs * a4 - k * rho * vs - mu * sig) / (vs**2 * a4 * (a4 - a1))
-    f2 = p * mu * (k * rho * vs + mu * sig) / (vs**2 * a4**2)
-    row_sig = (
-        a2 * (p * mu * f0 - omp / sig + f2) * C**2
-        - a3 * (p * mu * f0 - 2.0 * omp / sig + f2) * C
-        - 0.5 * p * mu * sig**2 * f0 * B
-    )
-    return {"k": row_k, "m_bar": row_mb, "mu": row_mu, "varsigma": row_vs,
-            "rho": row_rho, "sigma": row_sig}
-
-
-def _heston_rows(model: Model) -> dict[str, float]:
-    pa = model.params
-    if pa.mu == 0.0:
-        return {k: 0.0 for k in model.spec.sensitivity_params}
-    p, q = model.p, model.q
-    c = model.constants
-    b1, b2 = c.beta1, c.beta2
-    k, mb, mu, vs, rho, sig = pa.k, pa.m_bar, pa.mu, pa.varsigma, pa.rho, pa.sigma
-    B = eigenpair(model).a1
-    omp = 1.0 - p
-    return {
-        "k": omp * mb * B * (k / b2 - 1.0),
-        "m_bar": -omp * k * B,
-        "mu": k * mb * q * (rho * vs * b2 - k * rho * vs - mu * sig)
-        / ((1.0 - q * rho**2) * sig * vs**2 * b2),
-        "varsigma": k * mb * p * mu * sig * B * (rho * vs * b2 - rho * k * vs - mu * sig)
-        / (vs**3 * b2 * (b2 - b1)),
-        "rho": k * mb * B * (-p * mu * sig * (b2 - k) / (vs * b2 * (b2 - b1))
-                             + 2.0 * p * rho / (1.0 - q * rho**2)),
-        "sigma": k * mb * B * (2.0 * omp / sig
-                               + p * mu * (k * rho * vs + mu * sig - rho * vs * b2)
-                               / (vs**2 * b2 * (b2 - b1))),
-    }
-
-
-_ROWS = {OU_COMPLETE: _ou_rows, KIM_OMBERG: _ko_rows, HESTON: _heston_rows}
-
-
 def closed_form_rows(model: Model) -> dict[str, float]:
-    return _ROWS[model.kind](model)
+    """The published long-term sensitivity table of ``model``'s kind."""
+    return model.spec.sensitivity_rows(model)
 
 
 def long_term_sensitivities(model: Model) -> SensitivityReport:
@@ -244,12 +156,8 @@ class InitialFactorSensitivity:
 
 def initial_factor_sensitivity(model: Model, chi: float | None = None,
                                T: float = 0.0) -> InitialFactorSensitivity:
-    """(1-p) d/d chi ln v at horizon T next to its long-horizon limit."""
-    if not model.spec.has_path:
-        raise UnsupportedModelError(
-            f"no closed finite-horizon chi-sensitivity for {model.kind}; "
-            "use simulation.mc_bump_sensitivity"
-        )
+    """(1-p) d/d chi ln v at horizon T next to its long-horizon limit; a model
+    without a closed path is refused by ``valuation.coefficients_at``."""
     chi = initial_state(model, chi)
     omp = 1.0 - model.p
     a2, a1, _ = model.spec.log_value_coefficients(*valuation.coefficients_at(model, T))

@@ -41,6 +41,7 @@ from . import coefficients as coeff
 from . import valuation
 from .eigenpairs import Eigenpair, eigenpair, phi_log
 from .models import (
+    ConfigError,
     Model,
     UnsupportedModelError,
     bumped_models,
@@ -218,7 +219,7 @@ def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
         if cfg.scheme in ("euler", "full_truncation_euler"):
             floor = math.ceil(2.0 * cfg.T * max_rate)
             if steps < floor:
-                raise ValueError(
+                raise ConfigError(
                     f"n_steps={steps} below the explicit-scheme stability floor "
                     f"{floor} (= ceil(2 T max drift rate))"
                 )
@@ -388,13 +389,6 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
     )
 
 
-def _phat_integral(model: Model, chi: float | None, T: float, cfg: SimConfig,
-                   workers: int | None) -> np.ndarray:
-    """Per-path value exponent under the representation measure."""
-    legs = [(model, initial_state(model, chi))]
-    return _ensemble(legs, cfg.with_(T=T), "phat", workers)[0].integral
-
-
 def _log_mean_exp(l: np.ndarray) -> float:
     """ln mean(exp(l)), shifted by max(l) so that it stays finite where every
     exp(l) underflows."""
@@ -403,22 +397,16 @@ def _log_mean_exp(l: np.ndarray) -> float:
 
 
 def simulate_phat_value(model: Model, chi: float | None, T: float, cfg: SimConfig,
-                        workers: int | None = None) -> tuple[float, float]:
-    """Monte Carlo estimate (value, SE) of the dual value at horizon T.
+                        workers: int | None = None) -> tuple[float, float, float]:
+    """Monte Carlo estimate (value, SE, ln value) of the dual value at horizon T.
 
-    This is the second, measure-changed route to the dual value; for the
-    complete-market model it is the only finite-horizon route.
+    The log is a log-mean-exp of the per-path exponents, so it stays finite
+    where the value itself underflows to 0.  This is the second,
+    measure-changed route to the dual value; for the complete-market model it
+    is the only finite-horizon route.
     """
-    return _mean_se(np.exp(_phat_integral(model, chi, T, cfg, workers)))
-
-
-def simulate_phat_log_value(model: Model, chi: float | None, T: float,
-                            cfg: SimConfig,
-                            workers: int | None = None) -> tuple[float, float, float]:
-    """(value, SE, ln value): ``simulate_phat_value`` and the log of its
-    estimate, taken as a log-mean-exp of the per-path exponents so that it
-    stays finite where the value itself underflows to 0."""
-    integral = _phat_integral(model, chi, T, cfg, workers)
+    legs = [(model, initial_state(model, chi))]
+    integral = _ensemble(legs, cfg.with_(T=T), "phat", workers)[0].integral
     return (*_mean_se(np.exp(integral)), _log_mean_exp(integral))
 
 

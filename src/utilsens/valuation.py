@@ -36,18 +36,25 @@ class ValueResult:
     log_abs_utility: float  # (1-p) ln v - ln|p|, finite where utility underflows
     growth_rate_estimate: float | None  # -(ln v)/T, None at T = 0
 
+    @classmethod
+    def of(cls, v: float, lv: float, p: float, T: float) -> ValueResult:
+        """The row of a dual value v with log lv at horizon T, risk exponent p."""
+        return cls(v=v, utility=v ** (1.0 - p) / p,
+                   log_abs_utility=(1.0 - p) * lv - math.log(-p),
+                   growth_rate_estimate=None if T == 0.0 else -lv / T)
+
     def as_dict(self) -> dict:
         return asdict(self)
 
 
 def coefficients_at(model: Model, t: float) -> tuple[float, float, float]:
-    """(beta(t), gamma(t), Lambda(t)) for a factor model; Lambda 0 for heston."""
-    if not model.spec.has_path:
-        raise UnsupportedModelError(f"no coefficient path for {model.kind}")
+    """(beta(t), gamma(t), Lambda(t)), Lambda 0 for heston; a model without a
+    closed path is refused by ``coefficients._path_spec``."""
+    path_fields = coeff._path_spec(model).path_fields
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"horizon T must be finite and >= 0, got {t}")
     cols = {"Lambda": 0.0}
-    cols.update((f, coeff._closed(model, f, t)) for f in model.spec.path_fields)
+    cols.update((f, coeff._closed(model, f, t)) for f in path_fields)
     return cols["beta"], cols["gamma"], cols["Lambda"]
 
 
@@ -64,23 +71,13 @@ def log_dual_value(model: Model, chi: float, T: float) -> float:
 def dual_value(model: Model, chi: float | None = None, T: float = 0.0) -> ValueResult:
     """Closed-form dual value and optimal expected utility at horizon T.
 
-    The complete-market model is rejected: its value has no closed
-    finite-horizon form and is estimated by ``simulation.simulate_phat_value``.
+    The complete-market model is refused (:class:`UnsupportedModelError`):
+    its value has no closed finite-horizon form and is estimated by
+    ``simulation.simulate_phat_value``.
     """
-    if not model.spec.has_path:
-        raise UnsupportedModelError(
-            f"no closed finite-horizon value for {model.kind}; "
-            "use simulation.simulate_phat_value"
-        )
     chi = initial_state(model, chi)
     lv = log_dual_value(model, chi, T)
-    v = math.exp(lv)
-    p = model.p
-    utility = v ** (1.0 - p) / p
-    growth = None if T == 0.0 else -lv / T
-    return ValueResult(v=v, utility=utility,
-                       log_abs_utility=(1.0 - p) * lv - math.log(-p),
-                       growth_rate_estimate=growth)
+    return ValueResult.of(math.exp(lv), lv, model.p, T)
 
 
 def _check_time_pair(t: float, T: float) -> None:

@@ -210,7 +210,7 @@ def test_c07_two_route_value():
         m = u.validate(params, prefs)
         cfg = si.SimConfig(T=2.0, n_steps=500, n_paths=100000, seed=1070,
                            scheme=scheme)
-        v_hat, sev = si.simulate_phat_value(m, None, 2.0, cfg, workers=WORKERS)
+        v_hat, sev, _ = si.simulate_phat_value(m, None, 2.0, cfg, workers=WORKERS)
         v_cl = va.dual_value(m, None, 2.0).v
         ok &= abs(v_hat - v_cl) < 3.0 * sev
         details.append(f"{m.kind}: |mc - closed| = {abs(v_hat - v_cl):.2e} "
@@ -258,7 +258,7 @@ def test_c09_ou_complete_long_horizon():
     assert lam == pytest.approx(OU_SET["b"] / 8.0, rel=1e-14)
     cfg = si.SimConfig(T=40.0, n_steps=2000, n_paths=100000, seed=1090,
                        scheme="exact_gaussian")
-    v, _ = si.simulate_phat_value(m, None, 40.0, cfg, workers=WORKERS)
+    v, _, _ = si.simulate_phat_value(m, None, 40.0, cfg, workers=WORKERS)
     growth = -math.log(v) / 40.0
     growth_ok = abs(growth - lam) < 0.10 * lam
     est, _ = si.mc_bump_sensitivity(m, None, 40.0, "b", 1e-4 * OU_SET["b"],

@@ -27,6 +27,11 @@ KO_CFG = {
     "sim": {"T": 2.0, "n_steps": 200, "n_paths": 2000, "seed": 7,
             "scheme": "exact_gaussian"},
 }
+OU_CFG = {
+    "ou_complete": {"mu": 0.3, "b": 0.8, "varsigma": 0.4, "s0": 0.5},
+    "preferences": {"p": -3.0},
+    "sim": {"T": 1.0, "n_steps": 100, "n_paths": 500, "seed": 3},
+}
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -188,6 +193,10 @@ def test_riccati_csv(tmp_path):
     ("simulate", {"sim": {**HESTON_CFG["sim"], "n_paths": "2000"}}),
     ("simulate", {"sim": {**HESTON_CFG["sim"], "T": float("nan")}}),
     ("simulate", {"sim": {**HESTON_CFG["sim"], "scheme": "euler"}}),
+    ("simulate", {"sim": {**HESTON_CFG["sim"], "T": 1000.0}}),
+    # the T = 1 decomposition run passes the floor but warns of visible bias
+    pytest.param("verify", {"sim": {**HESTON_CFG["sim"], "n_steps": 10}},
+                 marks=pytest.mark.filterwarnings("ignore:n_steps=10")),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, command, patch):
     code, _ = _run([command, "--config", _write(tmp_path, {**HESTON_CFG, **patch})])
@@ -206,6 +215,25 @@ def test_bad_argv_or_output_exit_2(tmp_path, capsys, argv, patch):
     cfg = _write(tmp_path, {**HESTON_CFG, **patch})
     args = [a.format(cfg=cfg, dir=tmp_path) for a in argv]
     code, _ = _run(args)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, cfg, kind, field, value", [
+    ("eigenpair", KO_CFG, "preferences", "p", -1e300),
+    ("eigenpair", KO_CFG, "kim_omberg", "mu", 1e200),
+    ("eigenpair", KO_CFG, "kim_omberg", "sigma", 1e-200),
+    ("sensitivities", KO_CFG, "kim_omberg", "k", 1e9),
+    ("value", HESTON_CFG, "preferences", "p", -1e300),
+    ("eigenpair", OU_CFG, "ou_complete", "varsigma", 1e-200),
+    ("value", OU_CFG, "ou_complete", "mu", 1e200),
+    # mixing rate ~6000: the RK4 oracle's passes overflow at the H_ODE floor
+    ("riccati", KO_CFG, "kim_omberg", "k", 3000.0),
+])
+def test_extreme_finite_parameters_exit_2(tmp_path, capsys, command, cfg, kind,
+                                          field, value):
+    cfg = {**cfg, kind: {**cfg[kind], field: value}}
+    code, _ = _run([command, "--config", _write(tmp_path, cfg)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -325,6 +325,14 @@ def test_riccati_oracle_step_too_large_detected(ko_model, monkeypatch):
         co.riccati_oracle(ko_model, np.linspace(0.0, 5.0, 6))
 
 
+def test_riccati_oracle_refuses_an_overflowing_pass():
+    # k = 3000 mixes at rate ~6000, so the H_ODE floor puts h * rate past
+    # RK4's stability limit: both passes overflow and disagree by NaN
+    m = validate(KimOmbergParams(**{**KO_SET, "k": 3000.0}), Preferences(p=-1.0))
+    with pytest.raises(UnsupportedModelError, match="too large"):
+        co.riccati_oracle(m, [0.0, 1.0])
+
+
 def test_riccati_oracle_step_set_by_mixing_rate(ko_model, heston_model):
     # a fast-mixing model is stepped at the H_ODE floor
     fast = validate(KimOmbergParams(**{**KO_SET, "k": 30.0}), Preferences(p=-1.0))

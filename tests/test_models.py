@@ -200,3 +200,28 @@ def test_parse_model_block_missing_key_named():
     del block["sigma"]
     with pytest.raises(ConfigError, match="sigma"):
         parse_model_block("kim_omberg", block)
+
+
+def test_only_models_names_the_kinds():
+    # every per-kind difference lives in the spec: no other module of the
+    # package names a kind constant or branches on ``.kind``
+    import ast
+    import pathlib
+
+    import utilsens
+
+    kinds = {"OU_COMPLETE", "KIM_OMBERG", "HESTON"}
+    offences = []
+    for path in sorted(pathlib.Path(utilsens.__file__).parent.glob("*.py")):
+        if path.name in ("models.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = (getattr(node, "id", None) or getattr(node, "attr", None)
+                     or getattr(node, "name", None))
+            if named in kinds:
+                offences.append(f"{path.name}:{node.lineno} names {named}")
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Attribute) and side.attr == "kind"
+                    for side in (node.left, *node.comparators)):
+                offences.append(f"{path.name}:{node.lineno} compares .kind")
+    assert not offences, offences

@@ -16,7 +16,6 @@ from utilsens import (
     eigenpair,
     estimate_error_term,
     mc_bump_sensitivity,
-    simulate_phat_log_value,
     simulate_phat_value,
     simulate_q_paths,
     validate,
@@ -132,7 +131,7 @@ def test_bump_legs_bit_identical_to_single_leg_runs(ko_model, heston_model, ou_m
     est_se = mc_bump_sensitivity(model, None, T, parameter, h, cfg, workers)
     assert est_se == ((m_up - m_dn) / (2.0 * h_used), se / (2.0 * h_used))
     assert simulate_phat_value(legs[0][0], legs[0][1], T, cfg, workers) == \
-        si._mean_se(np.exp(l_up))
+        (*si._mean_se(np.exp(l_up)), m_up)
 
 
 def test_bump_legs_share_one_draw(ko_model, monkeypatch):
@@ -159,7 +158,7 @@ def test_mc_bump_finite_where_value_underflows(ou_model):
     cfg = SimConfig(T=1e4, n_steps=2000, n_paths=2000, seed=1)
     with pytest.warns(UserWarning, match="mean-reversion"):
         est, se = mc_bump_sensitivity(m, None, 1e4, "mu", 1e-3, cfg)
-        v, _, lv = simulate_phat_log_value(m, None, 1e4, cfg)
+        v, _, lv = simulate_phat_value(m, None, 1e4, cfg)
     assert math.isfinite(est) and math.isfinite(se) and se > 0.0
     assert v == 0.0 and math.isfinite(lv) and lv < -700.0
 
@@ -168,8 +167,7 @@ def test_phat_log_value_matches_value(ko_model, ou_model):
     for m in (ko_model, ou_model):
         cfg = SimConfig(T=2.0, n_steps=200, n_paths=3000, seed=19,
                         scheme="exact_gaussian")
-        v, se, lv = simulate_phat_log_value(m, None, 2.0, cfg)
-        assert (v, se) == simulate_phat_value(m, None, 2.0, cfg)
+        v, _, lv = simulate_phat_value(m, None, 2.0, cfg)
         assert lv == pytest.approx(math.log(v), rel=1e-12)
 
 
@@ -300,7 +298,7 @@ def test_two_route_value_agreement():
     he = validate(HestonParams(**HESTON_SET), prefs)
     for m, scheme in [(ko, "exact_gaussian"), (he, "full_truncation_euler")]:
         cfg = SimConfig(T=2.0, n_steps=400, n_paths=40000, seed=71, scheme=scheme)
-        v_hat, se = simulate_phat_value(m, None, 2.0, cfg)
+        v_hat, se, _ = simulate_phat_value(m, None, 2.0, cfg)
         v_cl = va.dual_value(m, None, 2.0).v
         assert abs(v_hat - v_cl) < 3.0 * se
 
@@ -309,7 +307,7 @@ def test_phat_value_t0_exact(ko_model, ou_model):
     for m in (ko_model, ou_model):
         cfg = SimConfig(T=0.0, n_steps=10, n_paths=150, seed=5,
                         scheme="exact_gaussian")
-        v, se = simulate_phat_value(m, None, 0.0, cfg)
+        v, se, _ = simulate_phat_value(m, None, 0.0, cfg)
         assert v == 1.0 and se == 0.0
 
 
@@ -343,7 +341,7 @@ def test_ou_complete_growth_trend(ou_model):
     lam = eigenpair(ou_model).lam
     cfg = SimConfig(T=40.0, n_steps=1500, n_paths=30000, seed=41,
                     scheme="exact_gaussian")
-    v, _ = simulate_phat_value(ou_model, None, 40.0, cfg)
+    v, _, _ = simulate_phat_value(ou_model, None, 40.0, cfg)
     growth = -math.log(v) / 40.0
     assert abs(growth - lam) < 0.10 * lam
 
