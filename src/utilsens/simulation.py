@@ -20,6 +20,13 @@ One engine call steps several legs (model, initial state) together on one
 draw per step and block: the two legs of a bump share their Gaussian
 increments (common random numbers) and the normals are computed once.
 
+The dt-halving leg of ``decomposition_check`` is a run of its own config, n2
+paths at 2 n_steps steps, so fine step k of path i reads word k * n2 + i.
+At n_paths = 2 n2 these are the main draw's words: fine steps 2j and 2j + 1
+of path i read the main words (j, i) and (j, n2 + i).  That leg is then
+stepped in the main leg's engine pass on the main leg's normals and draws
+none of its own; its results are those of its own run, bit for bit.
+
 The module owns the simulation grid: every run reads its drift and exponent
 coefficients on the half-step grid linspace(0, T, 2 n_steps + 1), taken for a
 factor model from the closed forms ``coefficients.closed_beta`` and
@@ -29,6 +36,7 @@ factor model from the closed forms ``coefficients.closed_beta`` and
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -65,6 +73,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.T) and self.T >= 0):
             raise ValueError("T must be finite and >= 0")
+        for name in ("n_steps", "n_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.n_paths < 100:
@@ -148,8 +160,8 @@ def normals_for(seed: int, n_paths: int, step: int, lo: int, hi: int,
     return ndtri(np.maximum(u, 2.0**-54))
 
 
-def _run_blocks(kernel, n_paths: int, workers: int | None) -> None:
-    blocks = [(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
+def _run_blocks(kernel, n_paths: int, workers: int | None, block: int = _BLOCK) -> None:
+    blocks = [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
     workers = workers or 1
     if workers <= 1 or len(blocks) == 1:
         for lo, hi in blocks:
@@ -189,27 +201,20 @@ def _coefficients(model: Model, cfg: SimConfig, measure: str):
     return c0 * one, c1 * one, g2, g1, g0
 
 
-def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
-              workers: int | None) -> list[PathEnsemble]:
-    """Integrate the SDE and the exponent integral of ``measure`` over the
-    step grid, for each leg (model, initial state) on the same normals.
+def _stepper(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str):
+    """(start, step) of the scheme for each leg (model, initial state) on the
+    step grid of ``cfg``; the state, the integral and the coefficient tables
+    carry a leading leg axis.
 
-    Each step draws one row of normals per path block and moves every leg
-    with it: the state, the integral and the coefficient tables carry a
-    leading leg axis.  Odd entries of the half-step drift arrays are the
-    midpoints used by exact_gaussian; the exponent integrand is read at the
-    n_steps + 1 nodes and accumulated by the trapezoid rule.
+    ``start(size)`` is the state (x, xr, acc, g) of ``size`` paths per leg at
+    t = 0: the raw scheme state x, the reported path value xr, the exponent
+    integral acc and the integrand g at the last node.  ``step(j, state, z)``
+    moves it over step j on the normals z, updating acc in place.  Odd entries
+    of the half-step drift arrays are the midpoints used by exact_gaussian;
+    the exponent integrand is read at the n_steps + 1 nodes and accumulated
+    by the trapezoid rule.
     """
-    for model, _ in legs:
-        if cfg.scheme not in model.spec.schemes:
-            raise ValueError(
-                f"scheme '{cfg.scheme}' not supported for {model.kind}; "
-                f"allowed: {model.spec.schemes}"
-            )
-    n, steps = cfg.n_paths, cfg.n_steps
-    if cfg.T == 0.0:
-        return [PathEnsemble(x_T=np.full(n, chi), integral=np.zeros(n))
-                for _, chi in legs]
+    steps = cfg.n_steps
     dt = cfg.T / steps
     tables = []
     for model, _ in legs:
@@ -227,7 +232,7 @@ def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
             warnings.warn(
                 f"n_steps={steps} is below 10 * T * max mean-reversion rate "
                 f"(~{10.0 * cfg.T * max_rate:.0f}); discretization bias may be visible",
-                stacklevel=2,
+                stacklevel=3,
             )
         if cfg.scheme == "exact_gaussian":
             per_step = _affine_gaussian_tables(c0[1::2], c1[1::2], sigma, dt)
@@ -240,51 +245,105 @@ def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
                               for col in zip(*tables))
     chi = np.array([[c] for _, c in legs])
     g_start = (g2[0] * chi + g1[0]) * chi + g0[0]
-    x_T = np.empty((len(legs), n))
-    integral = np.empty((len(legs), n))
     sqdt = math.sqrt(dt)
     half_dt = 0.5 * dt
     exact = cfg.scheme == "exact_gaussian"
     truncate = cfg.scheme == "full_truncation_euler"
 
-    def kernel(lo: int, hi: int) -> None:
-        # x is the raw scheme state; xr the reported path value.  Full
-        # truncation keeps x unclamped but evaluates drift, diffusion and the
-        # integrand at the positive part, so the reported path is >= 0.
-        stream = BlockStream(cfg.seed)
-        x = np.repeat(chi, hi - lo, axis=1)
-        xr = x
-        acc = np.zeros_like(x)
-        g_prev = g_start
-        for j in range(steps):
-            z = normals_for(cfg.seed, n, j, lo, hi, stream)
-            if exact:
-                x = t0[j] * x + t1[j] + t2[j] * z
-                xr = x
-            elif truncate:
-                xp = np.maximum(x, 0.0)
-                x = x + (t0[j] - t1[j] * xp) * dt + t2[j] * np.sqrt(xp) * sqdt * z
-                xr = np.maximum(x, 0.0)
-            else:
-                x = x + (t0[j] - t1[j] * x) * dt + t2[j] * sqdt * z
-                xr = x
-            k = 2 * (j + 1)
-            g_new = (g2[k] * xr + g1[k]) * xr + g0[k]
-            acc += half_dt * (g_prev + g_new)
-            g_prev = g_new
-        x_T[:, lo:hi] = xr
-        integral[:, lo:hi] = acc
+    def start(size: int):
+        x = np.repeat(chi, size, axis=1)
+        return x, x, np.zeros_like(x), g_start
 
-    _run_blocks(kernel, n, workers)
-    return [PathEnsemble(x_T=x_T[i], integral=integral[i]) for i in range(len(legs))]
+    def step(j: int, state, z: np.ndarray):
+        # full truncation keeps x unclamped but evaluates drift, diffusion and
+        # the integrand at the positive part, so the reported path is >= 0
+        x, _, acc, g_prev = state
+        if exact:
+            x = t0[j] * x + t1[j] + t2[j] * z
+            xr = x
+        elif truncate:
+            xp = np.maximum(x, 0.0)
+            x = x + (t0[j] - t1[j] * xp) * dt + t2[j] * np.sqrt(xp) * sqdt * z
+            xr = np.maximum(x, 0.0)
+        else:
+            x = x + (t0[j] - t1[j] * x) * dt + t2[j] * sqdt * z
+            xr = x
+        k = 2 * (j + 1)
+        g_new = (g2[k] * xr + g1[k]) * xr + g0[k]
+        acc += half_dt * (g_prev + g_new)
+        return x, xr, acc, g_new
+
+    return start, step
+
+
+def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
+              workers: int | None, halving: bool = False) -> list[PathEnsemble]:
+    """Integrate the SDE and the exponent integral of ``measure`` over the
+    step grid, for each leg (model, initial state) on the same normals.
+
+    Each step draws one row of normals per path block and moves every leg
+    with it.  With ``halving`` (n_paths = 2 n2 only), the dt-halving legs
+    follow in the result: a block of n2-paths [lo, hi) reads the rows
+    (j, [lo, hi)) and (j, [n2 + lo, n2 + hi)) once, moves the main legs over
+    both and the halving legs over fine steps 2j and 2j + 1 on them.  It
+    holds _BLOCK / 2 such paths, so its arrays stay a plain block's size.
+    """
+    for model, _ in legs:
+        if cfg.scheme not in model.spec.schemes:
+            raise ValueError(
+                f"scheme '{cfg.scheme}' not supported for {model.kind}; "
+                f"allowed: {model.spec.schemes}"
+            )
+    n, steps = cfg.n_paths, cfg.n_steps
+    if cfg.T == 0.0:
+        return [PathEnsemble(x_T=np.full(n, chi), integral=np.zeros(n))
+                for _, chi in legs]
+    rows = 2 if halving else 1
+    n_row = n // rows  # paths per row, the halving leg's n2
+    start, step = _stepper(legs, cfg, measure)
+    x_T, integral = np.empty((len(legs), n)), np.empty((len(legs), n))
+    if halving:
+        cfg2 = cfg.with_(n_steps=2 * steps, n_paths=n_row)
+        fine_start, fine_step = _stepper(legs, cfg2, measure)
+        x_T2, integral2 = np.empty((len(legs), n_row)), np.empty((len(legs), n_row))
+
+    def kernel(lo: int, hi: int) -> None:
+        stream = BlockStream(cfg.seed)
+        main = [start(hi - lo) for _ in range(rows)]
+        fine = fine_start(hi - lo) if halving else None
+        for j in range(steps):
+            for r in range(rows):
+                z = normals_for(cfg.seed, n, j, r * n_row + lo, r * n_row + hi, stream)
+                main[r] = step(j, main[r], z)
+                if halving:
+                    fine = fine_step(2 * j + r, fine, z)
+        for r, (_, xr, acc, _) in enumerate(main):
+            x_T[:, r * n_row + lo:r * n_row + hi] = xr
+            integral[:, r * n_row + lo:r * n_row + hi] = acc
+        if halving:
+            x_T2[:, lo:hi], integral2[:, lo:hi] = fine[1], fine[2]
+
+    _run_blocks(kernel, n_row, workers, _BLOCK // rows)
+    ensembles = [PathEnsemble(x_T=x_T[i], integral=integral[i]) for i in range(len(legs))]
+    if halving:
+        ensembles += [PathEnsemble(x_T=x_T2[i], integral=integral2[i])
+                      for i in range(len(legs))]
+    return ensembles
 
 
 def simulate_q_paths(model: Model, cfg: SimConfig, chi: float | None = None,
                      workers: int | None = None) -> PathEnsemble:
     """Sample the decomposition dynamics; per path (X_T, int f ds)."""
+    return _q_ensembles(model, cfg, chi, workers)[0]
+
+
+def _q_ensembles(model: Model, cfg: SimConfig, chi: float | None, workers: int | None,
+                 halving: bool = False) -> list[PathEnsemble]:
+    """``simulate_q_paths``'s ensemble, followed with ``halving`` by the
+    dt-halving leg stepped on its draw (see ``_ensemble``)."""
     if not model.spec.has_path:
         raise UnsupportedModelError("decomposition sampling needs a factor model")
-    return _ensemble([(model, initial_state(model, chi))], cfg, "q", workers)[0]
+    return _ensemble([(model, initial_state(model, chi))], cfg, "q", workers, halving)
 
 
 def _shifted_error_term(ensemble: PathEnsemble, ep: Eigenpair) -> tuple[float, float, float]:
@@ -333,9 +392,15 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
                         check_dt_halving: bool = True) -> DecompositionResult:
     """Verify v = exp(-lambda T) phi(chi) E[exp(int f)/phi(X_T)] at 3 SE.
 
-    The dt-halving gate reruns with doubled n_steps (at least 10^4 paths) and
-    requires the error-term shift to stay below 3 combined SE, which bounds
-    the visible discretization bias of the scheme.
+    The dt-halving gate reruns with doubled n_steps on n2 = max(min(n_paths,
+    10^4), n_paths // 2) paths and requires the error-term shift to stay
+    below 3 combined SE, which bounds the visible discretization bias of the
+    scheme.  That run reads its own words, fine step k of path i at
+    k * n2 + i.  At n_paths = 2 n2 they are the main run's words (fine steps
+    2j and 2j + 1 of path i are main words (j, i) and (j, n2 + i)), so both
+    legs are stepped in one engine pass on the main draw; any other path
+    count runs the halving config as a second engine call.  The results are
+    the same either way, bit for bit.
 
     The closed ratio v e^{lambda T} / phi(chi) and the error terms are
     compared on one scale exp(shift), so the gates see finite numbers at any
@@ -352,10 +417,11 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
     # (top, mean, SE) of the main run and, if any, the halved-dt run
     runs = [(-lphi, 1.0, 0.0)]
     if T > 0.0:
-        runs = [_shifted_error_term(simulate_q_paths(model, cfg, chi=chi,
-                                                     workers=workers), ep)]
-        if check_dt_halving:
-            n2 = max(min(cfg.n_paths, 10000), cfg.n_paths // 2)
+        n2 = max(min(cfg.n_paths, 10000), cfg.n_paths // 2)
+        coupled = check_dt_halving and 2 * n2 == cfg.n_paths
+        runs = [_shifted_error_term(e, ep)
+                for e in _q_ensembles(model, cfg, chi, workers, halving=coupled)]
+        if check_dt_halving and not coupled:
             cfg2 = cfg.with_(n_steps=2 * cfg.n_steps, n_paths=n2)
             runs.append(_shifted_error_term(
                 simulate_q_paths(model, cfg2, chi=chi, workers=workers), ep))

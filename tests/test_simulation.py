@@ -1,12 +1,14 @@
 """Monte Carlo engines: determinism, positivity, and identity checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from utilsens import (
+    ConfigError,
     HestonParams,
     KimOmbergParams,
     Preferences,
@@ -134,9 +136,7 @@ def test_bump_legs_bit_identical_to_single_leg_runs(ko_model, heston_model, ou_m
         (*si._mean_se(np.exp(l_up)), m_up)
 
 
-def test_bump_legs_share_one_draw(ko_model, monkeypatch):
-    # regression guard on shared noise: the engine reads each step's normals
-    # once per path block for both legs of a bump
+def _counted_draws(monkeypatch):
     sizes = []
     draw = si.normals_for
 
@@ -146,9 +146,64 @@ def test_bump_legs_share_one_draw(ko_model, monkeypatch):
         return z
 
     monkeypatch.setattr(si, "normals_for", counted)
+    return sizes
+
+
+def test_bump_legs_share_one_draw(ko_model, monkeypatch):
+    # regression guard on shared noise: the engine reads each step's normals
+    # once per path block for both legs of a bump
+    sizes = _counted_draws(monkeypatch)
     cfg = SimConfig(T=1.0, n_steps=100, n_paths=2000, seed=3, scheme="exact_gaussian")
     mc_bump_sensitivity(ko_model, None, 1.0, "mu", 1e-3, cfg)
     assert sizes == [2000] * 100
+
+
+@pytest.mark.parametrize("n_paths, n2", [(20000, 10000), (10000, 10000), (20001, 10000)])
+def test_dt_halving_leg_draws_only_where_it_cannot_share(ko_model, monkeypatch, n_paths, n2):
+    # at n_paths = 2 n2 the halving leg is stepped on the main leg's draw;
+    # otherwise it draws its own n2 paths at 2 n_steps
+    sizes = _counted_draws(monkeypatch)
+    cfg = SimConfig(T=1.0, n_steps=40, n_paths=n_paths, seed=3)
+    decomposition_check(ko_model, None, 1.0, cfg, check_dt_halving=True)
+    own = 0 if 2 * n2 == n_paths else n2 * 2 * 40
+    assert sum(sizes) == n_paths * 40 + own
+
+
+@pytest.mark.parametrize("kind, scheme, workers", [
+    ("ko", "exact_gaussian", 1),
+    ("ko", "exact_gaussian", 2),
+    ("ko", "euler", 1),
+    ("ko", "euler", 2),
+    ("heston", "full_truncation_euler", 1),
+    ("heston", "full_truncation_euler", 2),
+])
+def test_shared_dt_halving_leg_bit_identical_to_own_runs(ko_model, heston_model, kind,
+                                                         scheme, workers):
+    # the main and halving legs stepped in one pass on one draw give, bit for
+    # bit and with the same warnings, what each gives simulated on its own;
+    # n2 spans several path blocks and ends in a partial one
+    model = {"ko": ko_model, "heston": heston_model}[kind]
+    n2 = 2 * si._BLOCK + 700
+    cfg = SimConfig(T=2.0, n_steps=10, n_paths=2 * n2, seed=2**63 + 17, scheme=scheme)
+    ep = eigenpair(model)
+    with warnings.catch_warnings(record=True) as shared:
+        warnings.simplefilter("always")
+        r = decomposition_check(model, None, 2.0, cfg, workers, check_dt_halving=True)
+    with warnings.catch_warnings(record=True) as own:
+        warnings.simplefilter("always")
+        mc, se = estimate_error_term(_ens(model, cfg, workers=workers), ep)
+        halved, _ = estimate_error_term(
+            _ens(model, cfg.with_(n_steps=20, n_paths=n2), workers=workers), ep)
+    assert (r.mc_error_term, r.mc_se, r.halved_dt_error_term) == (mc, se, halved)
+    assert [str(w.message) for w in shared] == [str(w.message) for w in own]
+    assert len(own) == (1 if kind == "ko" else 2)  # the coarse step warns
+
+
+def test_shared_dt_halving_leg_keeps_the_stability_floor(heston_model):
+    cfg = SimConfig(T=10.0, n_steps=10, n_paths=20000, seed=1,
+                    scheme="full_truncation_euler")
+    with pytest.raises(ConfigError, match="floor"):
+        decomposition_check(heston_model, None, 10.0, cfg, check_dt_halving=True)
 
 
 def test_mc_bump_finite_where_value_underflows(ou_model):
@@ -386,6 +441,11 @@ def test_sim_config_validation():
     assert cfg.with_(T=2.0, seed=3) == SimConfig(T=2.0, n_steps=10, n_paths=200, seed=3)
     with pytest.raises(ValueError):
         cfg.with_(n_paths=50)
+    # counts are integers: a float or bool is refused, not run or truncated
+    for bad in (dict(seed=1.5), dict(seed=True), dict(n_steps=10.0),
+                dict(n_paths=1000.0), dict(n_steps=True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            cfg.with_(**bad)
 
 
 def test_error_term_log_scale_robust():
