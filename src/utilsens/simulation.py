@@ -298,37 +298,40 @@ def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
     if cfg.T == 0.0:
         return [PathEnsemble(x_T=np.full(n, chi), integral=np.zeros(n))
                 for _, chi in legs]
-    rows = 2 if halving else 1
-    n_row = n // rows  # paths per row, the halving leg's n2
     start, step = _stepper(legs, cfg, measure)
     x_T, integral = np.empty((len(legs), n)), np.empty((len(legs), n))
-    if halving:
-        cfg2 = cfg.with_(n_steps=2 * steps, n_paths=n_row)
-        fine_start, fine_step = _stepper(legs, cfg2, measure)
-        x_T2, integral2 = np.empty((len(legs), n_row)), np.empty((len(legs), n_row))
 
     def kernel(lo: int, hi: int) -> None:
         stream = BlockStream(cfg.seed)
-        main = [start(hi - lo) for _ in range(rows)]
-        fine = fine_start(hi - lo) if halving else None
+        s = start(hi - lo)
         for j in range(steps):
-            for r in range(rows):
-                z = normals_for(cfg.seed, n, j, r * n_row + lo, r * n_row + hi, stream)
-                main[r] = step(j, main[r], z)
-                if halving:
-                    fine = fine_step(2 * j + r, fine, z)
-        for r, (_, xr, acc, _) in enumerate(main):
-            x_T[:, r * n_row + lo:r * n_row + hi] = xr
-            integral[:, r * n_row + lo:r * n_row + hi] = acc
-        if halving:
-            x_T2[:, lo:hi], integral2[:, lo:hi] = fine[1], fine[2]
+            s = step(j, s, normals_for(cfg.seed, n, j, lo, hi, stream))
+        x_T[:, lo:hi], integral[:, lo:hi] = s[1], s[2]
 
-    _run_blocks(kernel, n_row, workers, _BLOCK // rows)
-    ensembles = [PathEnsemble(x_T=x_T[i], integral=integral[i]) for i in range(len(legs))]
-    if halving:
-        ensembles += [PathEnsemble(x_T=x_T2[i], integral=integral2[i])
-                      for i in range(len(legs))]
-    return ensembles
+    if not halving:
+        _run_blocks(kernel, n, workers)
+        return [PathEnsemble(x_T=x_T[i], integral=integral[i]) for i in range(len(legs))]
+    n2 = n // 2
+    fine_start, fine_step = _stepper(legs, cfg.with_(n_steps=2 * steps, n_paths=n2), measure)
+    x_T2, integral2 = np.empty((len(legs), n2)), np.empty((len(legs), n2))
+
+    def halving_kernel(lo: int, hi: int) -> None:
+        stream = BlockStream(cfg.seed)
+        a, b, f = start(hi - lo), start(hi - lo), fine_start(hi - lo)
+        for j in range(steps):
+            z = normals_for(cfg.seed, n, j, lo, hi, stream)
+            a = step(j, a, z)
+            f = fine_step(2 * j, f, z)
+            z = normals_for(cfg.seed, n, j, n2 + lo, n2 + hi, stream)
+            b = step(j, b, z)
+            f = fine_step(2 * j + 1, f, z)
+        x_T[:, lo:hi], integral[:, lo:hi] = a[1], a[2]
+        x_T[:, n2 + lo:n2 + hi], integral[:, n2 + lo:n2 + hi] = b[1], b[2]
+        x_T2[:, lo:hi], integral2[:, lo:hi] = f[1], f[2]
+
+    _run_blocks(halving_kernel, n2, workers, _BLOCK // 2)
+    return [PathEnsemble(x_T=x[i], integral=acc[i])
+            for x, acc in ((x_T, integral), (x_T2, integral2)) for i in range(len(legs))]
 
 
 def simulate_q_paths(model: Model, cfg: SimConfig, chi: float | None = None,
