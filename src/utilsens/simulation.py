@@ -421,10 +421,10 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
     runs = [(-lphi, 1.0, 0.0)]
     if T > 0.0:
         n2 = max(min(cfg.n_paths, 10000), cfg.n_paths // 2)
-        coupled = check_dt_halving and 2 * n2 == cfg.n_paths
+        shared = check_dt_halving and 2 * n2 == cfg.n_paths
         runs = [_shifted_error_term(e, ep)
-                for e in _q_ensembles(model, cfg, chi, workers, halving=coupled)]
-        if check_dt_halving and not coupled:
+                for e in _q_ensembles(model, cfg, chi, workers, halving=shared)]
+        if check_dt_halving and not shared:
             cfg2 = cfg.with_(n_steps=2 * cfg.n_steps, n_paths=n2)
             runs.append(_shifted_error_term(
                 simulate_q_paths(model, cfg2, chi=chi, workers=workers), ep))
