@@ -24,8 +24,10 @@ The dt-halving leg of ``decomposition_check`` is a run of its own config, n2
 paths at 2 n_steps steps, so fine step k of path i reads word k * n2 + i.
 At n_paths = 2 n2 these are the main draw's words: fine steps 2j and 2j + 1
 of path i read the main words (j, i) and (j, n2 + i).  That leg is then
-stepped in the main leg's engine pass on the main leg's normals and draws
-none of its own; its results are those of its own run, bit for bit.
+stepped in the main leg's engine pass, each fine read following the main
+read of the same words, which the block's stream hands back from the row
+it holds: the leg draws no normals of its own, and its results are those of
+its own run, bit for bit.
 
 The module owns the simulation grid: every run reads its drift and exponent
 coefficients on the half-step grid linspace(0, T, 2 n_steps + 1), taken for a
@@ -123,11 +125,16 @@ class BlockStream:
     generator moves only when it is not already at ``word``: it discards the
     rest of a 4-word Philox block, or advances its counter over whole blocks.
     A read behind the current position starts a fresh generator.
+
+    ``normals(word, size)`` maps those words to standard normals, one uniform
+    each, and holds the last row it computed: asked again for the same words,
+    it returns that read-only row and neither reads nor computes anything.
     """
 
     def __init__(self, seed: int) -> None:
         self._seed = seed
         self._word = -1  # next word of the generator; -1 before the first read
+        self._held = (-1, 0, None)  # (word, size, normals) of the last row
 
     def read(self, word: int, size: int) -> np.ndarray:
         if word < self._word or self._word < 0:
@@ -144,6 +151,15 @@ class BlockStream:
         self._word = word + size
         return self._gen.random(size)
 
+    def normals(self, word: int, size: int) -> np.ndarray:
+        if self._held[:2] != (word, size):
+            u = self.read(word, size)
+            # u = 0 would map to -inf; nudge the (2^-53-probability) exact zero
+            z = ndtri(np.maximum(u, 2.0**-54))
+            z.flags.writeable = False
+            self._held = (word, size, z)
+        return self._held[2]
+
 
 def normals_for(seed: int, n_paths: int, step: int, lo: int, hi: int,
                 stream: BlockStream | None = None) -> np.ndarray:
@@ -151,13 +167,12 @@ def normals_for(seed: int, n_paths: int, step: int, lo: int, hi: int,
 
     Word index of (path i, step j) is j * n_paths + i, one uniform per word.
     ``stream`` is the block's own generator for ``seed``, reused from step to
-    step; the normals are the same with or without it.
+    step; the normals are the same with or without it, and a repeat of the
+    stream's last words returns the row it holds.
     """
     if stream is None:
         stream = BlockStream(seed)
-    u = stream.read(step * n_paths + lo, hi - lo)
-    # u = 0 would map to -inf; nudge the (2^-53-probability) exact zero
-    return ndtri(np.maximum(u, 2.0**-54))
+    return stream.normals(step * n_paths + lo, hi - lo)
 
 
 def _run_blocks(kernel, n_paths: int, workers: int | None, block: int = _BLOCK) -> None:
@@ -283,9 +298,10 @@ def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
 
     Each step draws one row of normals per path block and moves every leg
     with it.  With ``halving`` (n_paths = 2 n2 only), the dt-halving legs
-    follow in the result: a block of n2-paths [lo, hi) reads the rows
-    (j, [lo, hi)) and (j, [n2 + lo, n2 + hi)) once, moves the main legs over
-    both and the halving legs over fine steps 2j and 2j + 1 on them.  It
+    follow in the result: a block of n2-paths [lo, hi) draws the rows
+    (j, [lo, hi)) and (j, [n2 + lo, n2 + hi)) once and moves the main legs
+    over them; the halving legs read their fine steps 2j and 2j + 1, the
+    same words, right after and get the rows the stream holds.  A block
     holds _BLOCK / 2 such paths, so its arrays stay a plain block's size.
     """
     for model, _ in legs:
@@ -319,12 +335,11 @@ def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
         stream = BlockStream(cfg.seed)
         a, b, f = start(hi - lo), start(hi - lo), fine_start(hi - lo)
         for j in range(steps):
-            z = normals_for(cfg.seed, n, j, lo, hi, stream)
-            a = step(j, a, z)
-            f = fine_step(2 * j, f, z)
-            z = normals_for(cfg.seed, n, j, n2 + lo, n2 + hi, stream)
-            b = step(j, b, z)
-            f = fine_step(2 * j + 1, f, z)
+            # each fine read names the words of the main read before it
+            a = step(j, a, normals_for(cfg.seed, n, j, lo, hi, stream))
+            f = fine_step(2 * j, f, normals_for(cfg.seed, n2, 2 * j, lo, hi, stream))
+            b = step(j, b, normals_for(cfg.seed, n, j, n2 + lo, n2 + hi, stream))
+            f = fine_step(2 * j + 1, f, normals_for(cfg.seed, n2, 2 * j + 1, lo, hi, stream))
         x_T[:, lo:hi], integral[:, lo:hi] = a[1], a[2]
         x_T[:, n2 + lo:n2 + hi], integral[:, n2 + lo:n2 + hi] = b[1], b[2]
         x_T2[:, lo:hi], integral2[:, lo:hi] = f[1], f[2]

@@ -67,6 +67,19 @@ def test_block_stream_matches_normals_for(seed):
         assert np.array_equal(u, ref), word
 
 
+def test_block_stream_hands_back_its_last_row(monkeypatch):
+    # a repeat of the last words returns the held row, read-only, and draws
+    # nothing; any other words are read and computed
+    stream = si.BlockStream(7)
+    z = stream.normals(40, 25)
+    sizes = _counted_draws(monkeypatch)
+    assert stream.normals(40, 25) is z and not z.flags.writeable
+    assert sizes == []
+    assert np.array_equal(stream.normals(40, 24), z[:24])
+    assert np.array_equal(stream.normals(40, 25), z)
+    assert sizes == [24, 25]
+
+
 def _single_leg_reference(model, chi, cfg, measure):
     """The engine one leg at a time, a fresh generator per (step, block)."""
     c0, c1, g2, g1, g0 = si._coefficients(model, cfg, measure)
@@ -137,15 +150,17 @@ def test_bump_legs_bit_identical_to_single_leg_runs(ko_model, heston_model, ou_m
 
 
 def _counted_draws(monkeypatch):
+    # sizes of the rows of normals computed (a row a block stream hands back
+    # again is not drawn again)
     sizes = []
-    draw = si.normals_for
+    draw = si.ndtri
 
-    def counted(*args, **kwargs):
-        z = draw(*args, **kwargs)
+    def counted(u):
+        z = draw(u)
         sizes.append(z.size)
         return z
 
-    monkeypatch.setattr(si, "normals_for", counted)
+    monkeypatch.setattr(si, "ndtri", counted)
     return sizes
 
 
