@@ -1,10 +1,15 @@
-"""Batch command-line front end.
+"""Batch command-line front end; the one owner of the output format.
 
 Subcommands: ``eigenpair``, ``value``, ``riccati``, ``sensitivities``,
 ``diagnose``, ``simulate``, ``verify``.  Every subcommand reads a JSON config
 (one model block, a preferences block, optional sim/sweep/output blocks) and
 emits machine-readable JSON or CSV with all floats printed at 17 significant
 digits so runs are diffable.
+
+The library returns plain dataclasses and knows nothing of serialization:
+each subcommand shapes its result here, once as a JSON payload and once as a
+CSV table, and hands both to ``_emit``, the only writer.  A subcommand with
+no table (``verify --out``) writes JSON whatever the format.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error
 (including a finite input whose arithmetic leaves floating-point range).
@@ -15,9 +20,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -163,9 +169,7 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
+        return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -180,9 +184,21 @@ def to_csv(rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _table(rows: list[dict], header: list[str] | None = None) -> list[list]:
+    """``header`` (default the first row's keys), then each row's values under it."""
+    header = list(rows[0]) if header is None else header
+    return [header] + [[r[k] for k in header] for r in rows]
+
+
+def _emit(rc: RunConfig, payload: dict, table: list[list] | None = None) -> None:
+    """Write ``table`` as CSV if the format is csv and there is a table, else
+    ``payload`` as JSON; to ``rc.out_path`` or stdout."""
+    if rc.out_format == "csv" and table is not None:
+        text = to_csv(table)
+    else:
+        text = to_json(payload)
+    if rc.out_path:
+        with open(rc.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -194,7 +210,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_eigenpair(rc: RunConfig, workers: int | None) -> int:
     ep = eigenpair(rc.model)
-    _emit(to_json(ep.as_dict(rc.model)), rc.out_path)
+    constants = {k: v for k, v in asdict(rc.model.constants).items()
+                 if v is not None}
+    head = {"model": rc.model.kind, "lambda": ep.lam, "a2": ep.a2, "a1": ep.a1}
+    _emit(rc, {**head, "derived_constants": constants},
+          _table([{**head, **constants}]))
     return 0
 
 
@@ -215,20 +235,15 @@ def cmd_value(rc: RunConfig, workers: int | None) -> int:
             cfg = _require_sim(rc).with_(T=T)
             v, se, lv = sim.simulate_phat_value(model, None, T, cfg, workers)
             res = valuation.ValueResult.of(v, lv, model.p, T)
-            rows.append({"T": T, **res.as_dict(), "mc_se": se})
+            rows.append({"T": T, **asdict(res), "mc_se": se})
         else:
             res = valuation.dual_value(model, chi, T)
-            rows.append({"T": T, **res.as_dict()})
-    if rc.out_format == "csv":
-        header = sorted(rows[0].keys())
-        table = [header] + [[r[k] for k in header] for r in rows]
-        _emit(to_csv(table), rc.out_path)
-    elif len(rows) == 1:
+            rows.append({"T": T, **asdict(res)})
+    if len(rows) == 1:
         payload = {"model": model.kind, "chi": chi, **rows[0], "lambda": lam}
-        _emit(to_json(payload), rc.out_path)
     else:
-        _emit(to_json({"model": model.kind, "chi": chi, "lambda": lam,
-                       "rows": rows}), rc.out_path)
+        payload = {"model": model.kind, "chi": chi, "lambda": lam, "rows": rows}
+    _emit(rc, payload, _table(rows, sorted(rows[0])))
     return 0
 
 
@@ -253,27 +268,28 @@ def cmd_riccati(rc: RunConfig, workers: int | None) -> int:
     model = rc.model
     grid = _riccati_grid(rc)
     closed, sup = _closed_and_oracle_gap(model, grid)
-    if rc.out_format == "csv":
-        _emit(to_csv(closed.to_csv_rows()), rc.out_path)
-    else:
-        payload = {
-            "model": model.kind,
-            "grid": list(grid),
-            "beta": list(closed.beta),
-            "gamma": list(closed.gamma),
-            "Lambda": None if closed.Lambda is None else list(closed.Lambda),
-            "oracle_max_abs_diff": sup,
-        }
-        _emit(to_json(payload), rc.out_path)
+    payload = {
+        "model": model.kind,
+        "grid": list(grid),
+        "beta": list(closed.beta),
+        "gamma": list(closed.gamma),
+        "Lambda": None if closed.Lambda is None else list(closed.Lambda),
+        "oracle_max_abs_diff": sup,
+    }
+    columns = {"t": closed.grid, "beta": closed.beta, "gamma": closed.gamma}
+    if closed.Lambda is not None:
+        columns["Lambda"] = closed.Lambda
+    _emit(rc, payload, [list(columns)] + [list(r) for r in zip(*columns.values())])
     return 0
 
 
 def cmd_sensitivities(rc: RunConfig, workers: int | None) -> int:
     report = sens.long_term_sensitivities(rc.model)
-    if rc.out_format == "csv":
-        _emit(to_csv(report.to_csv_rows()), rc.out_path)
-    else:
-        _emit(to_json(report.as_dict()), rc.out_path)
+    # csv writes a None (no FD column for chi) as an empty field
+    table = [["parameter", "closed_form", "fd_check", "gap"]]
+    table += [[e.parameter, e.closed_form, e.fd_lambda_check, e.abs_disagreement]
+              for e in report.entries]
+    _emit(rc, asdict(report), table)
     flagged = report.flagged_parameters()
     if flagged:
         print(f"FLAGGED formulas disagree with the FD oracle: {flagged}",
@@ -286,15 +302,10 @@ def cmd_diagnose(rc: RunConfig, workers: int | None) -> int:
     if rc.sweep_parameter is None or not rc.sweep_T_grid:
         raise ConfigError("diagnose needs sweep.parameter and sweep.T_grid")
     _positive_increasing(rc.sweep_T_grid, "sweep.T_grid")
-    rows = sens.convergence_diagnostic(rc.model, rc.sweep_parameter,
-                                       rc.sweep_T_grid, sim_config=rc.sim)
-    if rc.out_format == "csv":
-        table = [["T", "value", "limit", "gap"]]
-        table += [[r.T, r.value, r.limit, r.gap] for r in rows]
-        _emit(to_csv(table), rc.out_path)
-    else:
-        _emit(to_json({"model": rc.model.kind, "parameter": rc.sweep_parameter,
-                       "rows": [r.as_dict() for r in rows]}), rc.out_path)
+    rows = [asdict(r) for r in sens.convergence_diagnostic(
+        rc.model, rc.sweep_parameter, rc.sweep_T_grid, sim_config=rc.sim)]
+    _emit(rc, {"model": rc.model.kind, "parameter": rc.sweep_parameter,
+               "rows": rows}, _table(rows))
     return 0
 
 
@@ -311,31 +322,15 @@ def cmd_simulate(rc: RunConfig, workers: int | None) -> int:
             growth = None if T == 0 else -lv / T
             rows.append({"T": T, "v_estimate": v, "mc_se": se,
                          "growth_rate_estimate": growth})
-        payload = {"model": model.kind, "chi": chi, "seed": cfg.seed, "rows": rows}
-        if rc.out_format == "csv":
-            header = ["T", "v_estimate", "mc_se", "growth_rate_estimate", "seed"]
-            _emit(to_csv([header] + [[r[k] for k in header[:-1]] + [cfg.seed]
-                                     for r in rows]), rc.out_path)
-        else:
-            _emit(to_json(payload), rc.out_path)
+        _emit(rc, {"model": model.kind, "chi": chi, "seed": cfg.seed, "rows": rows},
+              _table([{**r, "seed": cfg.seed} for r in rows]))
         return 0
-    results = [sim.decomposition_check(model, chi, T, cfg, workers)
+    results = [{"T": T, **asdict(sim.decomposition_check(model, chi, T, cfg, workers))}
                for T in horizons]
-    ok = all(r.passed for r in results)
-    if rc.out_format == "csv":
-        header = ["T", "v_closed", "skeleton", "mc_error_term", "mc_se",
-                  "ratio_gap", "passed", "seed"]
-        table = [header]
-        for T, r in zip(horizons, results):
-            table.append([T, r.v_closed, r.skeleton, r.mc_error_term, r.mc_se,
-                          r.ratio_gap, r.passed, r.seed])
-        _emit(to_csv(table), rc.out_path)
-    else:
-        payload = {"model": model.kind, "chi": chi, "seed": cfg.seed,
-                   "results": [{"T": T, **r.as_dict()}
-                               for T, r in zip(horizons, results)]}
-        _emit(to_json(payload), rc.out_path)
-    return 0 if ok else 1
+    _emit(rc, {"model": model.kind, "chi": chi, "seed": cfg.seed, "results": results},
+          _table(results, ["T", "v_closed", "skeleton", "mc_error_term", "mc_se",
+                           "ratio_gap", "passed", "seed"]))
+    return 0 if all(r["passed"] for r in results) else 1
 
 
 # --- verify ----------------------------------------------------------------------
@@ -395,7 +390,7 @@ def _verify_checks(model: Model, cfg: sim.SimConfig,
     checks.append(_check(
         "sensitivity_formula_audit", not flagged,
         {"flagged": flagged,
-         "rows": [e.as_dict() for e in report.entries]}))
+         "rows": [asdict(e) for e in report.entries]}))
 
     if model.spec.has_path:
         g50 = valuation.dual_value(model, chi, DIAG_T).growth_rate_estimate
@@ -419,7 +414,7 @@ def cmd_verify(rc: RunConfig, workers: int | None) -> int:
     payload = {"model": rc.model.kind, "seed": cfg.seed, "checks": checks,
                "all_pass": all_pass}
     if rc.out_path:
-        _emit(to_json(payload), rc.out_path)
+        _emit(rc, payload)
     return 0 if all_pass else 1
 
 

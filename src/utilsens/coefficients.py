@@ -53,16 +53,6 @@ class CoefficientPath:
     Lambda: np.ndarray | None = None  # kim_omberg only
     meta: dict = field(default_factory=dict)
 
-    def to_csv_rows(self) -> list[list]:
-        header = ["t", "beta", "gamma"] + (["Lambda"] if self.Lambda is not None else [])
-        rows: list[list] = [header]
-        for i, t in enumerate(self.grid):
-            row = [t, self.beta[i], self.gamma[i]]
-            if self.Lambda is not None:
-                row.append(self.Lambda[i])
-            rows.append(row)
-        return rows
-
 
 def _path_spec(model: Model) -> ModelSpec:
     """``model.spec``; the one refusal of a kind without a closed path."""

@@ -33,15 +33,6 @@ class Eigenpair:
     a2: float
     a1: float
 
-    def as_dict(self, model: Model) -> dict:
-        return {
-            "model": model.kind,
-            "lambda": self.lam,
-            "a2": self.a2,
-            "a1": self.a1,
-            "derived_constants": model.constants.as_dict(),
-        }
-
 
 def eigenpair(model: Model) -> Eigenpair:
     """Recurrent eigenpair (lambda, phi) for a validated model."""

@@ -152,13 +152,6 @@ class DerivedConstants:
     beta2: float | None = None
     alpha_cm: float | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if getattr(self, f.name) is not None
-        }
-
 
 @dataclass(frozen=True)
 class Model:

@@ -21,7 +21,7 @@ un-normalized by the horizon.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class SensitivityEntry:
     abs_disagreement: float | None
     flagged: bool
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SensitivityReport:
@@ -72,17 +69,6 @@ class SensitivityReport:
             if e.parameter == parameter:
                 return e
         raise KeyError(parameter)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def to_csv_rows(self) -> list[list]:
-        rows: list[list] = [["parameter", "closed_form", "fd_check", "gap"]]
-        for e in self.entries:
-            rows.append([e.parameter, e.closed_form,
-                         "" if e.fd_lambda_check is None else e.fd_lambda_check,
-                         "" if e.abs_disagreement is None else e.abs_disagreement])
-        return rows
 
 
 def eigenvalue(model: Model) -> float:
@@ -150,9 +136,6 @@ class InitialFactorSensitivity:
     long_term_limit: float
     gap: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def initial_factor_sensitivity(model: Model, chi: float | None = None,
                                T: float = 0.0) -> InitialFactorSensitivity:
@@ -174,9 +157,6 @@ class DiagnosticRow:
     value: float    # (1/T) d ln v / d theta at horizon T
     limit: float    # -dlambda/dtheta (FD oracle)
     gap: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def convergence_diagnostic(model: Model, parameter: str, T_grid,

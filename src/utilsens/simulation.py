@@ -41,7 +41,7 @@ import math
 import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -73,6 +73,8 @@ class SimConfig:
     scheme: str = "exact_gaussian"
 
     def __post_init__(self) -> None:
+        if isinstance(self.T, bool) or not isinstance(self.T, numbers.Real):
+            raise ValueError("T must be a real number")
         if not (math.isfinite(self.T) and self.T >= 0):
             raise ValueError("T must be finite and >= 0")
         for name in ("n_steps", "n_paths", "seed"):
@@ -113,9 +115,6 @@ class DecompositionResult:
     halved_dt_combined_se: float | None = None
     halved_dt_passed: bool | None = None
     seed: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 class BlockStream:

@@ -17,7 +17,7 @@ horizon T and read the coefficients at time-to-go T - t.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import coefficients as coeff
 from .eigenpairs import eigenpair, phi_ratios
@@ -42,9 +42,6 @@ class ValueResult:
         return cls(v=v, utility=v ** (1.0 - p) / p,
                    log_abs_utility=(1.0 - p) * lv - math.log(-p),
                    growth_rate_estimate=None if T == 0.0 else -lv / T)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def coefficients_at(model: Model, t: float) -> tuple[float, float, float]:

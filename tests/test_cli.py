@@ -57,7 +57,23 @@ def test_eigenpair_json_schema(tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert list(payload) == ["model", "lambda", "a2", "a1", "derived_constants"]
+    assert payload["model"] == "heston"
+    # constants not defined for the kind are dropped, not printed as null
+    assert set(payload["derived_constants"]) == {"sigma1", "sigma2", "beta1", "beta2"}
     assert payload["a1"] == pytest.approx(0.27642890544302096, rel=1e-15)
+
+
+def test_eigenpair_csv_one_row(tmp_path):
+    cfg = _write(tmp_path, HESTON_CFG)
+    code, out = _run(["eigenpair", "--config", cfg, "--format", "csv"])
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "model,lambda,a2,a1,sigma1,sigma2,beta1,beta2"
+    payload = json.loads(_run(["eigenpair", "--config", cfg])[1])
+    expected = {k: v for k, v in payload.items() if k != "derived_constants"}
+    expected.update(payload["derived_constants"])
+    assert dict(zip(header.split(","), row.split(","))) == \
+        {k: v if isinstance(v, str) else format_float(v) for k, v in expected.items()}
 
 
 def test_eigenpair_heston_mu_zero(tmp_path):
@@ -86,17 +102,20 @@ def test_feller_violating_config_exit_2(tmp_path, capsys):
 
 
 def test_cli_matches_library_roundtrip(tmp_path):
-    # the subcommand is a thin wrapper: byte-for-byte the library serialization
+    # the subcommand is a thin wrapper: every printed number is the library's
     import utilsens as u
 
     code, out = _run(["eigenpair", "--config", _write(tmp_path, KO_CFG)])
+    assert code == 0
     m = u.validate(u.KimOmbergParams(**KO_CFG["kim_omberg"]),
                    u.Preferences(p=-1.0))
     ep = u.eigenpair(m)
-    assert out.strip() == to_json(ep.as_dict(m))
     payload = json.loads(out)
+    assert payload["model"] == m.kind
     assert payload["lambda"] == ep.lam
     assert payload["a2"] == ep.a2 and payload["a1"] == ep.a1
+    assert payload["derived_constants"] == {
+        k: v for k, v in vars(m.constants).items() if v is not None}
 
 
 def test_sensitivities_exit_codes(tmp_path):
@@ -107,6 +126,23 @@ def test_sensitivities_exit_codes(tmp_path):
     assert all(not r["flagged"] for r in rows)
     code_ko, _ = _run(["sensitivities", "--config", _write(tmp_path, KO_CFG)])
     assert code_ko == 1  # flagged formulas surface as a verification failure
+
+
+def test_sensitivities_report_keys_and_csv_header(tmp_path):
+    cfg = _write(tmp_path, KO_CFG)
+    _, out = _run(["sensitivities", "--config", cfg])
+    payload = json.loads(out)
+    assert list(payload) == ["model", "entries"]
+    assert payload["model"] == "kim_omberg"
+    assert [e["parameter"] for e in payload["entries"]] == \
+        ["chi", "k", "m_bar", "mu", "varsigma", "rho", "sigma"]
+    assert list(payload["entries"][0]) == ["parameter", "closed_form",
+                                           "fd_lambda_check", "abs_disagreement",
+                                           "flagged"]
+    _, out = _run(["sensitivities", "--config", cfg, "--format", "csv"])
+    lines = out.splitlines()
+    assert lines[0] == "parameter,closed_form,fd_check,gap"
+    assert lines[1].split(",")[2:] == ["", ""]  # chi row has no lambda-FD column
 
 
 def test_sensitivities_csv_ou(tmp_path):
@@ -169,13 +205,16 @@ def test_ou_value_and_simulate_finite_where_value_underflows(tmp_path):
 
 
 def test_riccati_csv(tmp_path):
-    cfg = {**KO_CFG, "sweep": {"T_grid": [0.5, 1.0, 2.0]}}
-    code, out = _run(["riccati", "--config", _write(tmp_path, cfg),
-                      "--format", "csv"])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "t,beta,gamma,Lambda"
-    assert len(lines) == 5
+    # a Lambda column only for the model whose path has one
+    for base, header in ((KO_CFG, "t,beta,gamma,Lambda"),
+                         (HESTON_CFG, "t,beta,gamma")):
+        cfg = {**base, "sweep": {"T_grid": [0.5, 1.0, 2.0]}}
+        code, out = _run(["riccati", "--config", _write(tmp_path, cfg),
+                          "--format", "csv"])
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 5
 
 
 @pytest.mark.parametrize("command, patch", [
@@ -343,6 +382,26 @@ def test_console_script_entry_point(tmp_path):
     assert json.loads(proc.stdout)["model"] == "heston"
 
 
+def test_only_cli_serializes():
+    # the output format lives in cli.py: no other module of the package gives
+    # a result type a serialization method or turns a dataclass into a dict
+    import ast
+    import pathlib
+
+    offences = []
+    for path in sorted(pathlib.Path(utilsens.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                    "as_dict", "to_csv_rows"):
+                offences.append(f"{path.name}:{node.lineno} defines {node.name}")
+            if isinstance(node, ast.Call) and "asdict" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                offences.append(f"{path.name}:{node.lineno} calls asdict")
+    assert not offences, offences
+
+
 def test_float_formatting_17_digits():
     x = 1.0 / 3.0
     assert format_float(x) == format(x, ".17g")
@@ -366,18 +425,31 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
-@pytest.mark.parametrize("command, config, code", [
-    ("eigenpair", "heston", 0),
-    ("eigenpair", "kim_omberg", 0),
-    ("eigenpair", "ou_complete", 0),
-    ("sensitivities", "heston", 0),
-    ("sensitivities", "kim_omberg", 1),  # the audit flags the mu and varsigma rows
-    ("sensitivities", "ou_complete", 0),
-])
-def test_deterministic_output_byte_stable(command, config, code):
+GOLDEN_CASES = [
+    ("eigenpair", "heston", 0, "json"),
+    ("eigenpair", "kim_omberg", 0, "json"),
+    ("eigenpair", "ou_complete", 0, "json"),
+    ("sensitivities", "heston", 0, "json"),
+    ("sensitivities", "kim_omberg", 1, "json"),  # the audit flags mu and varsigma
+    ("sensitivities", "ou_complete", 0, "json"),
+    ("sensitivities", "heston", 0, "csv"),
+    ("sensitivities", "kim_omberg", 1, "csv"),
+    ("sensitivities", "ou_complete", 0, "csv"),
+    ("riccati", "heston", 0, "csv"),
+    ("riccati", "kim_omberg", 0, "csv"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, code, fmt", GOLDEN_CASES,
+    ids=[f"{c}-{k}-{code}" + ("" if f == "json" else f"-{f}")
+         for c, k, code, f in GOLDEN_CASES])
+def test_deterministic_output_byte_stable(command, config, code, fmt):
     # closed forms and the eigenvalue FD only, no Monte Carlo or quadrature:
     # any change to these bytes is a change to a deterministic output
-    got, out = _run([command, "--config", os.path.join(SHIPPED, f"{config}.json")])
+    got, out = _run([command, "--config", os.path.join(SHIPPED, f"{config}.json"),
+                     "--format", fmt])
     assert got == code
-    with open(os.path.join(GOLDEN, f"{command}_{config}.out"), "rb") as fh:
+    suffix = "out" if fmt == "json" else fmt
+    with open(os.path.join(GOLDEN, f"{command}_{config}.{suffix}"), "rb") as fh:
         assert out.encode() == fh.read()

@@ -386,12 +386,3 @@ def test_riccati_oracle_rejects_ou():
                  Preferences(p=-3.0))
     with pytest.raises(UnsupportedModelError):
         co.riccati_oracle(m, np.array([0.0, 1.0]))
-
-
-def test_csv_serialization(ko_model, heston_model):
-    grid = np.linspace(0.0, 2.0, 5)
-    rows = co.build_path(ko_model, grid).to_csv_rows()
-    assert rows[0] == ["t", "beta", "gamma", "Lambda"]
-    assert len(rows) == 6
-    rows_h = co.build_path(heston_model, grid).to_csv_rows()
-    assert rows_h[0] == ["t", "beta", "gamma"]

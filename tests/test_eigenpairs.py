@@ -177,10 +177,3 @@ def test_residual_heston_domain_error(heston_model):
 
     with pytest.raises(DomainError):
         ergodic_residual(heston_model, eigenpair(heston_model), -0.1)
-
-
-def test_eigenpair_serialization_keys(heston_model):
-    d = eigenpair(heston_model).as_dict(heston_model)
-    assert list(d) == ["model", "lambda", "a2", "a1", "derived_constants"]
-    assert d["model"] == "heston"
-    assert set(d["derived_constants"]) == {"sigma1", "sigma2", "beta1", "beta2"}

@@ -198,14 +198,3 @@ def test_convergence_diagnostic_ko_k_within_5pct(ko_model):
 def test_diagnostic_rejects_chi(ko_model):
     with pytest.raises(ConfigError):
         se.convergence_diagnostic(ko_model, "chi", [1.0])
-
-
-def test_report_serialization(ko_model):
-    rep = long_term_sensitivities(ko_model)
-    d = rep.as_dict()
-    assert d["model"] == "kim_omberg"
-    assert [e["parameter"] for e in d["entries"]] == \
-        ["chi", "k", "m_bar", "mu", "varsigma", "rho", "sigma"]
-    rows = rep.to_csv_rows()
-    assert rows[0] == ["parameter", "closed_form", "fd_check", "gap"]
-    assert rows[1][2] == ""  # chi row has no lambda-FD column

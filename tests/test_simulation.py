@@ -461,6 +461,11 @@ def test_sim_config_validation():
                 dict(n_paths=1000.0), dict(n_steps=True)):
         with pytest.raises(ValueError, match="must be an integer"):
             cfg.with_(**bad)
+    # the horizon is a real number: a bool or a string is refused by name
+    for bad in (True, "1"):
+        with pytest.raises(ValueError, match="T must be a real number"):
+            cfg.with_(T=bad)
+    assert cfg.with_(T=2).T == 2 and cfg.with_(T=np.float64(2.5)).T == 2.5
 
 
 def test_error_term_log_scale_robust():
