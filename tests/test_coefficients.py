@@ -386,3 +386,24 @@ def test_riccati_oracle_rejects_ou():
                  Preferences(p=-3.0))
     with pytest.raises(UnsupportedModelError):
         co.riccati_oracle(m, np.array([0.0, 1.0]))
+
+
+def test_csv_serialization(tmp_path):
+    # the riccati CSV table: a Lambda column only for the kind whose path has one
+    import io
+    import json
+    from contextlib import redirect_stdout
+
+    from utilsens.cli import main
+
+    for kind, params, header in (("kim_omberg", KO_SET, "t,beta,gamma,Lambda"),
+                                 ("heston", HESTON_SET, "t,beta,gamma")):
+        cfg = tmp_path / f"{kind}.json"
+        cfg.write_text(json.dumps({kind: params, "preferences": {"p": -1.0},
+                                   "sweep": {"T_grid": [0.5, 1.0, 1.5, 2.0]}}))
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert main(["riccati", "--config", str(cfg), "--format", "csv"]) == 0
+        rows = buf.getvalue().splitlines()
+        assert rows[0] == header
+        assert len(rows) == 6

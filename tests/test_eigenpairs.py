@@ -177,3 +177,23 @@ def test_residual_heston_domain_error(heston_model):
 
     with pytest.raises(DomainError):
         ergodic_residual(heston_model, eigenpair(heston_model), -0.1)
+
+
+def test_eigenpair_serialization_keys(tmp_path):
+    # the eigenpair JSON payload: its keys, the model kind and only the
+    # derived constants defined for that kind
+    import io
+    import json
+    from contextlib import redirect_stdout
+
+    from utilsens.cli import main
+
+    cfg = tmp_path / "heston.json"
+    cfg.write_text(json.dumps({"heston": HESTON_SET, "preferences": {"p": -1.0}}))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(["eigenpair", "--config", str(cfg)]) == 0
+    d = json.loads(buf.getvalue())
+    assert list(d) == ["model", "lambda", "a2", "a1", "derived_constants"]
+    assert d["model"] == "heston"
+    assert set(d["derived_constants"]) == {"sigma1", "sigma2", "beta1", "beta2"}
