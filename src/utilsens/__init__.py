@@ -7,7 +7,7 @@ from .coefficients import (
     closed_gamma,
     riccati_oracle,
 )
-from .eigenpairs import Eigenpair, eigenpair, ergodic_residual, phi_eval
+from .eigenpairs import Eigenpair, eigenpair, ergodic_residual
 from .models import (
     HESTON,
     KIM_OMBERG,
@@ -21,9 +21,6 @@ from .models import (
     Preferences,
     UnsupportedModelError,
     ValidationError,
-    derive_constants,
-    dual_exponent,
-    market_price_of_risk,
     validate,
 )
 from .sensitivities import (

@@ -95,7 +95,7 @@ def parse_run_config(cfg: dict) -> RunConfig:
         block = config_block(cfg["sweep"], _SWEEP_KEYS, "sweep")
         sweep_parameter = block.get("parameter")
         if sweep_parameter is not None:
-            valid = list(model.spec.sensitivity_params) + ["chi", "s0"]
+            valid = model.spec.sensitivity_params + ("chi", model.spec.state_field)
             if sweep_parameter not in valid:
                 raise ConfigError(
                     f"sweep parameter '{sweep_parameter}' does not exist for "

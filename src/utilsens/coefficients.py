@@ -137,7 +137,7 @@ def riccati_oracle(model: Model, grid) -> CoefficientPath:
     grid = _check_grid(grid)
     spec = _path_spec(model)
     h_ode = max(H_ODE, H_MIX / spec.mixing_rate(model))
-    rhs = spec.oracle_rhs(*spec.ode_constants(model))
+    rhs = spec.oracle_rhs(model)
     zero = (0.0,) * len(spec.path_fields)
     with np.errstate(over="ignore", invalid="ignore"):
         half = _rk4(rhs, zero, grid, h_ode / 2.0)

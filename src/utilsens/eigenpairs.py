@@ -13,16 +13,11 @@ cross-check that the closed forms are typed consistently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .models import Model, initial_state
-
-# exp() over/underflows past ~709; beyond this the log-scale path is used
-LOG_SCALE_CUTOFF = 700.0
 
 
 @dataclass(frozen=True)
@@ -38,23 +33,6 @@ def eigenpair(model: Model) -> Eigenpair:
     """Recurrent eigenpair (lambda, phi) for a validated model."""
     lam, a2, a1 = model.spec.eigen(model)
     return Eigenpair(lam=lam, a2=a2, a1=a1)
-
-
-class PhiEval(NamedTuple):
-    """phi and its first two derivatives, with a log-scale fallback.
-
-    When |exponent| exceeds ``LOG_SCALE_CUTOFF`` the plain-scale fields
-    over/underflow (inf or 0); ``log_scale`` is then True and callers should
-    work with ``log_value`` and the ratio fields, which are always finite.
-    """
-
-    value: float
-    d1: float
-    d2: float
-    log_value: float
-    ratio1: float  # phi'/phi  = -(a2 x + a1)
-    ratio2: float  # phi''/phi = (a2 x + a1)^2 - a2
-    log_scale: bool
 
 
 def phi_log(ep: Eigenpair, x):
@@ -73,25 +51,6 @@ def phi_ratios(ep: Eigenpair, x):
     if r1.ndim:
         return r1, r2
     return float(r1), float(r2)
-
-
-def phi_eval(ep: Eigenpair, x) -> PhiEval:
-    """Evaluate (phi, phi', phi'') at a scalar x, overflow guarded."""
-    x = float(x)
-    log_value = float(phi_log(ep, x))
-    r1, r2 = phi_ratios(ep, x)
-    log_scale = abs(log_value) > LOG_SCALE_CUTOFF
-    with np.errstate(over="ignore"):
-        value = math.exp(log_value) if log_value < LOG_SCALE_CUTOFF else math.inf
-    return PhiEval(
-        value=value,
-        d1=value * r1,
-        d2=value * r2,
-        log_value=log_value,
-        ratio1=r1,
-        ratio2=r2,
-        log_scale=log_scale,
-    )
 
 
 def ergodic_residual(model: Model, ep: Eigenpair, x: float) -> float:

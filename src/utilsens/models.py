@@ -66,13 +66,6 @@ class UnsupportedModelError(ValueError):
     """Operation not available for this model kind."""
 
 
-def dual_exponent(p: float) -> float:
-    """Dual exponent q = -p/(1-p) of the risk exponent p < 0."""
-    if not p < 0:
-        raise ValidationError("risk_exponent", f"p must be < 0, got {p}")
-    return -p / (1.0 - p)
-
-
 @dataclass(frozen=True)
 class Preferences:
     """Power-utility preferences; q is derived, never user-set."""
@@ -82,13 +75,15 @@ class Preferences:
     def __post_init__(self) -> None:
         if not math.isfinite(self.p):
             raise ValidationError("finite", f"p must be finite, got {self.p}")
-        dual_exponent(self.p)  # rejects p >= 0
+        if not self.p < 0:
+            raise ValidationError("risk_exponent", f"p must be < 0, got {self.p}")
         if not self.q < 1.0:
             raise ValidationError(
                 "risk_exponent", f"p = {self.p} rounds q = -p/(1-p) to 1")
 
     @property
     def q(self) -> float:
+        """Dual exponent q = -p/(1-p), in (0, 1)."""
         return -self.p / (1.0 - self.p)
 
 
@@ -207,8 +202,7 @@ class ModelSpec:
     beta: Callable | None = None            # path: (model, t array) -> beta(t)
     gamma: Callable | None = None           # path: (model, t array) -> gamma(t)
     Lambda: Callable | None = None          # kim_omberg: (model, t array) -> Lambda(t)
-    ode_constants: Callable | None = None   # path: model -> oracle RHS constants
-    oracle_rhs: Callable | None = None      # path: (*constants) -> rhs(state tuple)
+    oracle_rhs: Callable | None = None      # path: model -> rhs(state tuple)
     mixing_rate: Callable | None = None     # path: model -> rate the path nears its limit
 
     @cached_property
@@ -459,12 +453,11 @@ def _ko_Lambda(model: Model, t: np.ndarray) -> np.ndarray:
     return (quadratic + linear + source) / c.alpha4
 
 
-def _ko_ode_constants(model: Model) -> tuple:
+def _ko_rhs(model: Model):
     c = model.constants
-    return _riccati_source(model), c.alpha1, c.alpha2, c.alpha3, model.params.sigma**2
+    n, a1, a2, a3 = _riccati_source(model), c.alpha1, c.alpha2, c.alpha3
+    sig2 = model.params.sigma**2
 
-
-def _ko_rhs(n, a1, a2, a3, sig2):
     def rhs(s):
         b, g, _ = s
         return (
@@ -542,7 +535,9 @@ def _heston_ode_constants(model: Model) -> tuple:
             model.params.k * model.params.m_bar)
 
 
-def _heston_rhs(n, b1, a2h, km):
+def _heston_rhs(model: Model):
+    n, b1, a2h, km = _heston_ode_constants(model)
+
     def rhs(s):
         b, _ = s
         return (-0.5 * a2h * b * b - b1 * b + 0.5 * n, km * b)
@@ -660,7 +655,7 @@ SPECS: dict[str, ModelSpec] = {
         drift=_factor_drift, exponent=_factor_exponent,
         sensitivity_rows=_ko_rows,
         beta=_ko_beta, gamma=_ko_gamma, Lambda=_ko_Lambda,
-        ode_constants=_ko_ode_constants, oracle_rhs=_ko_rhs,
+        oracle_rhs=_ko_rhs,
         mixing_rate=lambda m: 2.0 * m.constants.alpha4,
     ),
     HESTON: ModelSpec(
@@ -675,7 +670,7 @@ SPECS: dict[str, ModelSpec] = {
         drift=_factor_drift, exponent=_factor_exponent,
         sensitivity_rows=_heston_rows,
         beta=_heston_beta, gamma=_heston_gamma,
-        ode_constants=_heston_ode_constants, oracle_rhs=_heston_rhs,
+        oracle_rhs=_heston_rhs,
         mixing_rate=lambda m: m.constants.beta2,
     ),
 }
@@ -699,11 +694,6 @@ def _checked_spec(params: Params) -> ModelSpec:
     if "rho" in spec.fields and not abs(params.rho) < 1:
         raise ValidationError("sign_range", "rho must lie strictly in (-1, 1)")
     return spec
-
-
-def derive_constants(params: Params, prefs: Preferences) -> DerivedConstants:
-    """Populate the derived-constant block for the given model."""
-    return _checked_spec(params).derive(params, prefs)
 
 
 def validate(params: Params, prefs: Preferences) -> Model:
@@ -737,11 +727,6 @@ def initial_state(model: Model, chi: float | None = None) -> float:
     if spec.state_field in spec.positive and not chi > 0:
         raise DomainError(f"{model.kind} requires {spec.state_field} > 0")
     return chi
-
-
-def market_price_of_risk(model: Model, x) -> float:
-    """Drift-to-volatility ratio theta at factor value (or asset price) x."""
-    return model.spec.theta(model, x)
 
 
 def bump_params(params: Params, name: str, h: float) -> Params:

@@ -71,10 +71,6 @@ class SensitivityReport:
         raise KeyError(parameter)
 
 
-def eigenvalue(model: Model) -> float:
-    return eigenpair(model).lam
-
-
 def _step(model: Model, parameter: str, h: float | None = None) -> float:
     """``h``, or the default step FD_SCALE * max(|theta|, 1) for ``parameter``."""
     theta = getattr(model.params, parameter, None)
@@ -84,7 +80,7 @@ def _step(model: Model, parameter: str, h: float | None = None) -> float:
 
 
 def _central(up: Model, dn: Model, h: float) -> float:
-    return (eigenvalue(up) - eigenvalue(dn)) / (2.0 * h)
+    return (eigenpair(up).lam - eigenpair(dn).lam) / (2.0 * h)
 
 
 def lambda_fd(model: Model, parameter: str, h: float | None = None) -> FDEstimate:
@@ -96,11 +92,6 @@ def lambda_fd(model: Model, parameter: str, h: float | None = None) -> FDEstimat
     """
     up, dn, h = bumped_models(model, parameter, _step(model, parameter, h))
     return FDEstimate(value=_central(up, dn, h), h=h)
-
-
-def closed_form_rows(model: Model) -> dict[str, float]:
-    """The published long-term sensitivity table of ``model``'s kind."""
-    return model.spec.sensitivity_rows(model)
 
 
 def long_term_sensitivities(model: Model) -> SensitivityReport:
@@ -115,7 +106,7 @@ def long_term_sensitivities(model: Model) -> SensitivityReport:
         abs_disagreement=None,
         flagged=False,
     )]
-    rows = closed_form_rows(model)
+    rows = model.spec.sensitivity_rows(model)
     for name in model.spec.sensitivity_params:
         closed = rows[name]
         fd = -omp * lambda_fd(model, name).value

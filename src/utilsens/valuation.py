@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 from . import coefficients as coeff
 from .eigenpairs import eigenpair, phi_ratios
-from .models import (
-    Model,
-    UnsupportedModelError,
-    initial_state,
-    market_price_of_risk,
-)
+from .models import Model, UnsupportedModelError, initial_state
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,7 @@ def kappa_eval_generic(model: Model, x: float, t: float, T: float) -> float:
     _check_time_pair(t, T)
     q, pa, c = model.q, model.params, model.constants
     r1, _ = phi_ratios(eigenpair(model), x)
-    theta = market_price_of_risk(model, x)
+    theta = model.spec.theta(model, x)
     xi_hat = control_hat_xi(model, x, t, T)
     u, w = model.spec.scales(x)
     return (pa.k * (pa.m_bar - x) - q * theta * (c.sigma1 * u)

@@ -237,6 +237,17 @@ def test_malformed_config_exit_2(tmp_path, capsys, command, patch):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["value", "diagnose"])
+def test_sweep_parameter_checked_at_parse(tmp_path, capsys, command):
+    # s0 is the complete-market state field, not a heston parameter: every
+    # subcommand refuses it while parsing, before any work is done
+    with open(os.path.join(SHIPPED, "heston.json"), encoding="utf-8") as fh:
+        cfg = {**json.load(fh), "sweep": {"parameter": "s0", "T_grid": [1.0, 5.0]}}
+    code, _ = _run([command, "--config", _write(tmp_path, cfg)])
+    assert code == 2
+    assert "does not exist for heston" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, patch", [
     (["simulate", "--config", "{cfg}", "--seed", "-1"], {}),
     (["simulate", "--config", "{cfg}", "--seed", str(2**64)], {}),
@@ -363,15 +374,19 @@ def test_verify_byte_identical_across_workers(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_console_script_entry_point(tmp_path):
-    cfg = _write(tmp_path, HESTON_CFG)
-    # the child imports the same package as the suite, installed or not
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports the same package
+    as the suite, installed or not."""
     src = os.path.dirname(os.path.dirname(utilsens.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def test_console_script_entry_point(tmp_path):
+    cfg = _write(tmp_path, HESTON_CFG)
     proc = subprocess.run([sys.executable, "-m", "utilsens.cli", "eigenpair",
                            "--config", cfg], capture_output=True, text=True,
-                          env=env)
+                          env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["model"] == "heston"
 
@@ -394,6 +409,52 @@ def test_only_cli_serializes():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 offences.append(f"{path.name}:{node.lineno} calls asdict")
     assert not offences, offences
+
+
+# independent routes kept on purpose although only tests call them: each
+# recomputes a quantity that the library already gets another way
+CROSS_ROUTES = ("estimate_error_term", "f_eval", "f_eval_expanded", "kappa_eval",
+                "kappa_eval_generic")
+
+
+def test_public_functions_are_reached():
+    # every public top-level function of the package is named somewhere other
+    # than its own def and the package __init__: in other library code, in the
+    # benchmark harness, or in CROSS_ROUTES; one that only tests call is dead
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(utilsens.__file__).parent
+    harness = pathlib.Path(__file__).parents[1] / "perfbench"
+    defined, used = {}, set(CROSS_ROUTES)
+    for path in sorted(pkg.glob("*.py")) + sorted(harness.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        in_pkg = path.parent == pkg
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            if in_pkg and owner and not owner.startswith("_"):
+                defined[owner] = f"{path.name}:{top.lineno}"
+            for node in ast.walk(top):
+                name = node.name if isinstance(node, ast.alias) else (
+                    getattr(node, "id", None) or getattr(node, "attr", None))
+                if name and not (in_pkg and name == owner):
+                    used.add(name)
+    assert set(CROSS_ROUTES) <= set(defined)
+    unreached = [f"{where} {name}" for name, where in defined.items()
+                 if name not in used]
+    assert not unreached, unreached
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    # every CLI run pays for what importing the CLI loads: none of these
+    # scipy subpackages, each costly in start-up time and peak memory
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+    probe = ("import sys, utilsens.cli; "
+             f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == ""
 
 
 def test_float_formatting_17_digits():

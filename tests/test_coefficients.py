@@ -351,8 +351,8 @@ def test_riccati_oracle_steps_on_shipped_config(config, monkeypatch):
     model = model_from_config(load_config(os.path.join(SHIPPED, f"{config}.json")))
     spec, calls = model.spec, [0]
 
-    def counted_rhs(*constants):
-        rhs = spec.oracle_rhs(*constants)
+    def counted_rhs(m):
+        rhs = spec.oracle_rhs(m)
 
         def wrapped(state):
             calls[0] += 1

@@ -1,4 +1,5 @@
-"""Recurrent eigenpairs, phi evaluation, and the ergodic-equation residual."""
+"""Recurrent eigenpairs, log phi and its derivative ratios, and the
+ergodic-equation residual."""
 
 import math
 
@@ -13,10 +14,9 @@ from utilsens import (
     Preferences,
     eigenpair,
     ergodic_residual,
-    phi_eval,
     validate,
 )
-from utilsens.eigenpairs import phi_log, residual_grid
+from utilsens.eigenpairs import phi_log, phi_ratios, residual_grid
 
 from conftest import HESTON_SET, KO_SET, draw_heston, draw_ko
 
@@ -34,7 +34,7 @@ def test_mu_zero_eigenpair_trivial():
     assert (ko.lam, ko.a2, ko.a1) == (0.0, 0.0, 0.0)
     he = eigenpair(validate(HestonParams(**{**HESTON_SET, "mu": 0.0}), prefs))
     assert (he.lam, he.a2, he.a1) == (0.0, 0.0, 0.0)
-    assert phi_eval(he, 1.7).value == 1.0
+    assert (phi_log(he, 1.7), *phi_ratios(he, 1.7)) == (0.0, 0.0, 0.0)  # phi = 1
 
 
 def test_heston_eigenvalue_against_root_find_oracle(heston_model):
@@ -120,28 +120,28 @@ def test_lambda_invariant_under_mu_rho_sign_flip():
 def test_phi_eval_closed_values():
     from utilsens.eigenpairs import Eigenpair
 
+    # phi = exp(phi_log), phi' = phi * ratio1, phi'' = phi * ratio2
     ep = Eigenpair(lam=0.0, a2=0.0, a1=0.0)
-    v = phi_eval(ep, 3.2)
-    assert (v.value, v.d1, v.d2) == (1.0, 0.0, 0.0)
+    assert (phi_log(ep, 3.2), *phi_ratios(ep, 3.2)) == (0.0, 0.0, 0.0)
     epb = Eigenpair(lam=0.0, a2=0.0, a1=0.7)
-    vb = phi_eval(epb, 1.3)
-    assert vb.d1 / vb.value == pytest.approx(-0.7, abs=1e-15)
+    assert phi_ratios(epb, 1.3)[0] == pytest.approx(-0.7, abs=1e-15)
     epq = Eigenpair(lam=0.0, a2=1.0, a1=0.0)
-    vq = phi_eval(epq, 1.0)
-    assert vq.value == pytest.approx(math.exp(-0.5), rel=1e-15)
-    assert vq.d1 == pytest.approx(-math.exp(-0.5), rel=1e-15)
-    assert vq.d2 == 0.0  # (a2 x + a1)^2 - a2 vanishes at x = 1
+    assert math.exp(phi_log(epq, 1.0)) == pytest.approx(math.exp(-0.5), rel=1e-15)
+    r1, r2 = phi_ratios(epq, 1.0)
+    assert r1 == -1.0
+    assert r2 == 0.0  # (a2 x + a1)^2 - a2 vanishes at x = 1
 
 
 def test_phi_eval_overflow_guard():
     from utilsens.eigenpairs import Eigenpair
 
+    # phi itself underflows to 0 at exponent -1600; its log and ratios do not
     ep = Eigenpair(lam=0.0, a2=2.0, a1=0.0)
-    big = phi_eval(ep, -40.0)  # exponent -1600
-    assert big.log_scale
-    assert big.log_value == pytest.approx(-1600.0)
-    assert math.isfinite(big.ratio1) and math.isfinite(big.ratio2)
-    assert phi_log(ep, -40.0) == big.log_value
+    assert math.exp(phi_log(ep, -40.0)) == 0.0
+    assert phi_log(ep, -40.0) == pytest.approx(-1600.0)
+    assert phi_ratios(ep, -40.0) == (80.0, 6398.0)
+    logs = phi_log(ep, np.array([-40.0, 0.0, 40.0]))
+    assert np.array_equal(logs, [-1600.0, 0.0, -1600.0])
 
 
 def test_residual_zero_at_mu_zero_factor_models():

@@ -11,9 +11,6 @@ from utilsens import (
     OUCompleteParams,
     Preferences,
     ValidationError,
-    derive_constants,
-    dual_exponent,
-    market_price_of_risk,
     validate,
 )
 from utilsens.models import SPECS, ConfigError, bump_params, parse_model_block
@@ -25,15 +22,16 @@ _SETS = {"ou_complete": OU_SET, "kim_omberg": KO_SET, "heston": HESTON_SET}
 
 
 def test_dual_exponent_exact_values():
-    assert dual_exponent(-1.0) == 0.5
-    assert dual_exponent(-3.0) == 0.75
-    assert dual_exponent(-0.5) == pytest.approx(1.0 / 3.0, abs=0, rel=1e-15)
+    assert Preferences(-1.0).q == 0.5
+    assert Preferences(-3.0).q == 0.75
+    assert Preferences(-0.5).q == pytest.approx(1.0 / 3.0, abs=0, rel=1e-15)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0])
 def test_dual_exponent_rejects_nonnegative_p(p):
-    with pytest.raises(ValidationError):
-        dual_exponent(p)
+    with pytest.raises(ValidationError) as exc:
+        Preferences(p)
+    assert exc.value.condition == "risk_exponent"
 
 
 def test_dual_exponent_round_trip_and_monotone():
@@ -41,11 +39,11 @@ def test_dual_exponent_round_trip_and_monotone():
     # p -> -inf gives q -> 1, p -> 0- gives q -> 0 (dq/dp = -1/(1-p)^2 < 0)
     rng = np.random.default_rng(1)
     ps = np.sort(-np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 200)))
-    qs = np.array([dual_exponent(p) for p in ps])
+    qs = np.array([Preferences(p).q for p in ps])
     assert np.all(np.diff(qs) < 0)
     assert np.all((qs > 0.0) & (qs < 1.0))
-    assert dual_exponent(-1e12) > 1.0 - 1e-11
-    assert dual_exponent(-1e-12) < 1e-11
+    assert Preferences(-1e12).q > 1.0 - 1e-11
+    assert Preferences(-1e-12).q < 1e-11
     # round trip p = -q/(1-q)
     back = -qs / (1.0 - qs)
     assert np.allclose(back, ps, rtol=1e-13, atol=0)
@@ -55,7 +53,7 @@ def test_derive_constants_ko_hand_evaluated():
     # q = 0.5; sigma1 = -0.15; sigma2 = 0.3 sqrt(3)/2; the four alphas follow
     # from their defining formulas, written out independently here.
     prefs = Preferences(p=-1.0)
-    c = derive_constants(KimOmbergParams(**KO_SET), prefs)
+    c = validate(KimOmbergParams(**KO_SET), prefs).constants
     assert c.sigma1 == pytest.approx(-0.15, abs=1e-15)
     assert c.sigma2 == pytest.approx(0.3 * math.sqrt(0.75), abs=1e-15)
     assert c.alpha1 == pytest.approx(1.0 + 0.5 * 0.5 * (-0.15) / 0.2, abs=1e-15)
@@ -68,10 +66,9 @@ def test_derive_constants_ko_hand_evaluated():
 
 def test_derive_constants_mu_zero_radical_collapses():
     prefs = Preferences(p=-1.0)
-    ko = derive_constants(
-        KimOmbergParams(**{**KO_SET, "mu": 0.0}), prefs)
+    ko = validate(KimOmbergParams(**{**KO_SET, "mu": 0.0}), prefs).constants
     assert ko.alpha4 == ko.alpha1 == KO_SET["k"]
-    he = derive_constants(HestonParams(**{**HESTON_SET, "mu": 0.0}), prefs)
+    he = validate(HestonParams(**{**HESTON_SET, "mu": 0.0}), prefs).constants
     assert he.beta2 == he.beta1 == HESTON_SET["k"]
 
 
@@ -143,20 +140,20 @@ def test_validate_rejects_degenerate_correlation():
 
 
 def test_market_price_of_risk_values(ko_model, heston_model, ou_model):
-    assert market_price_of_risk(ko_model, 0.0) == 0.0
+    assert ko_model.spec.theta(ko_model, 0.0) == 0.0
     he = validate(HestonParams(mu=0.5, varsigma=0.2, k=2.0, m_bar=0.09,
                                sigma=0.3, rho=-0.7, chi=0.04), Preferences(p=-1.0))
-    assert market_price_of_risk(he, 0.04) == pytest.approx(0.5, abs=1e-15)
+    assert he.spec.theta(he, 0.04) == pytest.approx(0.5, abs=1e-15)
     ou = validate(OUCompleteParams(mu=0.1, b=0.5, varsigma=0.2, s0=0.2),
                   Preferences(p=-3.0))
-    assert market_price_of_risk(ou, 0.2) == 0.0
+    assert ou.spec.theta(ou, 0.2) == 0.0
 
 
 def test_market_price_of_risk_heston_domain(heston_model):
     from utilsens import DomainError
 
     with pytest.raises(DomainError):
-        market_price_of_risk(heston_model, -0.01)
+        heston_model.spec.theta(heston_model, -0.01)
 
 
 def test_accepted_params_pass_downstream_preconditions():

@@ -66,7 +66,7 @@ def test_lambda_fd_zero_at_mu_zero_uncorrelated():
 def test_lambda_fd_two_routes_ko_sigma(ko_model):
     # FD of lambda vs the printed sigma row divided by -(1-p)
     fd = lambda_fd(ko_model, "sigma")
-    row = se.closed_form_rows(ko_model)["sigma"]
+    row = ko_model.spec.sensitivity_rows(ko_model)["sigma"]
     assert row == pytest.approx(-(1 - ko_model.p) * fd.value,
                                 rel=1e-8, abs=1e-10)
 
