@@ -465,9 +465,11 @@ def main(argv: list[str] | None = None) -> int:
                 rc = replace(rc, sim=rc.sim.with_(seed=args.seed))
             except ValueError as exc:
                 raise ConfigError(f"invalid --seed: {exc}") from exc
-        return _COMMANDS[args.command](rc, args.workers)
+        # a numpy overflow raises FloatingPointError, an ArithmeticError
+        with np.errstate(over="raise"):
+            return _COMMANDS[args.command](rc, args.workers)
     except (ConfigError, ValidationError, UnsupportedModelError,
-            ArithmeticError, OSError) as exc:
+            ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

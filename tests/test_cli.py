@@ -8,6 +8,8 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import utilsens
 from utilsens.cli import format_float, main, to_csv, to_json
@@ -273,6 +275,9 @@ def test_bad_argv_or_output_exit_2(tmp_path, capsys, argv, patch):
     ("value", OU_CFG, "ou_complete", "mu", 1e200),
     # mixing rate ~6000: the RK4 oracle's passes overflow at the H_ODE floor
     ("riccati", KO_CFG, "kim_omberg", "k", 3000.0),
+    # numpy refuses the arrays at once (petabytes), so nothing is allocated
+    ("simulate", KO_CFG, "sim", "n_steps", 10**15),
+    ("simulate", HESTON_CFG, "sim", "n_paths", 10**15),
 ])
 def test_extreme_finite_parameters_exit_2(tmp_path, capsys, command, cfg, kind,
                                           field, value):
@@ -280,6 +285,44 @@ def test_extreme_finite_parameters_exit_2(tmp_path, capsys, command, cfg, kind,
     code, _ = _run([command, "--config", _write(tmp_path, cfg)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_REFERENCE = {"kim_omberg": KO_CFG["kim_omberg"], "heston": HESTON_CFG["heston"],
+              "ou_complete": OU_CFG["ou_complete"]}
+
+
+@st.composite
+def _random_config(draw):
+    # each field a multiple of the reference value, the sign kept where the
+    # model requires it; then at most one field anywhere in floating-point
+    # range, so that draws both pass validation and probe its edges
+    kind = draw(st.sampled_from(sorted(_REFERENCE)))
+    positive = SPECS[kind].positive
+    block = {f: v * draw(st.floats(0.1 if f in positive else -10.0, 10.0))
+             for f, v in _REFERENCE[kind].items()}
+    if "rho" in block:
+        block["rho"] = draw(st.floats(-0.99, 0.99))
+    prefs = {"p": -draw(st.floats(0.01, 100.0))}
+    extreme = draw(st.sampled_from([None, "p", *block]))
+    if extreme is not None:
+        (prefs if extreme == "p" else block)[extreme] = draw(_FINITE)
+    horizon = st.floats(0.0, 1e4) | st.floats(min_value=0.0, allow_infinity=False)
+    horizons = draw(st.lists(horizon, min_size=1, max_size=3))
+    return {kind: block, "preferences": prefs, "sweep": {"T_grid": horizons}}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_random_config())
+def test_random_finite_configs_exit_0_1_or_2(tmp_path, capsys, cfg):
+    # every finite model and preferences block ends in an answer, a failed
+    # verification or a named error: no exception or traceback leaves main
+    path = _write(tmp_path, cfg)
+    for command in ("eigenpair", "sensitivities", "value"):
+        code, _ = _run([command, "--config", path])
+        assert code in (0, 1, 2), (command, cfg)
+        assert "Traceback" not in capsys.readouterr().err, (command, cfg)
 
 
 def test_diagnose_requires_sweep(tmp_path, capsys):
@@ -362,16 +405,21 @@ def test_simulate_large_state_exits_cleanly(tmp_path):
     assert isinstance(res["passed"], bool) and math.isfinite(res["v_closed"])
 
 
-def test_verify_byte_identical_across_workers(tmp_path):
-    cfg = _write(tmp_path, HESTON_CFG)
-    outs = []
-    for w in ("1", "4", "8"):
+@pytest.mark.parametrize("n_paths", [
+    # odd, two path blocks, the last with an unpaired path for the halving leg
+    utilsens.simulation._BLOCK + 701,
+    150,  # the halving leg has 75 paths
+])
+def test_verify_byte_identical_across_workers(tmp_path, n_paths):
+    cfg = _write(tmp_path, {**HESTON_CFG,
+                            "sim": {**HESTON_CFG["sim"], "n_paths": n_paths}})
+    runs = []
+    for w in ("1", "2", "4"):
         out_path = tmp_path / f"verify_{w}.json"
         code, _ = _run(["verify", "--config", cfg, "--workers", w,
                         "--out", str(out_path)])
-        assert code == 0
-        outs.append(out_path.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+        runs.append((code, out_path.read_bytes()))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def _child_env() -> dict:
@@ -412,9 +460,11 @@ def test_only_cli_serializes():
 
 
 # independent routes kept on purpose although only tests call them: each
-# recomputes a quantity that the library already gets another way
+# recomputes a quantity that the library already gets another way;
+# simulate_q_paths is the single-leg run the bit-identity tests compare the
+# engine's shared passes against
 CROSS_ROUTES = ("estimate_error_term", "f_eval", "f_eval_expanded", "kappa_eval",
-                "kappa_eval_generic")
+                "kappa_eval_generic", "simulate_q_paths")
 
 
 def test_public_functions_are_reached():

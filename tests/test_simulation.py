@@ -80,19 +80,29 @@ def test_block_stream_hands_back_its_last_row(monkeypatch):
     assert sizes == [24, 25]
 
 
-def _single_leg_reference(model, chi, cfg, measure):
-    """The engine one leg at a time, a fresh generator per (step, block)."""
-    c0, c1, g2, g1, g0 = si._coefficients(model, cfg, measure)
-    dt, sigma = cfg.T / cfg.n_steps, getattr(model.params, model.spec.vol_field)
+def _single_leg_reference(model, chi, cfg, measure, paired=False):
+    """The engine one leg at a time, a fresh generator per (step, block).
+
+    ``paired`` gives the dt-halving leg of a run of ``cfg`` instead: n_paths
+    // 2 paths at 2 n_steps, fine step k of path i of block [lo, hi) on the
+    normal of main path lo + 2i + k % 2 at step k // 2."""
+    fine = cfg.with_(n_steps=2 * cfg.n_steps) if paired else cfg
+    c0, c1, g2, g1, g0 = si._coefficients(model, fine, measure)
+    dt, sigma = fine.T / fine.n_steps, getattr(model.params, model.spec.vol_field)
     decay, shift, sd = si._affine_gaussian_tables(c0[1::2], c1[1::2], sigma, dt)
     x_T, integral = [], []
     for lo in range(0, cfg.n_paths, si._BLOCK):
         hi = min(lo + si._BLOCK, cfg.n_paths)
-        x = xr = np.full(hi - lo, chi)
-        acc = np.zeros(hi - lo)
+        size = (hi - lo) // 2 if paired else hi - lo
+        x = xr = np.full(size, chi)
+        acc = np.zeros(size)
         g_prev = (g2[0] * chi + g1[0]) * chi + g0[0]
-        for j in range(cfg.n_steps):
-            z = si.normals_for(cfg.seed, cfg.n_paths, j, lo, hi)
+        for j in range(fine.n_steps):
+            if paired:
+                row = si.normals_for(cfg.seed, cfg.n_paths, j // 2, lo, hi)
+                z = row[j % 2:2 * size:2]
+            else:
+                z = si.normals_for(cfg.seed, cfg.n_paths, j, lo, hi)
             if cfg.scheme == "exact_gaussian":
                 x = xr = decay[j] * x + shift[j] + sd[j] * z
             elif cfg.scheme == "euler":
@@ -173,15 +183,14 @@ def test_bump_legs_share_one_draw(ko_model, monkeypatch):
     assert sizes == [2000] * 100
 
 
-@pytest.mark.parametrize("n_paths, n2", [(20000, 10000), (10000, 10000), (20001, 10000)])
-def test_dt_halving_leg_draws_only_where_it_cannot_share(ko_model, monkeypatch, n_paths, n2):
-    # at n_paths = 2 n2 the halving leg is stepped on the main leg's draw;
-    # otherwise it draws its own n2 paths at 2 n_steps
+@pytest.mark.parametrize("n_paths", [20000, 10000, 20001])
+def test_dt_halving_leg_draws_no_normals(ko_model, monkeypatch, n_paths):
+    # the halving leg is stepped on the main leg's rows at any path count,
+    # odd ones included; only the main leg's normals are computed
     sizes = _counted_draws(monkeypatch)
     cfg = SimConfig(T=1.0, n_steps=40, n_paths=n_paths, seed=3)
     decomposition_check(ko_model, None, 1.0, cfg, check_dt_halving=True)
-    own = 0 if 2 * n2 == n_paths else n2 * 2 * 40
-    assert sum(sizes) == n_paths * 40 + own
+    assert sum(sizes) == n_paths * 40
 
 
 @pytest.mark.parametrize("kind, scheme, workers", [
@@ -194,21 +203,26 @@ def test_dt_halving_leg_draws_only_where_it_cannot_share(ko_model, monkeypatch, 
 ])
 def test_shared_dt_halving_leg_bit_identical_to_own_runs(ko_model, heston_model, kind,
                                                          scheme, workers):
-    # the main and halving legs stepped in one pass on one draw give, bit for
-    # bit and with the same warnings, what each gives simulated on its own;
-    # n2 spans several path blocks and ends in a partial one
+    # the main leg stepped with the halving leg gives, bit for bit, what it
+    # gives simulated on its own; the halving leg gives what the fine scheme
+    # gives stepped on the interleaved columns of the main leg's rows; the
+    # warnings are those of the main and the fine step.  n_paths is odd and
+    # spans three path blocks, so the last main path has no partner
     model = {"ko": ko_model, "heston": heston_model}[kind]
-    n2 = 2 * si._BLOCK + 700
-    cfg = SimConfig(T=2.0, n_steps=10, n_paths=2 * n2, seed=2**63 + 17, scheme=scheme)
+    n = 2 * si._BLOCK + 701
+    cfg = SimConfig(T=2.0, n_steps=10, n_paths=n, seed=2**63 + 17, scheme=scheme)
     ep = eigenpair(model)
+    chi = si.initial_state(model)
     with warnings.catch_warnings(record=True) as shared:
         warnings.simplefilter("always")
         r = decomposition_check(model, None, 2.0, cfg, workers, check_dt_halving=True)
     with warnings.catch_warnings(record=True) as own:
         warnings.simplefilter("always")
         mc, se = estimate_error_term(_ens(model, cfg, workers=workers), ep)
-        halved, _ = estimate_error_term(
-            _ens(model, cfg.with_(n_steps=20, n_paths=n2), workers=workers), ep)
+        si._stepper([(model, chi)], cfg.with_(n_steps=20), "q")
+    x_T, integral = _single_leg_reference(model, chi, cfg, "q", paired=True)
+    assert x_T.size == n // 2
+    halved, _ = estimate_error_term(si.PathEnsemble(x_T=x_T, integral=integral), ep)
     assert (r.mc_error_term, r.mc_se, r.halved_dt_error_term) == (mc, se, halved)
     assert [str(w.message) for w in shared] == [str(w.message) for w in own]
     assert len(own) == (1 if kind == "ko" else 2)  # the coarse step warns
