@@ -1,12 +1,6 @@
 """Long-horizon optimal-utility values, eigenpairs and sensitivities."""
 
-from .coefficients import (
-    CoefficientPath,
-    build_path,
-    closed_beta,
-    closed_gamma,
-    riccati_oracle,
-)
+from .coefficients import CoefficientPath, build_path, riccati_oracle
 from .eigenpairs import Eigenpair, eigenpair, ergodic_residual
 from .models import (
     HESTON,

@@ -356,9 +356,9 @@ def _verify_checks(model: Model, cfg: sim.SimConfig,
                              {"sup_abs_diff": sup}))
 
         res0 = valuation.dual_value(model, chi, 0.0)
-        t0_ok = res0.v == 1.0 and res0.utility == 1.0 / model.p
-        b0, g0, _ = valuation.coefficients_at(model, 0.0)
-        t0_ok = t0_ok and b0 == 0.0 and g0 == 0.0
+        cols0 = coeff.closed_path(model, 0.0).values()
+        t0_ok = (res0.v == 1.0 and res0.utility == 1.0 / model.p
+                 and all(c == 0.0 for c in cols0))
         checks.append(_check("t0_identities", t0_ok,
                              {"v": res0.v, "utility": res0.utility}))
 
@@ -468,8 +468,13 @@ def main(argv: list[str] | None = None) -> int:
         # a numpy overflow raises FloatingPointError, an ArithmeticError
         with np.errstate(over="raise"):
             return _COMMANDS[args.command](rc, args.workers)
+    except ArithmeticError as exc:
+        # the bare message ("float division by zero") names no input
+        print(f"error: {args.command} {args.config}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
     except (ConfigError, ValidationError, UnsupportedModelError,
-            ArithmeticError, MemoryError, OSError) as exc:
+            MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,12 +21,16 @@ yields the Riccati equation
 is the sinh/cosh display, and gamma(t) = k m_bar * integral of beta, the
 logarithm of the same linearization, also closed.
 
-The per-kind formulas live in the model's spec.  ``riccati_oracle``
-integrates the governing ODE systems with classical RK4 as an independent
-verification path for the closed forms.  The coefficients approach their
-limits at the model's mixing rate (2 alpha4 for Kim-Omberg, beta2 for
-Heston), so the oracle steps at a fixed fraction of the mixing time, never
-below ``H_ODE``.
+Each kind's closed columns are one formula, ``spec.path`` in the model's
+spec, returning the columns named by ``spec.path_fields``.  ``closed_path``
+is its one reader, and ``build_path`` samples it on a checked grid;
+``_path_spec`` is the one refusal of a kind without a closed path.
+
+``riccati_oracle`` integrates the governing ODE systems with classical RK4 as
+an independent verification path for the closed forms.  The coefficients
+approach their limits at the model's mixing rate (2 alpha4 for Kim-Omberg,
+beta2 for Heston), so the oracle steps at a fixed fraction of the mixing
+time, never below ``H_ODE``.
 """
 
 from __future__ import annotations
@@ -64,19 +68,13 @@ def _path_spec(model: Model) -> ModelSpec:
     return model.spec
 
 
-def _closed(model: Model, name: str, t):
-    out = getattr(_path_spec(model), name)(model, np.asarray(t, dtype=float))
-    return out if out.ndim else float(out)
-
-
-def closed_beta(model: Model, t):
-    """Closed-form beta(t) (vectorized in t), overflow-safe at any t."""
-    return _closed(model, "beta", t)
-
-
-def closed_gamma(model: Model, t):
-    """Closed-form gamma(t) (vectorized in t), overflow-safe at any t."""
-    return _closed(model, "gamma", t)
+def closed_path(model: Model, t) -> dict:
+    """The closed columns {name: value} of the path at ``t`` (vectorized in
+    t, floats for a scalar t), overflow-safe at any t; the one pointwise
+    reader of ``spec.path``."""
+    spec = _path_spec(model)
+    cols = spec.path(model, np.asarray(t, dtype=float))
+    return {f: c if np.ndim(c) else float(c) for f, c in zip(spec.path_fields, cols)}
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -93,9 +91,7 @@ def _check_grid(grid) -> np.ndarray:
 def build_path(model: Model, grid) -> CoefficientPath:
     """Closed-form coefficient path: every column evaluated on ``grid``."""
     grid = _check_grid(grid)
-    spec = _path_spec(model)
-    return CoefficientPath(grid=grid, **{f: _closed(model, f, grid)
-                                         for f in spec.path_fields})
+    return CoefficientPath(grid=grid, **closed_path(model, grid))
 
 
 # --- independent ODE oracle --------------------------------------------------

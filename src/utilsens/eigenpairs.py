@@ -67,13 +67,9 @@ def ergodic_residual(model: Model, ep: Eigenpair, x: float) -> float:
     return num / max(abs(ep.lam), 1.0)
 
 
-def residual_grid(model: Model, n: int = 101) -> np.ndarray:
+def residual_grid(model: Model) -> np.ndarray:
     """The 101-point grid chi +- 4 stationary sd (positive part if sqrt(x))."""
     chi = initial_state(model)
     sd = model.spec.stationary_sd(model.params)
-    grid = np.linspace(chi - 4.0 * sd, chi + 4.0 * sd, n)
-    if model.spec.sqrt_x:
-        grid = grid[grid > 0.0]
-        if grid.size == 0:
-            grid = np.linspace(chi / 10.0, chi * 2.0, n)
-    return grid
+    grid = np.linspace(chi - 4.0 * sd, chi + 4.0 * sd, 101)
+    return grid[grid > 0.0] if model.spec.sqrt_x else grid

@@ -176,9 +176,10 @@ class ModelSpec:
 
     The factor models write the finite-horizon dual value as
     v = exp(Lambda - beta x^2/2 - gamma x) (constant diffusion) or
-    v = exp(-gamma - beta x) (sqrt(x) diffusion); ``path_fields`` names the
-    coefficient columns and is empty when no closed path exists.  The
-    formulas marked "path" are None for the complete-market model.
+    v = exp(-gamma - beta x) (sqrt(x) diffusion); ``path`` gives the
+    coefficient columns named by ``path_fields``, which is empty when no
+    closed path exists.  The formulas marked "path" are None for the
+    complete-market model.
     """
 
     kind: str
@@ -199,9 +200,7 @@ class ModelSpec:
     drift: Callable                  # (model, ep, measure, beta, gamma) -> (c0, c1)
     exponent: Callable               # (model, ep, measure, times, beta, gamma) -> (g2, g1, g0)
     sensitivity_rows: Callable       # model -> {parameter: published long-term limit}
-    beta: Callable | None = None            # path: (model, t array) -> beta(t)
-    gamma: Callable | None = None           # path: (model, t array) -> gamma(t)
-    Lambda: Callable | None = None          # kim_omberg: (model, t array) -> Lambda(t)
+    path: Callable | None = None            # path: (model, t array) -> path_fields columns
     oracle_rhs: Callable | None = None      # path: model -> rhs(state tuple)
     mixing_rate: Callable | None = None     # path: model -> rate the path nears its limit
 
@@ -222,7 +221,7 @@ class ModelSpec:
             raise DomainError(f"{self.kind} needs x >= 0, got {x}")
         return np.sqrt(x), x
 
-    def log_value_coefficients(self, beta, gamma, Lambda):
+    def log_value_coefficients(self, beta, gamma, Lambda=0.0):
         """(a2, a1, a0) of ln v = a0 - a2 x^2/2 - a1 x, the form of ln phi;
         under sqrt(x) diffusion v = exp(-gamma - beta x)."""
         return (0.0, beta, -gamma) if self.sqrt_x else (beta, gamma, Lambda)
@@ -397,23 +396,6 @@ def _ko_eigen(model: Model):
     return lam, B, C
 
 
-def _ko_beta(model: Model, t: np.ndarray) -> np.ndarray:
-    c = model.constants
-    e = np.exp(-2.0 * c.alpha4 * t)
-    return _riccati_source(model) * (1.0 - e) \
-        / (c.alpha4 + c.alpha1 + (c.alpha4 - c.alpha1) * e)
-
-
-def _ko_gamma(model: Model, t: np.ndarray) -> np.ndarray:
-    # linearizing the beta equation as beta = u'/(alpha2 u) integrates the
-    # gamma equation; only decaying exponentials appear, so any t is safe
-    c = model.constants
-    w = -np.expm1(-c.alpha4 * t)
-    e = np.exp(-2.0 * c.alpha4 * t)
-    return c.alpha3 * _riccati_source(model) * w * w \
-        / (c.alpha4 * (c.alpha4 + c.alpha1 + (c.alpha4 - c.alpha1) * e))
-
-
 def _ratio_near_zero(f, x, slope):
     """f(x)/x, or its series 1 + slope*x below 1e-8, where that is exact."""
     small = np.abs(x) < 1e-8
@@ -421,22 +403,29 @@ def _ratio_near_zero(f, x, slope):
     return np.where(small, 1.0 + slope * x, f(safe) / safe)
 
 
-def _ko_Lambda(model: Model, t: np.ndarray) -> np.ndarray:
-    """Lambda(t) = int_0^t (alpha2 gamma^2/2 - alpha3 gamma - sigma^2 beta/2).
+def _ko_path(model: Model, t: np.ndarray) -> tuple:
+    """(beta, gamma, Lambda) at t, with only decaying exponentials of t.
 
-    With s = e^{-alpha4 t}, A = alpha4 + alpha1 and B = alpha4 - alpha1, the
-    rate is rational in s; dI1..dI4 are the increments from s to 1 of its four
-    integrals (Kim and Omberg 1996).  AB = alpha2 n, so K/B is written without
-    dividing by B, which vanishes with mu.
+    Linearizing the beta equation as beta = u'/(alpha2 u) integrates the
+    gamma equation.  Lambda(t) = int_0^t (alpha2 gamma^2/2 - alpha3 gamma
+    - sigma^2 beta/2): with s = e^{-alpha4 t}, A = alpha4 + alpha1 and
+    B = alpha4 - alpha1, the rate is rational in s; dI1..dI4 are the
+    increments from s to 1 of its four integrals (Kim and Omberg 1996).
+    AB = alpha2 n, so K/B is written without dividing by B, which vanishes
+    with mu.
     """
     c = model.constants
     n = _riccati_source(model)
     A = c.alpha4 + c.alpha1
+    e = np.exp(-2.0 * c.alpha4 * t)
+    om = -np.expm1(-c.alpha4 * t)
+    den = A + (c.alpha4 - c.alpha1) * e
+    beta = n * (1.0 - e) / den
+    gamma = c.alpha3 * n * om * om / (c.alpha4 * den)
     B = _radical_minus_linear(c.alpha1, c.alpha2 * n)
     K = c.alpha3 * n / c.alpha4
     K_B = c.alpha3 * A / (c.alpha2 * c.alpha4)
     s = np.exp(-c.alpha4 * t)
-    om = -np.expm1(-c.alpha4 * t)
     om2 = -np.expm1(-2.0 * c.alpha4 * t)
     D = A + B * s * s
     E = A + B * s
@@ -450,7 +439,7 @@ def _ko_Lambda(model: Model, t: np.ndarray) -> np.ndarray:
         - (A * A - 6.0 * A * B + B * B) / A * dI3 + 4.0 * (A - B) * dI4))
     linear = -c.alpha3 * K * (a4t / A + (A - B) / A * dI1 - 2.0 * dI2)
     source = -0.5 * model.params.sigma**2 * n * (a4t / A - (A + B) / A * dI1)
-    return (quadratic + linear + source) / c.alpha4
+    return beta, gamma, (quadratic + linear + source) / c.alpha4
 
 
 def _ko_rhs(model: Model):
@@ -510,22 +499,18 @@ def _heston_eigen(model: Model):
     return pa.k * pa.m_bar * B, 0.0, B
 
 
-def _heston_beta(model: Model, t: np.ndarray) -> np.ndarray:
-    # the sinh/cosh display with exp(beta2 t / 2) factored out: exact and
-    # stable for arbitrarily large t
-    c = model.constants
-    e = np.exp(-c.beta2 * t)
-    return _riccati_source(model) * (1.0 - e) \
-        / (c.beta2 * (1.0 + e) + c.beta1 * (1.0 - e))
-
-
-def _heston_gamma(model: Model, t: np.ndarray) -> np.ndarray:
-    """gamma(t) = k m_bar * int_0^t beta(s) ds = (2 k m_bar / a2h) ln u(t)
-    under beta = 2 u' / (a2h u), written with expm1/log1p of decaying terms."""
+def _heston_path(model: Model, t: np.ndarray) -> tuple:
+    """(beta, gamma) at t.  beta is the sinh/cosh display with
+    exp(beta2 t / 2) factored out, exact and stable for arbitrarily large t;
+    gamma = k m_bar * int_0^t beta = (2 k m_bar / a2h) ln u under
+    beta = 2 u' / (a2h u), written with expm1/log1p of decaying terms."""
     n, b1, a2h, km = _heston_ode_constants(model)
     b2 = model.constants.beta2
+    e = np.exp(-b2 * t)
+    beta = n * (1.0 - e) / (b2 * (1.0 + e) + b1 * (1.0 - e))
     d = _radical_minus_linear(b1, a2h * n)  # beta2 - beta1 without cancellation
-    return 2.0 * km / a2h * (0.5 * d * t + np.log1p(d * np.expm1(-b2 * t) / (2.0 * b2)))
+    gamma = 2.0 * km / a2h * (0.5 * d * t + np.log1p(d * np.expm1(-b2 * t) / (2.0 * b2)))
+    return beta, gamma
 
 
 def _heston_ode_constants(model: Model) -> tuple:
@@ -654,7 +639,7 @@ SPECS: dict[str, ModelSpec] = {
         stationary_sd=lambda pa: pa.sigma / math.sqrt(2.0 * pa.k),
         drift=_factor_drift, exponent=_factor_exponent,
         sensitivity_rows=_ko_rows,
-        beta=_ko_beta, gamma=_ko_gamma, Lambda=_ko_Lambda,
+        path=_ko_path,
         oracle_rhs=_ko_rhs,
         mixing_rate=lambda m: 2.0 * m.constants.alpha4,
     ),
@@ -669,7 +654,7 @@ SPECS: dict[str, ModelSpec] = {
         stationary_sd=lambda pa: pa.sigma * math.sqrt(pa.m_bar / (2.0 * pa.k)),
         drift=_factor_drift, exponent=_factor_exponent,
         sensitivity_rows=_heston_rows,
-        beta=_heston_beta, gamma=_heston_gamma,
+        path=_heston_path,
         oracle_rhs=_heston_rhs,
         mixing_rate=lambda m: m.constants.beta2,
     ),

@@ -131,10 +131,10 @@ class InitialFactorSensitivity:
 def initial_factor_sensitivity(model: Model, chi: float | None = None,
                                T: float = 0.0) -> InitialFactorSensitivity:
     """(1-p) d/d chi ln v at horizon T next to its long-horizon limit; a model
-    without a closed path is refused by ``valuation.coefficients_at``."""
+    without a closed path is refused by ``coefficients._path_spec``."""
     chi = initial_state(model, chi)
     omp = 1.0 - model.p
-    a2, a1, _ = model.spec.log_value_coefficients(*valuation.coefficients_at(model, T))
+    a2, a1, _ = valuation._log_value_coefficients(model, T)
     fh = -omp * (a2 * chi + a1)
     ep = eigenpair(model)
     limit = -omp * (ep.a2 * chi + ep.a1)

@@ -28,8 +28,8 @@ engine pass, with the main leg's results those of a run without halving.
 
 The module owns the simulation grid: every run reads its drift and exponent
 coefficients on the half-step grid linspace(0, T, 2 n_steps + 1), taken for a
-factor model from the closed forms ``coefficients.closed_beta`` and
-``closed_gamma`` at time-to-go T - t.
+factor model from one read of its closed path, ``coefficients.closed_path``,
+at time-to-go T - t.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .eigenpairs import Eigenpair, eigenpair, phi_log
 from .models import (
     ConfigError,
     Model,
-    UnsupportedModelError,
     bumped_models,
     initial_state,
     validate,
@@ -197,14 +196,14 @@ def _coefficients(model: Model, cfg: SimConfig, measure: str):
 
     The factor drift is c0 - c1 x and the accumulated exponent integrand
     g2 x^2 + g1 x + g0: the tilt rate f under measure "q", the value
-    exponent under "phat".  A factor model reads its closed beta and gamma at
+    exponent under "phat".  A factor model reads its closed path once, at
     time-to-go T - t.
     """
     times = np.linspace(0.0, cfg.T, 2 * cfg.n_steps + 1)
     beta = gamma = None
     if model.spec.has_path:
-        beta = coeff.closed_beta(model, times)[::-1]
-        gamma = coeff.closed_gamma(model, times)[::-1]
+        path = coeff.closed_path(model, times)
+        beta, gamma = path["beta"][::-1], path["gamma"][::-1]
     ep = eigenpair(model)
     c0, c1 = model.spec.drift(model, ep, measure, beta, gamma)
     g2, g1, g0 = model.spec.exponent(model, ep, measure, times, beta, gamma)
@@ -342,8 +341,7 @@ def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
 def simulate_q_paths(model: Model, cfg: SimConfig, chi: float | None = None,
                      workers: int | None = None) -> PathEnsemble:
     """Sample the decomposition dynamics; per path (X_T, int f ds)."""
-    if not model.spec.has_path:
-        raise UnsupportedModelError("decomposition sampling needs a factor model")
+    coeff._path_spec(model)
     return _ensemble([(model, initial_state(model, chi))], cfg, "q", workers)[0]
 
 
@@ -391,7 +389,8 @@ def _mean_se(w: np.ndarray) -> tuple[float, float]:
 def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfig,
                         workers: int | None = None,
                         check_dt_halving: bool = True) -> DecompositionResult:
-    """Verify v = exp(-lambda T) phi(chi) E[exp(int f)/phi(X_T)] at 3 SE.
+    """Verify v = exp(-lambda T) phi(chi) E[exp(int f)/phi(X_T)] at 3 SE, and
+    to 1e-12 at T = 0, where the ensemble is every path at chi.
 
     The dt-halving gate steps a leg of n_paths // 2 paths at doubled n_steps
     on the main leg's normals, paired main paths 2i and 2i + 1 giving path
@@ -410,11 +409,9 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
     lphi = float(phi_log(ep, chi))
     lv = valuation.log_dual_value(model, chi, T)
     log_ratio = lv + ep.lam * T - lphi
-    # (top, mean, SE) of the main run and, if any, the halved-dt run
-    runs = [(-lphi, 1.0, 0.0)]
-    if T > 0.0:
-        runs = [_shifted_error_term(e, ep) for e in
-                _ensemble([(model, chi)], cfg, "q", workers, check_dt_halving)]
+    # (top, mean, SE) of the main run and, if any (T > 0), the halved-dt run
+    runs = [_shifted_error_term(e, ep) for e in
+            _ensemble([(model, chi)], cfg, "q", workers, check_dt_halving)]
     shift = max(0.0, max(log_ratio, *(top for top, _, _ in runs)) - _LOG_HEADROOM)
 
     def on_scale(run):  # (mean, SE) in units of exp(shift)

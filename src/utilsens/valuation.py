@@ -10,6 +10,10 @@ and the optimal expected utility is v^(1-p)/p.  The complete-market model has
 no closed finite-horizon form here and is served by Monte Carlo instead (see
 the simulation module).
 
+Every coefficient is read through ``coefficients.closed_path``, which
+refuses the complete-market model; ``_log_value_coefficients`` is its checked
+scalar read.
+
 Time convention: all time-dependent operations take calendar time t with
 horizon T and read the coefficients at time-to-go T - t.
 """
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 from . import coefficients as coeff
 from .eigenpairs import eigenpair, phi_ratios
-from .models import Model, UnsupportedModelError, initial_state
+from .models import Model, initial_state
 
 
 @dataclass(frozen=True)
@@ -39,20 +43,13 @@ class ValueResult:
                    growth_rate_estimate=None if T == 0.0 else -lv / T)
 
 
-def coefficients_at(model: Model, t: float) -> tuple[float, float, float]:
-    """(beta(t), gamma(t), Lambda(t)), Lambda 0 for heston; a model without a
-    closed path is refused by ``coefficients._path_spec``."""
-    path_fields = coeff._path_spec(model).path_fields
+def _log_value_coefficients(model: Model, t: float) -> tuple[float, float, float]:
+    """(a2, a1, a0) of ln v(x) = a0 - a2 x^2/2 - a1 x at time-to-go t; refuses
+    a kind without a closed path, then a negative or non-finite t."""
+    coeff._path_spec(model)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"horizon T must be finite and >= 0, got {t}")
-    cols = {"Lambda": 0.0}
-    cols.update((f, coeff._closed(model, f, t)) for f in path_fields)
-    return cols["beta"], cols["gamma"], cols["Lambda"]
-
-
-def _log_value_coefficients(model: Model, t: float) -> tuple[float, float, float]:
-    """(a2, a1, a0) of ln v(x) = a0 - a2 x^2/2 - a1 x at time-to-go t."""
-    return model.spec.log_value_coefficients(*coefficients_at(model, t))
+    return model.spec.log_value_coefficients(**coeff.closed_path(model, t))
 
 
 def log_dual_value(model: Model, chi: float, T: float) -> float:
@@ -73,8 +70,9 @@ def dual_value(model: Model, chi: float | None = None, T: float = 0.0) -> ValueR
 
 
 def _check_time_pair(t: float, T: float) -> None:
-    if not 0.0 <= t <= T:
-        raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
+    if not 0.0 <= t <= T < math.inf:
+        raise ValueError(
+            f"need 0 <= t <= T, horizon T must be finite, got t={t}, T={T}")
 
 
 def control_hat_xi(model: Model, x: float, t: float, T: float) -> float:
@@ -87,8 +85,7 @@ def control_hat_xi(model: Model, x: float, t: float, T: float) -> float:
 
 def control_star_xi(model: Model, x: float) -> float:
     """Ergodic optimal control xi*(x) = -sigma2(x) phi'(x) / ((1-q) phi(x))."""
-    if not model.spec.has_path:
-        raise UnsupportedModelError("no dual control for the complete-market model")
+    coeff._path_spec(model)
     r1, _ = phi_ratios(eigenpair(model), x)
     u, _ = model.spec.scales(x)
     return -model.constants.sigma2 * u * r1 / (1.0 - model.q)
@@ -116,9 +113,9 @@ def kappa_eval(model: Model, x: float, t: float, T: float) -> float:
     """Drift of the factor under the decomposition measure, from the closed
     drift coefficients the simulation uses."""
     _check_time_pair(t, T)
-    b, g, _ = coefficients_at(model, T - t)
+    cols = coeff.closed_path(model, T - t)
     model.spec.scales(x)  # rejects x < 0 under sqrt(x) diffusion
-    c0, c1 = model.spec.drift(model, eigenpair(model), "q", b, g)
+    c0, c1 = model.spec.drift(model, eigenpair(model), "q", cols["beta"], cols["gamma"])
     return c0 - c1 * x
 
 

@@ -287,6 +287,22 @@ def test_extreme_finite_parameters_exit_2(tmp_path, capsys, command, cfg, kind,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command, field, value, exc", [
+    ("eigenpair", "m_bar", 1.4e308, "OverflowError"),
+    ("sensitivities", "m_bar", 1.4e308, "OverflowError"),
+    # alpha4 - alpha1 rounds to 0 in the verbatim Kim-Omberg rows
+    ("sensitivities", "mu", 1e-10, "ZeroDivisionError"),
+])
+def test_arithmetic_error_line_names_command_config_and_type(
+        tmp_path, capsys, command, field, value, exc):
+    # a bare "(34, 'Numerical result out of range')" names no input
+    path = _write(tmp_path, {**KO_CFG, "kim_omberg": {**KO_CFG["kim_omberg"],
+                                                      field: value}})
+    code, _ = _run([command, "--config", path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {command} {path}: {exc}: ")
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _REFERENCE = {"kim_omberg": KO_CFG["kim_omberg"], "heston": HESTON_CFG["heston"],
               "ou_complete": OU_CFG["ou_complete"]}
@@ -323,6 +339,21 @@ def test_random_finite_configs_exit_0_1_or_2(tmp_path, capsys, cfg):
         code, _ = _run([command, "--config", path])
         assert code in (0, 1, 2), (command, cfg)
         assert "Traceback" not in capsys.readouterr().err, (command, cfg)
+
+
+def _with_sweep_parameter(cfg):
+    kind = next(k for k in cfg if k in SPECS)
+    return st.sampled_from(SPECS[kind].sensitivity_params).map(
+        lambda name: {**cfg, "sweep": {**cfg["sweep"], "parameter": name}})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_random_config().flatmap(_with_sweep_parameter))
+def test_random_finite_configs_diagnose_exit_0_1_or_2(tmp_path, capsys, cfg):
+    code, _ = _run(["diagnose", "--config", _write(tmp_path, cfg)])
+    assert code in (0, 1, 2), cfg
+    assert "Traceback" not in capsys.readouterr().err, cfg
 
 
 def test_diagnose_requires_sweep(tmp_path, capsys):
@@ -385,8 +416,12 @@ def test_verify_small_paths_still_passes(tmp_path):
 def test_verify_t0_identities_evaluates_the_closed_forms(tmp_path, monkeypatch):
     # a closed gamma that is 1e-9 off at t = 0 must fail t0_identities
     spec = SPECS["kim_omberg"]
-    planted = replace(spec, gamma=lambda m, t: spec.gamma(m, t) + 1e-9)
-    monkeypatch.setitem(SPECS, "kim_omberg", planted)
+
+    def planted(m, t):
+        beta, gamma, Lambda = spec.path(m, t)
+        return beta, gamma + 1e-9, Lambda
+
+    monkeypatch.setitem(SPECS, "kim_omberg", replace(spec, path=planted))
     cfg = {**KO_CFG, "sim": {**KO_CFG["sim"], "n_paths": 200, "n_steps": 100}}
     code, out = _run(["verify", "--config", _write(tmp_path, cfg)])
     assert code == 1
@@ -456,6 +491,27 @@ def test_only_cli_serializes():
             if isinstance(node, ast.Call) and "asdict" in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 offences.append(f"{path.name}:{node.lineno} calls asdict")
+    assert not offences, offences
+
+
+def test_only_coefficients_reads_the_closed_path():
+    # each kind's closed columns are one formula, spec.path, read only by
+    # coefficients.py; ModelSpec has no field per closed column
+    import ast
+    import pathlib
+
+    columns = {f for spec in SPECS.values() for f in spec.path_fields}
+    offences = []
+    for path in sorted(pathlib.Path(utilsens.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "path"
+                    and path.name != "coefficients.py"):
+                offences.append(f"{path.name}:{node.lineno} reads .path")
+            if isinstance(node, ast.ClassDef) and node.name == "ModelSpec":
+                offences += [f"{path.name}:{item.lineno} ModelSpec.{item.target.id}"
+                             for item in node.body if isinstance(item, ast.AnnAssign)
+                             and item.target.id in columns]
+    assert columns == {"beta", "gamma", "Lambda"}
     assert not offences, offences
 
 

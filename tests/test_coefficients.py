@@ -8,6 +8,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from utilsens import (
@@ -15,6 +17,7 @@ from utilsens import (
     KimOmbergParams,
     Preferences,
     UnsupportedModelError,
+    dual_value,
     eigenpair,
     validate,
 )
@@ -22,7 +25,7 @@ from utilsens import coefficients as co
 from utilsens.cli import _closed_and_oracle_gap
 from utilsens.models import SPECS, load_config, model_from_config
 
-from conftest import HESTON_SET, KO_SET, draw_heston, draw_ko
+from conftest import HESTON_SET, KO_SET, draw_heston, draw_ko, draw_model
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -71,16 +74,16 @@ def _heston_rhs(model):
 
 
 def test_ko_beta_zero_and_limit(ko_model):
-    assert co.closed_beta(ko_model, 0.0) == 0.0
+    assert co.closed_path(ko_model, 0.0)["beta"] == 0.0
     B = eigenpair(ko_model).a2
     t_inf = 100.0 / ko_model.constants.alpha4
-    assert abs(co.closed_beta(ko_model, t_inf) - B) < B * 1e-12
+    assert abs(co.closed_path(ko_model, t_inf)["beta"] - B) < B * 1e-12
 
 
 def test_ko_beta_matches_test_local_rk4(ko_model):
     b1 = _rk4(_ko_rhs(ko_model), [0.0, 0.0, 0.0], 1.0, 1e-4)[0]
     assert b1 == pytest.approx(0.7448361153365184, abs=1e-12)  # frozen oracle
-    assert co.closed_beta(ko_model, 1.0) == pytest.approx(b1, abs=1e-8)
+    assert co.closed_path(ko_model, 1.0)["beta"] == pytest.approx(b1, abs=1e-8)
 
 
 def test_ko_gamma_lambda_trivial_mu_zero():
@@ -115,11 +118,11 @@ def test_ko_gamma_converges_to_c_exponentially(ko_model):
     a4 = ko_model.constants.alpha4
     C = ep.a1
     ts = np.linspace(1.0, 8.0 / a4, 30)
-    g = co.closed_gamma(ko_model, np.concatenate([[0.0], ts]))
+    g = co.closed_path(ko_model, np.concatenate([[0.0], ts]))["gamma"]
     gaps = np.abs(g[1:] - C)
     c0 = np.max(gaps * np.exp(a4 * ts))
     later = np.linspace(8.0 / a4, 12.0 / a4, 10)
-    g2 = co.closed_gamma(ko_model, np.concatenate([[0.0], later]))
+    g2 = co.closed_path(ko_model, np.concatenate([[0.0], later]))["gamma"]
     late_gaps = np.abs(g2[1:] - C)
     assert np.all(late_gaps <= 1.05 * c0 * np.exp(-a4 * later))
     # asymptotic coefficient is 2C
@@ -128,43 +131,43 @@ def test_ko_gamma_converges_to_c_exponentially(ko_model):
 
 
 def test_heston_beta_zero_limit_and_rk4(heston_model):
-    assert co.closed_beta(heston_model, 0.0) == 0.0
+    assert co.closed_path(heston_model, 0.0)["beta"] == 0.0
     ep = eigenpair(heston_model)
     c = heston_model.constants
     pa = heston_model.params
     q = heston_model.q
     limit = q * (1 - q) * (pa.mu / pa.varsigma) ** 2 / (c.beta1 + c.beta2)
     assert limit == pytest.approx(ep.a1, rel=1e-14)
-    assert abs(co.closed_beta(heston_model, 100.0 / c.beta2) - ep.a1) < 1e-10
+    assert abs(co.closed_path(heston_model, 100.0 / c.beta2)["beta"] - ep.a1) < 1e-10
     b1 = _rk4(_heston_rhs(heston_model), [0.0, 0.0], 1.0, 1e-4)[0]
     assert b1 == pytest.approx(0.2315911982905709, abs=1e-12)  # frozen oracle
-    assert co.closed_beta(heston_model, 1.0) == pytest.approx(b1, abs=1e-8)
+    assert co.closed_path(heston_model, 1.0)["beta"] == pytest.approx(b1, abs=1e-8)
 
 
 def test_heston_beta_overflow_safe(heston_model):
     # t large enough that naive sinh/cosh would overflow
-    val = co.closed_beta(heston_model, 5000.0)
+    val = co.closed_path(heston_model, 5000.0)["beta"]
     assert math.isfinite(val)
     assert val == pytest.approx(eigenpair(heston_model).a1, rel=1e-14)
 
 
 def test_heston_gamma_trivial_and_quadrature(heston_model):
     m0 = validate(HestonParams(**{**HESTON_SET, "mu": 0.0}), Preferences(p=-1.0))
-    g = co.closed_gamma(m0, np.linspace(0.0, 5.0, 11))
+    g = co.closed_path(m0, np.linspace(0.0, 5.0, 11))["gamma"]
     assert np.all(g == 0.0)
     # adaptive-quadrature oracle at t = 1
     pa = heston_model.params
-    val, err = quad(lambda t: co.closed_beta(heston_model, t), 0.0, 1.0,
+    val, err = quad(lambda t: co.closed_path(heston_model, t)["beta"], 0.0, 1.0,
                     epsabs=1e-14, epsrel=1e-13)
     oracle = pa.k * pa.m_bar * val
     assert oracle == pytest.approx(0.026810219032828153, abs=1e-12)  # frozen
-    g1 = co.closed_gamma(heston_model, np.array([0.0, 1.0]))
+    g1 = co.closed_path(heston_model, np.array([0.0, 1.0]))["gamma"]
     assert g1[-1] == pytest.approx(oracle, abs=1e-10)
 
 
 def test_heston_gamma_growth_rate(heston_model):
     lam = eigenpair(heston_model).lam
-    g = co.closed_gamma(heston_model, np.array([0.0, 50.0]))
+    g = co.closed_path(heston_model, np.array([0.0, 50.0]))["gamma"]
     assert abs(g[-1] / 50.0 - lam) < lam * 0.05
 
 
@@ -172,8 +175,8 @@ def test_closed_gamma_finite_at_large_horizon(ko_model, heston_model):
     # only decaying exponentials appear, so nothing overflows or warns at t = 1e6
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g_ko = co.closed_gamma(ko_model, 1e6)
-        g_h = co.closed_gamma(heston_model, 1e6)
+        g_ko = co.closed_path(ko_model, 1e6)["gamma"]
+        g_h = co.closed_path(heston_model, 1e6)["gamma"]
         L_ko = co.build_path(ko_model, [0.0, 1e3, 1e6]).Lambda
     assert g_ko == pytest.approx(eigenpair(ko_model).a1, rel=1e-14)
     assert g_h / 1e6 == pytest.approx(eigenpair(heston_model).lam, rel=1e-6)
@@ -181,6 +184,25 @@ def test_closed_gamma_finite_at_large_horizon(ko_model, heston_model):
     assert np.all(np.isfinite(L_ko))
     lam = eigenpair(ko_model).lam
     assert abs((L_ko[2] + lam * 1e6) - (L_ko[1] + lam * 1e3)) < 1e-8
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["kim_omberg", "heston"]), seed=st.integers(0, 2**32 - 1),
+       e=st.floats(-6.0, 300.0))
+def test_closed_path_finite_zero_at_0_and_scalar_read_is_vector_read(kind, seed, e):
+    # an admissible draw at t = 10^e: every column finite and exactly 0 at
+    # t = 0, the scalar read the same bits as the read of [0, t], and the log
+    # utility finite where the utility itself underflows
+    m = draw_model(kind, np.random.default_rng(seed))
+    t = 10.0**e
+    at0, scalar = co.closed_path(m, 0.0), co.closed_path(m, t)
+    vector = co.closed_path(m, np.array([0.0, t]))
+    assert list(scalar) == list(m.spec.path_fields)
+    for f in m.spec.path_fields:
+        assert at0[f] == 0.0 and vector[f][0] == 0.0
+        assert isinstance(scalar[f], float) and math.isfinite(scalar[f])
+        assert np.float64(scalar[f]).tobytes() == vector[f][1:].tobytes()
+    assert math.isfinite(dual_value(m, None, t).log_abs_utility)
 
 
 def test_closed_gamma_matches_oracle():
@@ -282,7 +304,7 @@ def test_ko_convergence_rate_bound_and_slope():
         B = eigenpair(m).a2
         bound = 2.0 * c.alpha4 * (c.alpha4 - c.alpha1) / (c.alpha2 * (c.alpha4 + c.alpha1))
         ts = np.linspace(0.0, 4.0 / c.alpha4, 41)
-        beta = co.closed_beta(m, ts)
+        beta = co.closed_path(m, ts)["beta"]
         gaps = B - beta
         assert np.all(gaps <= bound * np.exp(-2.0 * c.alpha4 * ts) * (1 + 1e-12))
         # log-gap slope is -2 alpha4 within 10% on the tail window
@@ -300,7 +322,7 @@ def test_heston_beta_decay_slope():
         b2 = m.constants.beta2
         B = eigenpair(m).a1
         ts = np.linspace(1.5 / b2, 6.0 / b2, 30)
-        gaps = B - co.closed_beta(m, ts)
+        gaps = B - co.closed_path(m, ts)["beta"]
         slope = np.polyfit(ts, np.log(gaps), 1)[0]
         assert slope == pytest.approx(-b2, rel=0.15)
 
@@ -371,10 +393,14 @@ def test_planted_error_shows_in_oracle_gap(ko_model, heston_model, kind, field,
     # +1e-7 at every t > 0 in one closed column: the oracle gap on verify's
     # grid reads 1e-7 to within its own error, far below the 1e-6 bounds
     model = ko_model if kind == "kim_omberg" else heston_model
-    closed = getattr(model.spec, field)
-    planted = replace(model.spec,
-                      **{field: lambda m, t: closed(m, t) + 1e-7 * np.sign(t)})
-    monkeypatch.setitem(SPECS, kind, planted)
+    spec, i = model.spec, model.spec.path_fields.index(field)
+
+    def planted(m, t):
+        cols = list(spec.path(m, t))
+        cols[i] = cols[i] + 1e-7 * np.sign(t)
+        return tuple(cols)
+
+    monkeypatch.setitem(SPECS, kind, replace(spec, path=planted))
     _, sup = _closed_and_oracle_gap(model, np.linspace(0.0, 50.0, 501))
     assert abs(sup - 1e-7) < 1e-9
 

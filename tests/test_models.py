@@ -168,7 +168,7 @@ def test_accepted_params_pass_downstream_preconditions():
         for _ in range(10):
             m = draw(rng)
             ep = u.eigenpair(m)
-            for x in residual_grid(m, n=11):
+            for x in residual_grid(m):
                 ergodic_residual(m, ep, x)
                 va.control_star_xi(m, x if m.kind == "kim_omberg" else max(x, 0.0))
             co.build_path(m, np.linspace(0.0, 5.0, 11))

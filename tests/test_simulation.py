@@ -23,6 +23,7 @@ from utilsens import (
     validate,
 )
 from utilsens.models import bumped_models
+from utilsens import coefficients as co
 from utilsens import simulation as si
 from utilsens import valuation as va
 
@@ -407,8 +408,8 @@ def test_mc_bump_chi_matches_closed_form(ko_model):
     cfg = SimConfig(T=10.0, n_steps=800, n_paths=40000, seed=37,
                     scheme="exact_gaussian")
     est, se = mc_bump_sensitivity(ko_model, None, 10.0, "chi", 1e-4, cfg)
-    b, g, _ = va.coefficients_at(ko_model, 10.0)
-    closed = -b * ko_model.params.chi - g
+    cols = co.closed_path(ko_model, 10.0)
+    closed = -cols["beta"] * ko_model.params.chi - cols["gamma"]
     assert abs(est - closed) < 3.0 * se
 
 

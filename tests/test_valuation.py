@@ -20,6 +20,7 @@ from utilsens import (
     kappa_eval,
     validate,
 )
+from utilsens import coefficients as co
 from utilsens import valuation as va
 from utilsens.eigenpairs import phi_ratios
 
@@ -198,8 +199,9 @@ def test_log_value_chi_derivative_matches_fd():
                     continue
                 fd = (va.log_dual_value(m, chi + h, T)
                       - va.log_dual_value(m, chi - h, T)) / (2 * h)
-                b, g, _ = va.coefficients_at(m, T)
-                closed = -b * chi - g if m.kind == "kim_omberg" else -b
+                cols = co.closed_path(m, T)
+                closed = (-cols["beta"] * chi - cols["gamma"] if m.kind == "kim_omberg"
+                          else -cols["beta"])
                 assert fd == pytest.approx(closed, rel=1e-6, abs=1e-12)
 
 
@@ -242,9 +244,11 @@ def test_ko_dual_value_cost_flat_in_horizon(ko_model):
 @pytest.mark.parametrize("T", [math.inf, math.nan])
 @pytest.mark.parametrize("route", [
     lambda m, T: dual_value(m, None, T),
-    va.coefficients_at,
+    va._log_value_coefficients,
     lambda m, T: initial_factor_sensitivity(m, None, T),
-], ids=["dual_value", "coefficients_at", "initial_factor_sensitivity"])
+    lambda m, T: kappa_eval(m, m.params.chi, 0.0, T),
+], ids=["dual_value", "log_value_coefficients", "initial_factor_sensitivity",
+        "kappa_eval"])
 def test_non_finite_horizon_rejected(ko_model, heston_model, route, T):
     for m in (ko_model, heston_model):
         with pytest.raises(ValueError, match="T must be finite"):
