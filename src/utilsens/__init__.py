@@ -29,6 +29,7 @@ from .simulation import (
     PathEnsemble,
     SimConfig,
     decomposition_check,
+    decomposition_checks,
     estimate_error_term,
     mc_bump_sensitivity,
     simulate_phat_value,

@@ -325,8 +325,8 @@ def cmd_simulate(rc: RunConfig, workers: int | None) -> int:
         _emit(rc, {"model": model.kind, "chi": chi, "seed": cfg.seed, "rows": rows},
               _table([{**r, "seed": cfg.seed} for r in rows]))
         return 0
-    results = [{"T": T, **asdict(sim.decomposition_check(model, chi, T, cfg, workers))}
-               for T in horizons]
+    checks, _ = sim.decomposition_checks(model, chi, horizons, cfg, workers)
+    results = [{"T": T, **asdict(r)} for T, r in zip(horizons, checks)]
     _emit(rc, {"model": model.kind, "chi": chi, "seed": cfg.seed, "results": results},
           _table(results, ["T", "v_closed", "skeleton", "mc_error_term", "mc_se",
                            "ratio_gap", "passed", "seed"]))
@@ -362,18 +362,14 @@ def _verify_checks(model: Model, cfg: sim.SimConfig,
         checks.append(_check("t0_identities", t0_ok,
                              {"v": res0.v, "utility": res0.utility}))
 
-        deco_details = []
-        deco_ok = True
-        for T in VERIFY_T_VALUES:
-            r = sim.decomposition_check(model, chi, T, cfg, workers)
-            deco_ok = deco_ok and r.passed
-            deco_details.append({"T": T, "ratio_gap": r.ratio_gap,
-                                 "mc_se": r.mc_se, "passed": r.passed})
-        checks.append(_check("decomposition_identity", deco_ok,
+        # the decomposition runs and the two-route value share one draw
+        runs, [(v_hat, se, _)] = sim.decomposition_checks(
+            model, chi, VERIFY_T_VALUES, cfg, workers, value_horizons=[TWO_ROUTE_T])
+        deco_details = [{"T": T, "ratio_gap": r.ratio_gap, "mc_se": r.mc_se,
+                         "passed": r.passed} for T, r in zip(VERIFY_T_VALUES, runs)]
+        checks.append(_check("decomposition_identity", all(r.passed for r in runs),
                              {"runs": deco_details}))
 
-        v_hat, se, _ = sim.simulate_phat_value(model, chi, TWO_ROUTE_T,
-                                               cfg.with_(T=TWO_ROUTE_T), workers)
         v_closed = valuation.dual_value(model, chi, TWO_ROUTE_T).v
         two_ok = abs(v_hat - v_closed) < 3.0 * se
         checks.append(_check("two_route_value", two_ok,

@@ -16,15 +16,22 @@ Noise is counter-based: path i at step j always reads the same Philox word
 or path blocking.  Normals come from the inverse CDF, one uniform per draw.
 Each path block reads its words through one generator (``BlockStream``) for
 the whole run, moved only when it is not already at the block's next word.
-One engine call steps several legs (model, initial state) together on one
-draw per step and block: the two legs of a bump share their Gaussian
-increments (common random numbers) and the normals are computed once.
 
-The dt-halving leg of ``decomposition_check`` has n_paths // 2 paths at
+One engine call steps several legs together on one draw per step and block
+(common random numbers), and computes each normal once.  A leg carries its
+own model, initial state, horizon and measure, so its step dt = T / n_steps
+is its own: the two legs of a bump are one pass, and so are the
+decomposition runs at several horizons and the value runs that
+``decomposition_checks`` (and ``utilsens verify`` through it) asks for.
+Blocks are sized by leg-paths: a pass of k main legs takes blocks of about
+_BLOCK / k paths.  No result depends on the block layout or the worker
+count.
+
+The dt-halving leg of a decomposition run has n_paths // 2 paths at
 2 n_steps steps and draws no normals of its own: its path i takes fine steps
 2j and 2j + 1 on the words of main paths 2i and 2i + 1 at step j, read from
-the row the block's stream already holds.  Both legs are stepped in one
-engine pass, with the main leg's results those of a run without halving.
+the row the block's stream already holds.  It is stepped in the same engine
+pass, with the main leg's results those of a run without halving.
 
 The module owns the simulation grid: every run reads its drift and exponent
 coefficients on the half-step grid linspace(0, T, 2 n_steps + 1), taken for a
@@ -39,6 +46,7 @@ import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -56,7 +64,8 @@ from .models import (
 )
 
 SCHEMES = ("exact_gaussian", "euler", "full_truncation_euler")
-_BLOCK = 16384  # fixed path block; block geometry never depends on workers
+_BLOCK = 16384  # leg-paths per block: a pass of k main legs takes even blocks
+# of about _BLOCK / k paths; block geometry never depends on workers
 _LOG_HEADROOM = 300.0  # terms compared below exp(300) keep finite squares
 
 
@@ -170,8 +179,19 @@ def normals_for(seed: int, n_paths: int, step: int, lo: int, hi: int,
     return stream.normals(step * n_paths + lo, hi - lo)
 
 
-def _run_blocks(kernel, n_paths: int, workers: int | None) -> None:
-    blocks = [(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
+class _Leg(NamedTuple):
+    """One engine leg: ``model`` started at state ``chi`` and integrated over
+    [0, T] under ``measure``; with ``halving``, a dt-halving leg rides along."""
+
+    model: Model
+    chi: float
+    T: float
+    measure: str
+    halving: bool = False
+
+
+def _run_blocks(kernel, n_paths: int, block: int, workers: int | None) -> None:
+    blocks = [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
     workers = workers or 1
     if workers <= 1 or len(blocks) == 1:
         for lo, hi in blocks:
@@ -211,52 +231,67 @@ def _coefficients(model: Model, cfg: SimConfig, measure: str):
     return c0 * one, c1 * one, g2, g1, g0
 
 
-def _stepper(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str):
-    """(start, step) of the scheme for each leg (model, initial state) on the
-    step grid of ``cfg``; the state, the integral and the coefficient tables
-    carry a leading leg axis.
+def _tables(leg: _Leg, cfg: SimConfig, shared: dict):
+    """The scheme's per-step tables and the per-node exponent tables
+    (t0, t1, t2, g2, g1, g0) of ``leg`` over the n_steps steps of ``cfg``,
+    after its stability-floor check and step warning.
+
+    ``shared`` holds the ``_coefficients`` tables already made in the pass,
+    keyed by the model without its state, the measure, the horizon and the
+    step count: legs that differ only in their initial state (the two legs
+    of a ``chi`` bump, say) share one call.
+    """
+    model, steps = leg.model, cfg.n_steps
+    stateless = replace(model.params, **{model.spec.state_field: 0.0})
+    key = (replace(model, params=stateless), leg.measure, leg.T, steps)
+    if key not in shared:
+        shared[key] = _coefficients(model, cfg.with_(T=leg.T), leg.measure)
+    c0, c1, g2, g1, g0 = shared[key]
+    sigma = getattr(model.params, model.spec.vol_field)
+    max_rate = float(np.max(np.abs(c1)))
+    if cfg.scheme in ("euler", "full_truncation_euler"):
+        floor = math.ceil(2.0 * leg.T * max_rate)
+        if steps < floor:
+            raise ConfigError(
+                f"n_steps={steps} below the explicit-scheme stability floor "
+                f"{floor} (= ceil(2 T max drift rate))"
+            )
+    if steps < 10.0 * leg.T * max_rate:
+        warnings.warn(
+            f"n_steps={steps} is below 10 * T * max mean-reversion rate "
+            f"(~{10.0 * leg.T * max_rate:.0f}); discretization bias may be visible",
+            stacklevel=3,
+        )
+    if cfg.scheme == "exact_gaussian":
+        per_step = _affine_gaussian_tables(c0[1::2], c1[1::2], sigma, leg.T / steps)
+    else:
+        per_step = (c0[0:-1:2], c1[0:-1:2], np.full(steps, sigma))
+    return (*per_step, g2, g1, g0)
+
+
+def _stepper(legs: list[_Leg], tables: list[tuple], cfg: SimConfig):
+    """(start, step) of the scheme for ``legs`` on their ``tables`` (see
+    ``_tables``) over the n_steps steps of ``cfg``; the state, the integral,
+    the tables and the step columns dt, sqrt(dt) and dt / 2 carry a leading
+    leg axis, so each leg keeps its own horizon and measure.
 
     ``start(size)`` is the state (x, xr, acc, g) of ``size`` paths per leg at
     t = 0: the raw scheme state x, the reported path value xr, the exponent
     integral acc and the integrand g at the last node.  ``step(j, state, z)``
-    moves it over step j on the normals z, updating acc in place.  Odd entries
+    moves it over step j on the normals z, updating x and acc in place.  Odd entries
     of the half-step drift arrays are the midpoints used by exact_gaussian;
     the exponent integrand is read at the n_steps + 1 nodes and accumulated
     by the trapezoid rule.
     """
-    steps = cfg.n_steps
-    dt = cfg.T / steps
-    tables = []
-    for model, _ in legs:
-        c0, c1, g2, g1, g0 = _coefficients(model, cfg, measure)
-        sigma = getattr(model.params, model.spec.vol_field)
-        max_rate = float(np.max(np.abs(c1)))
-        if cfg.scheme in ("euler", "full_truncation_euler"):
-            floor = math.ceil(2.0 * cfg.T * max_rate)
-            if steps < floor:
-                raise ConfigError(
-                    f"n_steps={steps} below the explicit-scheme stability floor "
-                    f"{floor} (= ceil(2 T max drift rate))"
-                )
-        if steps < 10.0 * cfg.T * max_rate:
-            warnings.warn(
-                f"n_steps={steps} is below 10 * T * max mean-reversion rate "
-                f"(~{10.0 * cfg.T * max_rate:.0f}); discretization bias may be visible",
-                stacklevel=3,
-            )
-        if cfg.scheme == "exact_gaussian":
-            per_step = _affine_gaussian_tables(c0[1::2], c1[1::2], sigma, dt)
-        else:
-            per_step = (c0[0:-1:2], c1[0:-1:2], np.full(steps, sigma))
-        tables.append((*per_step, g2, g1, g0))
     # (decay, shift, sd) for exact_gaussian and (c0, c1, sigma) at the step's
     # left end for the Euler schemes; t[j] is the (legs, 1) column of step j
     t0, t1, t2, g2, g1, g0 = (np.stack(col, axis=1)[:, :, None]
                               for col in zip(*tables))
-    chi = np.array([[c] for _, c in legs])
-    g_start = (g2[0] * chi + g1[0]) * chi + g0[0]
-    sqdt = math.sqrt(dt)
+    chi = np.array([[leg.chi] for leg in legs])
+    dt = np.array([[leg.T / cfg.n_steps] for leg in legs])
+    sqdt = np.sqrt(dt)
     half_dt = 0.5 * dt
+    g_start = (g2[0] * chi + g1[0]) * chi + g0[0]
     exact = cfg.scheme == "exact_gaussian"
     truncate = cfg.scheme == "full_truncation_euler"
 
@@ -266,55 +301,93 @@ def _stepper(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str):
 
     def step(j: int, state, z: np.ndarray):
         # full truncation keeps x unclamped but evaluates drift, diffusion and
-        # the integrand at the positive part, so the reported path is >= 0
+        # the integrand at the positive part, so the reported path is >= 0.
+        # The updates run in place, in the order of the plain expressions
+        # (x + (t0 - t1 x) dt + t2 sqrt(dt) z, and so on), so every path's
+        # numbers are theirs while fewer block-sized temporaries are live
         x, _, acc, g_prev = state
         if exact:
-            x = t0[j] * x + t1[j] + t2[j] * z
+            x *= t0[j]
+            x += t1[j]
+            x += t2[j] * z
             xr = x
-        elif truncate:
-            xp = np.maximum(x, 0.0)
-            x = x + (t0[j] - t1[j] * xp) * dt + t2[j] * np.sqrt(xp) * sqdt * z
-            xr = np.maximum(x, 0.0)
         else:
-            x = x + (t0[j] - t1[j] * x) * dt + t2[j] * sqdt * z
-            xr = x
+            xp = np.maximum(x, 0.0) if truncate else x
+            drift = t1[j] * xp
+            np.subtract(t0[j], drift, out=drift)
+            drift *= dt
+            if truncate:
+                noise = np.sqrt(xp, out=xp)
+                noise *= t2[j]
+                noise *= sqdt
+                noise *= z
+            else:
+                noise = t2[j] * sqdt * z
+            x += drift
+            x += noise
+            xr = np.maximum(x, 0.0) if truncate else x
         k = 2 * (j + 1)
-        g_new = (g2[k] * xr + g1[k]) * xr + g0[k]
-        acc += half_dt * (g_prev + g_new)
+        g_new = g2[k] * xr
+        g_new += g1[k]
+        g_new *= xr
+        g_new += g0[k]
+        area = g_prev + g_new
+        area *= half_dt
+        acc += area
         return x, xr, acc, g_new
 
     return start, step
 
 
-def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
-              workers: int | None, halving: bool = False) -> list[PathEnsemble]:
-    """Integrate the SDE and the exponent integral of ``measure`` over the
-    step grid, for each leg (model, initial state) on the same normals.
+def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
+              ) -> tuple[list[PathEnsemble], list[PathEnsemble | None]]:
+    """Integrate the SDE and the exponent integral of each leg over its own
+    horizon, all legs on the same normals: (main ensembles, dt-halving
+    ensembles), one of each per leg, the latter None for a leg without one.
 
+    ``cfg`` gives the paths, steps, seed and scheme; ``cfg.T`` is not read.
     Each step draws one row of normals per path block and moves every leg
-    with it.  With ``halving``, the dt-halving legs (n_paths // 2 paths at
-    2 n_steps) follow in the result: halving path i of a block [lo, hi)
-    takes its fine steps 2j and 2j + 1 on the normals of main paths lo + 2i
-    and lo + 2i + 1 at step j.  _BLOCK is even, so no pair straddles two
-    blocks; at odd n_paths the last main path has no partner.
+    with it, so a leg's results are those of a run of that leg alone.  A leg
+    at T = 0 is not stepped: its ensemble is every path at its state, with
+    no dt-halving leg.  A dt-halving leg has n_paths // 2 paths at 2 n_steps:
+    its path i of a block [lo, hi) takes fine steps 2j and 2j + 1 on the
+    normals of main paths lo + 2i and lo + 2i + 1 at step j.
+
+    Blocks are sized by leg-paths: a pass of k stepped main legs takes even
+    blocks of about _BLOCK / k paths, so no halving pair straddles two blocks
+    (at odd n_paths the last main path has no partner) and a pass holds
+    about as much state as one leg does in a block of _BLOCK.  Results never
+    depend on the block layout or the worker count.
     """
-    for model, _ in legs:
-        if cfg.scheme not in model.spec.schemes:
+    for leg in legs:
+        if cfg.scheme not in leg.model.spec.schemes:
             raise ValueError(
-                f"scheme '{cfg.scheme}' not supported for {model.kind}; "
-                f"allowed: {model.spec.schemes}"
+                f"scheme '{cfg.scheme}' not supported for {leg.model.kind}; "
+                f"allowed: {leg.model.spec.schemes}"
             )
     n, steps = cfg.n_paths, cfg.n_steps
-    if cfg.T == 0.0:
-        return [PathEnsemble(x_T=np.full(n, chi), integral=np.zeros(n))
-                for _, chi in legs]
-    start, step = _stepper(legs, cfg, measure)
+    mains = [PathEnsemble(x_T=np.full(n, leg.chi), integral=np.zeros(n))
+             if leg.T == 0.0 else None for leg in legs]
+    fines = [None] * len(legs)
+    moving = [i for i, leg in enumerate(legs) if leg.T != 0.0]
+    if not moving:
+        return mains, fines
+    # n_paths stays: SimConfig refuses n_paths // 2 below 100
+    fine_cfg = cfg.with_(n_steps=2 * steps)
+    halving = [i for i in moving if legs[i].halving]
+    shared, main_tables, fine_tables = {}, [], []
+    for i in moving:  # each leg's checks and warnings, main step then fine
+        main_tables.append(_tables(legs[i], cfg, shared))
+        if legs[i].halving:
+            fine_tables.append(_tables(legs[i], fine_cfg, shared))
+    start, step = _stepper([legs[i] for i in moving], main_tables, cfg)
     if halving:
-        # n_paths stays: SimConfig refuses n_paths // 2 below 100
-        fine_start, fine_step = _stepper(legs, cfg.with_(n_steps=2 * steps), measure)
-    n2 = n // 2 if halving else 0
-    x_T, integral = np.empty((len(legs), n)), np.empty((len(legs), n))
-    x_T2, integral2 = np.empty((len(legs), n2)), np.empty((len(legs), n2))
+        fine_start, fine_step = _stepper([legs[i] for i in halving], fine_tables,
+                                         fine_cfg)
+    del shared, main_tables, fine_tables  # the steppers hold stacked copies
+    n2 = n // 2
+    x_T, integral = np.empty((len(moving), n)), np.empty((len(moving), n))
+    x_T2, integral2 = np.empty((len(halving), n2)), np.empty((len(halving), n2))
 
     def kernel(lo: int, hi: int) -> None:
         stream = BlockStream(cfg.seed)
@@ -324,7 +397,8 @@ def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
             s = step(j, s, normals_for(cfg.seed, n, j, lo, hi, stream))
             if halving:
                 # a repeat read computes nothing, but keeps perfbench's traced
-                # count at one normal per path-step per leg; odd blocks end unpaired
+                # count of a one-horizon check at one normal per path-step per
+                # leg; odd blocks end unpaired
                 z = normals_for(cfg.seed, n, j, lo, hi, stream)
                 f = fine_step(2 * j, f, z[0:-1:2])
                 f = fine_step(2 * j + 1, f, z[1::2])
@@ -332,17 +406,20 @@ def _ensemble(legs: list[tuple[Model, float]], cfg: SimConfig, measure: str,
         if halving:
             x_T2[:, lo // 2:hi // 2], integral2[:, lo // 2:hi // 2] = f[1], f[2]
 
-    _run_blocks(kernel, n, workers)
-    pairs = ((x_T, integral), (x_T2, integral2))[:1 + halving]
-    return [PathEnsemble(x_T=x[i], integral=acc[i]) for x, acc in pairs
-            for i in range(len(legs))]
+    _run_blocks(kernel, n, 2 * max(1, _BLOCK // (2 * len(moving))), workers)
+    for k, i in enumerate(moving):
+        mains[i] = PathEnsemble(x_T=x_T[k], integral=integral[k])
+    for k, i in enumerate(halving):
+        fines[i] = PathEnsemble(x_T=x_T2[k], integral=integral2[k])
+    return mains, fines
 
 
 def simulate_q_paths(model: Model, cfg: SimConfig, chi: float | None = None,
                      workers: int | None = None) -> PathEnsemble:
     """Sample the decomposition dynamics; per path (X_T, int f ds)."""
     coeff._path_spec(model)
-    return _ensemble([(model, initial_state(model, chi))], cfg, "q", workers)[0]
+    leg = _Leg(model, initial_state(model, chi), cfg.T, "q")
+    return _ensemble([leg], cfg, workers)[0][0]
 
 
 def _shifted_error_term(ensemble: PathEnsemble, ep: Eigenpair) -> tuple[float, float, float]:
@@ -402,16 +479,49 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
     state.  The shift stays 0 until a term would pass exp(_LOG_HEADROOM), so
     results in range are computed as on the plain scale, bit for bit.  A
     reported field out of floating-point range is inf.
+
+    This is the one-horizon case of ``decomposition_checks``.
+    """
+    checks, _ = decomposition_checks(model, chi, [T], cfg, workers, check_dt_halving)
+    return checks[0]
+
+
+def decomposition_checks(model: Model, chi: float | None, horizons, cfg: SimConfig,
+                         workers: int | None = None, check_dt_halving: bool = True,
+                         value_horizons=()
+                         ) -> tuple[list[DecompositionResult],
+                                    list[tuple[float, float, float]]]:
+    """``decomposition_check`` at each of ``horizons`` and
+    ``simulate_phat_value`` at each of ``value_horizons``, every leg stepped
+    in one engine pass on one draw of normals; ``cfg.T`` is not read.
+
+    Returns (the checks, the (value, SE, ln value) estimates), in the order
+    of their horizons.  Each is, bit for bit, what its own call gives at the
+    same ``cfg``: the runs read the same Philox words, so computing each
+    normal once changes no per-path number.
     """
     chi = initial_state(model, chi)
-    cfg = cfg.with_(T=T)
+    for T in (*horizons, *value_horizons):
+        cfg.with_(T=T)  # a horizon SimConfig refuses is refused before any work
     ep = eigenpair(model)
     lphi = float(phi_log(ep, chi))
-    lv = valuation.log_dual_value(model, chi, T)
+    log_values = [valuation.log_dual_value(model, chi, T) for T in horizons]
+    legs = [_Leg(model, chi, T, "q", check_dt_halving) for T in horizons]
+    legs += [_Leg(model, chi, T, "phat") for T in value_horizons]
+    mains, fines = _ensemble(legs, cfg, workers)
+    checks = [_decomposition_result(ep, lphi, lv, T, mains[k], fines[k], cfg.seed)
+              for k, (T, lv) in enumerate(zip(horizons, log_values))]
+    return checks, [_value_estimate(e.integral) for e in mains[len(horizons):]]
+
+
+def _decomposition_result(ep: Eigenpair, lphi: float, lv: float, T: float,
+                          main: PathEnsemble, fine: PathEnsemble | None,
+                          seed: int) -> DecompositionResult:
+    """The gates of ``decomposition_check`` at horizon T, from ln phi(chi),
+    the closed ln v and the main and (if any) dt-halving ensembles."""
     log_ratio = lv + ep.lam * T - lphi
     # (top, mean, SE) of the main run and, if any (T > 0), the halved-dt run
-    runs = [_shifted_error_term(e, ep) for e in
-            _ensemble([(model, chi)], cfg, "q", workers, check_dt_halving)]
+    runs = [_shifted_error_term(e, ep) for e in (main, fine) if e is not None]
     shift = max(0.0, max(log_ratio, *(top for top, _, _ in runs)) - _LOG_HEADROOM)
 
     def on_scale(run):  # (mean, SE) in units of exp(shift)
@@ -438,7 +548,7 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
         ratio_gap=_times_exp(gap, shift), passed=bool(passed),
         halved_dt_error_term=halved, halved_dt_gap=halved_gap,
         halved_dt_combined_se=combined, halved_dt_passed=halved_passed,
-        seed=cfg.seed,
+        seed=seed,
     )
 
 
@@ -447,6 +557,11 @@ def _log_mean_exp(l: np.ndarray) -> float:
     exp(l) underflows."""
     top = float(np.max(l))
     return top + math.log(float(np.mean(np.exp(l - top))))
+
+
+def _value_estimate(integral: np.ndarray) -> tuple[float, float, float]:
+    """(mean, SE, log-mean-exp) of the per-path value weights exp(integral)."""
+    return (*_mean_se(np.exp(integral)), _log_mean_exp(integral))
 
 
 def simulate_phat_value(model: Model, chi: float | None, T: float, cfg: SimConfig,
@@ -458,9 +573,8 @@ def simulate_phat_value(model: Model, chi: float | None, T: float, cfg: SimConfi
     measure-changed route to the dual value; for the complete-market model it
     is the only finite-horizon route.
     """
-    legs = [(model, initial_state(model, chi))]
-    integral = _ensemble(legs, cfg.with_(T=T), "phat", workers)[0].integral
-    return (*_mean_se(np.exp(integral)), _log_mean_exp(integral))
+    leg = _Leg(model, initial_state(model, chi), T, "phat")
+    return _value_estimate(_ensemble([leg], cfg.with_(T=T), workers)[0][0].integral)
 
 
 def mc_bump_sensitivity(model: Model, chi: float | None, T: float, parameter: str,
@@ -483,8 +597,8 @@ def mc_bump_sensitivity(model: Model, chi: float | None, T: float, parameter: st
         model = validate(replace(model.params, **{state: chi}), model.prefs)
         chi = None  # each leg starts at its own bumped state
     up, dn, h = bumped_models(model, parameter, h)
-    legs = [(leg, initial_state(leg, chi)) for leg in (up, dn)]
-    l_up, l_dn = (e.integral for e in _ensemble(legs, cfg.with_(T=T), "phat", workers))
+    legs = [_Leg(leg, initial_state(leg, chi), T, "phat") for leg in (up, dn)]
+    l_up, l_dn = (e.integral for e in _ensemble(legs, cfg.with_(T=T), workers)[0])
     # ln of each leg's mean, and the SE from the legs' normalized weights
     m_up, m_dn = _log_mean_exp(l_up), _log_mean_exp(l_dn)
     _, se = _mean_se(np.exp(l_up - m_up) - np.exp(l_dn - m_dn))

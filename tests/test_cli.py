@@ -614,3 +614,20 @@ def test_deterministic_output_byte_stable(command, config, code, fmt):
     suffix = "out" if fmt == "json" else fmt
     with open(os.path.join(GOLDEN, f"{command}_{config}.{suffix}"), "rb") as fh:
         assert out.encode() == fh.read()
+
+
+@pytest.mark.parametrize("config", ["heston", "kim_omberg"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_multi_horizon_simulate_byte_stable(tmp_path, config, workers):
+    # the shipped config at 2,000 paths x 50 steps over a horizon grid: every
+    # horizon's decomposition run, dt-halving leg included, is one engine pass
+    # on one draw, and its bytes are those of one run per horizon
+    with open(os.path.join(SHIPPED, f"{config}.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["sim"] = {**cfg["sim"], "n_paths": 2000, "n_steps": 50}
+    cfg["sweep"] = {"T_grid": [1, 5, 10]}
+    got, out = _run(["simulate", "--config", _write(tmp_path, cfg),
+                     "--workers", workers])
+    assert got == 0
+    with open(os.path.join(GOLDEN, f"simulate_T_grid_{config}.out"), "rb") as fh:
+        assert out.encode() == fh.read()

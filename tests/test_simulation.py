@@ -146,7 +146,7 @@ def test_bump_legs_bit_identical_to_single_leg_runs(ko_model, heston_model, ou_m
     else:
         up, dn, h_used = bumped_models(model, parameter, h)
         legs = [(up, chi), (dn, chi)]
-    stacked = si._ensemble(legs, cfg, "phat", workers)
+    stacked, _ = si._ensemble([si._Leg(m, c, T, "phat") for m, c in legs], cfg, workers)
     refs = [_single_leg_reference(m, c, cfg, "phat") for m, c in legs]
     for ens, (x_T, integral) in zip(stacked, refs):
         assert np.array_equal(ens.x_T, x_T)
@@ -220,7 +220,7 @@ def test_shared_dt_halving_leg_bit_identical_to_own_runs(ko_model, heston_model,
     with warnings.catch_warnings(record=True) as own:
         warnings.simplefilter("always")
         mc, se = estimate_error_term(_ens(model, cfg, workers=workers), ep)
-        si._stepper([(model, chi)], cfg.with_(n_steps=20), "q")
+        si._tables(si._Leg(model, chi, 2.0, "q"), cfg.with_(n_steps=20), {})
     x_T, integral = _single_leg_reference(model, chi, cfg, "q", paired=True)
     assert x_T.size == n // 2
     halved, _ = estimate_error_term(si.PathEnsemble(x_T=x_T, integral=integral), ep)
@@ -234,6 +234,66 @@ def test_shared_dt_halving_leg_keeps_the_stability_floor(heston_model):
                     scheme="full_truncation_euler")
     with pytest.raises(ConfigError, match="floor"):
         decomposition_check(heston_model, None, 10.0, cfg, check_dt_halving=True)
+
+
+@pytest.mark.parametrize("n_paths", [2 * si._BLOCK + 701, 150])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind, scheme", [
+    ("ko", "exact_gaussian"),
+    ("ko", "euler"),
+    ("heston", "full_truncation_euler"),
+])
+def test_one_pass_bit_identical_to_own_runs(ko_model, heston_model, kind, scheme,
+                                            workers, n_paths):
+    # decomposition legs at several horizons (T = 0 among them) and value legs
+    # stepped on one draw give, field for field, what each gives run alone
+    model = {"ko": ko_model, "heston": heston_model}[kind]
+    cfg = SimConfig(T=1.0, n_steps=20, n_paths=n_paths, seed=2**63 + 23, scheme=scheme)
+    horizons, value_horizons = [1.0, 0.0, 2.5], [2.0, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        checks, values = si.decomposition_checks(model, None, horizons, cfg, workers,
+                                                 value_horizons=value_horizons)
+        own = [decomposition_check(model, None, T, cfg, workers) for T in horizons]
+        own_values = [simulate_phat_value(model, None, T, cfg, workers)
+                      for T in value_horizons]
+    assert checks == own and values == own_values
+    assert checks[1].halved_dt_error_term is None
+    assert None not in (checks[0].halved_dt_error_term, checks[2].halved_dt_error_term)
+
+
+def test_verify_monte_carlo_draws_each_normal_once(ko_model, monkeypatch):
+    # verify's three decomposition runs, their dt-halving legs and the
+    # two-route value read the same words: each normal is computed once
+    from utilsens import cli
+
+    sizes = _counted_draws(monkeypatch)
+    cfg = SimConfig(T=5.0, n_steps=40, n_paths=1000, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cli._verify_checks(ko_model, cfg, None)
+    assert sum(sizes) == 1000 * 40
+
+
+@pytest.mark.parametrize("kind, parameter, calls", [
+    ("ko", "chi", 1), ("heston", "chi", 1), ("ou", "s0", 1), ("ko", "mu", 2)])
+def test_state_bump_legs_share_one_coefficients_call(ko_model, heston_model, ou_model,
+                                                     monkeypatch, kind, parameter,
+                                                     calls):
+    # the legs of a state bump differ only in their initial state, so their
+    # tables come from one _coefficients call; a parameter bump needs two
+    model = {"ko": ko_model, "heston": heston_model, "ou": ou_model}[kind]
+    made = []
+    build = si._coefficients
+
+    def counted(*args):
+        made.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(si, "_coefficients", counted)
+    cfg = SimConfig(T=1.0, n_steps=40, n_paths=200, seed=3, scheme=model.spec.schemes[0])
+    mc_bump_sensitivity(model, None, 1.0, parameter, 1e-3, cfg)
+    assert len(made) == calls
 
 
 def test_mc_bump_finite_where_value_underflows(ou_model):
