@@ -31,6 +31,7 @@ from .simulation import (
     decomposition_check,
     decomposition_checks,
     estimate_error_term,
+    mc_bump_sensitivities,
     mc_bump_sensitivity,
     simulate_phat_value,
     simulate_q_paths,

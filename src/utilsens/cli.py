@@ -229,16 +229,14 @@ def cmd_value(rc: RunConfig, workers: int | None) -> int:
     chi = initial_state(model)
     lam = eigenpair(model).lam
     horizons = rc.sweep_T_grid or [_require_sim(rc).T]
-    rows = []
-    for T in horizons:
-        if not model.spec.has_path:
-            cfg = _require_sim(rc).with_(T=T)
-            v, se, lv = sim.simulate_phat_value(model, None, T, cfg, workers)
-            res = valuation.ValueResult.of(v, lv, model.p, T)
-            rows.append({"T": T, **asdict(res), "mc_se": se})
-        else:
-            res = valuation.dual_value(model, chi, T)
-            rows.append({"T": T, **asdict(res)})
+    if model.spec.has_path:
+        rows = [{"T": T, **asdict(valuation.dual_value(model, chi, T))}
+                for T in horizons]
+    else:
+        _, values = sim.decomposition_checks(model, chi, (), _require_sim(rc), workers,
+                                             value_horizons=horizons)
+        rows = [{"T": T, **asdict(valuation.ValueResult.of(v, lv, model.p, T)),
+                 "mc_se": se} for T, (v, se, lv) in zip(horizons, values)]
     if len(rows) == 1:
         payload = {"model": model.kind, "chi": chi, **rows[0], "lambda": lam}
     else:
@@ -315,13 +313,11 @@ def cmd_simulate(rc: RunConfig, workers: int | None) -> int:
     chi = initial_state(model)
     horizons = rc.sweep_T_grid or [cfg.T]
     if not model.spec.has_path:
-        rows = []
-        for T in horizons:
-            v, se, lv = sim.simulate_phat_value(model, None, T, cfg.with_(T=T),
-                                                workers)
-            growth = None if T == 0 else -lv / T
-            rows.append({"T": T, "v_estimate": v, "mc_se": se,
-                         "growth_rate_estimate": growth})
+        _, values = sim.decomposition_checks(model, chi, (), cfg, workers,
+                                             value_horizons=horizons)
+        rows = [{"T": T, "v_estimate": v, "mc_se": se,
+                 "growth_rate_estimate": None if T == 0 else -lv / T}
+                for T, (v, se, lv) in zip(horizons, values)]
         _emit(rc, {"model": model.kind, "chi": chi, "seed": cfg.seed, "rows": rows},
               _table([{**r, "seed": cfg.seed} for r in rows]))
         return 0
@@ -376,8 +372,7 @@ def _verify_checks(model: Model, cfg: sim.SimConfig,
                              {"T": TWO_ROUTE_T, "mc": v_hat, "closed": v_closed,
                               "mc_se": se}))
     else:
-        v0, se0, _ = sim.simulate_phat_value(model, None, 0.0, cfg.with_(T=0.0),
-                                             workers)
+        v0, se0, _ = sim.simulate_phat_value(model, None, 0.0, cfg, workers)
         checks.append(_check("t0_identities", v0 == 1.0 and se0 == 0.0,
                              {"v": v0, "mc_se": se0}))
 
@@ -448,6 +443,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError("--workers must be >= 1")
         cfg = load_config(args.config)
         rc = parse_run_config(cfg)
         if args.format:

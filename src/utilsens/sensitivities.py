@@ -180,9 +180,8 @@ def convergence_diagnostic(model: Model, parameter: str, T_grid,
             )
         from . import simulation  # local import keeps module deps one-way
 
-        slopes = [simulation.mc_bump_sensitivity(
-            model, None, float(T), parameter, h, sim_config.with_(T=float(T)))[0]
-            for T in T_grid]
+        slopes = [slope for slope, _ in simulation.mc_bump_sensitivities(
+            model, None, T_grid.tolist(), parameter, h, sim_config)]
     rows = []
     for T, slope in zip(T_grid, slopes):
         val = slope / float(T)

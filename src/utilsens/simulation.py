@@ -20,9 +20,10 @@ the whole run, moved only when it is not already at the block's next word.
 One engine call steps several legs together on one draw per step and block
 (common random numbers), and computes each normal once.  A leg carries its
 own model, initial state, horizon and measure, so its step dt = T / n_steps
-is its own: the two legs of a bump are one pass, and so are the
-decomposition runs at several horizons and the value runs that
-``decomposition_checks`` (and ``utilsens verify`` through it) asks for.
+is its own.  Several horizons are always one pass: the decomposition and
+value runs of ``decomposition_checks`` and the bump legs of
+``mc_bump_sensitivities``, whose one-horizon cases are
+``decomposition_check``, ``simulate_phat_value`` and ``mc_bump_sensitivity``.
 Blocks are sized by leg-paths: a pass of k main legs takes blocks of about
 _BLOCK / k paths.  No result depends on the block layout or the worker
 count.
@@ -482,8 +483,7 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
 
     This is the one-horizon case of ``decomposition_checks``.
     """
-    checks, _ = decomposition_checks(model, chi, [T], cfg, workers, check_dt_halving)
-    return checks[0]
+    return decomposition_checks(model, chi, [T], cfg, workers, check_dt_halving)[0][0]
 
 
 def decomposition_checks(model: Model, chi: float | None, horizons, cfg: SimConfig,
@@ -571,20 +571,28 @@ def simulate_phat_value(model: Model, chi: float | None, T: float, cfg: SimConfi
     The log is a log-mean-exp of the per-path exponents, so it stays finite
     where the value itself underflows to 0.  This is the second,
     measure-changed route to the dual value; for the complete-market model it
-    is the only finite-horizon route.
+    is the only finite-horizon route.  This is the one-horizon case of
+    ``decomposition_checks``.
     """
-    leg = _Leg(model, initial_state(model, chi), T, "phat")
-    return _value_estimate(_ensemble([leg], cfg.with_(T=T), workers)[0][0].integral)
+    return decomposition_checks(model, chi, (), cfg, workers, value_horizons=[T])[1][0]
 
 
 def mc_bump_sensitivity(model: Model, chi: float | None, T: float, parameter: str,
                         h: float, cfg: SimConfig,
                         workers: int | None = None) -> tuple[float, float]:
-    """Central log-difference of the MC value under a parameter bump.
+    """Central log-difference of the MC value under a parameter bump: the
+    one-horizon case of ``mc_bump_sensitivities``."""
+    return mc_bump_sensitivities(model, chi, [T], parameter, h, cfg, workers)[0]
 
-    Both legs are stepped together on one draw of Gaussian increments, so the
-    finite-difference noise scales with the bump response, not with the
-    absolute value level.  Returns (d ln v / d parameter, SE).
+
+def mc_bump_sensitivities(model: Model, chi: float | None, horizons, parameter: str,
+                          h: float, cfg: SimConfig, workers: int | None = None
+                          ) -> list[tuple[float, float]]:
+    """(d ln v / d parameter, SE) at each of ``horizons``, the up and down
+    legs of every horizon stepped in one engine pass on one draw of Gaussian
+    increments; ``cfg.T`` is not read.  Common random numbers make the
+    finite-difference noise scale with the bump response, not with the
+    absolute value level.
 
     The legs come from ``models.bumped_models``.  A state bump (``chi`` or
     the state field) bumps the model revalidated with its state set to
@@ -597,9 +605,13 @@ def mc_bump_sensitivity(model: Model, chi: float | None, T: float, parameter: st
         model = validate(replace(model.params, **{state: chi}), model.prefs)
         chi = None  # each leg starts at its own bumped state
     up, dn, h = bumped_models(model, parameter, h)
-    legs = [_Leg(leg, initial_state(leg, chi), T, "phat") for leg in (up, dn)]
-    l_up, l_dn = (e.integral for e in _ensemble(legs, cfg.with_(T=T), workers)[0])
-    # ln of each leg's mean, and the SE from the legs' normalized weights
-    m_up, m_dn = _log_mean_exp(l_up), _log_mean_exp(l_dn)
-    _, se = _mean_se(np.exp(l_up - m_up) - np.exp(l_dn - m_dn))
-    return (m_up - m_dn) / (2.0 * h), se / (2.0 * h)
+    legs = [_Leg(leg, initial_state(leg, chi), T, "phat")
+            for T in horizons for leg in (up, dn)]
+    integrals = [e.integral for e in _ensemble(legs, cfg, workers)[0]]
+    estimates = []
+    for l_up, l_dn in zip(integrals[0::2], integrals[1::2]):
+        # ln of each leg's mean, and the SE from the legs' normalized weights
+        m_up, m_dn = _log_mean_exp(l_up), _log_mean_exp(l_dn)
+        _, se = _mean_se(np.exp(l_up - m_up) - np.exp(l_dn - m_dn))
+        estimates.append(((m_up - m_dn) / (2.0 * h), se / (2.0 * h)))
+    return estimates

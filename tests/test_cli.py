@@ -256,6 +256,8 @@ def test_sweep_parameter_checked_at_parse(tmp_path, capsys, command):
     (["eigenpair", "--config", "{cfg}"], {"output": {"path": ["x"]}}),
     (["eigenpair", "--config", "{cfg}"], {"output": {"path": 1.5}}),
     (["eigenpair", "--config", "{dir}"], {}),
+    (["verify", "--config", "{cfg}", "--workers", "0"], {}),
+    (["verify", "--config", "{cfg}", "--workers", "-3"], {}),
 ])
 def test_bad_argv_or_output_exit_2(tmp_path, capsys, argv, patch):
     cfg = _write(tmp_path, {**HESTON_CFG, **patch})
@@ -494,6 +496,29 @@ def test_only_cli_serializes():
     assert not offences, offences
 
 
+def test_no_one_horizon_engine_call_in_a_loop():
+    # one engine pass per command: the one-horizon Monte Carlo calls are
+    # cases of the multi-horizon routes, so no module of the package calls
+    # one of them once per horizon, in a loop or a comprehension
+    import ast
+    import pathlib
+
+    one_horizon = ("decomposition_check", "simulate_phat_value", "mc_bump_sensitivity")
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
+    offences = set()
+    for path in sorted(pathlib.Path(utilsens.__file__).parent.glob("*.py")):
+        for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(loop, loops):
+                continue
+            for node in ast.walk(loop):
+                name = isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                if name in one_horizon:
+                    offences.add(f"{path.name}:{node.lineno} calls {name} in a loop")
+    assert not offences, sorted(offences)
+
+
 def test_only_coefficients_reads_the_closed_path():
     # each kind's closed columns are one formula, spec.path, read only by
     # coefficients.py; ModelSpec has no field per closed column
@@ -616,18 +641,37 @@ def test_deterministic_output_byte_stable(command, config, code, fmt):
         assert out.encode() == fh.read()
 
 
-@pytest.mark.parametrize("config", ["heston", "kim_omberg"])
+# (command, config) over a horizon grid: a factor model's decomposition runs,
+# the complete-market value legs and, for diagnose, its bump legs
+T_GRID_CASES = [("simulate", "heston"), ("simulate", "kim_omberg"),
+                ("value", "ou_complete"), ("simulate", "ou_complete"),
+                ("diagnose", "ou_complete")]
+
+
+@pytest.mark.parametrize(
+    "command, config", T_GRID_CASES,
+    ids=[k if k != "ou_complete" else f"{c}-{k}" for c, k in T_GRID_CASES])
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_multi_horizon_simulate_byte_stable(tmp_path, config, workers):
+def test_multi_horizon_simulate_byte_stable(tmp_path, command, config, workers):
     # the shipped config at 2,000 paths x 50 steps over a horizon grid: every
-    # horizon's decomposition run, dt-halving leg included, is one engine pass
-    # on one draw, and its bytes are those of one run per horizon
+    # horizon's legs (a decomposition run's dt-halving leg included) are one
+    # engine pass on one draw, and its bytes are those of one run per horizon,
+    # on stdout as JSON and in an --out file as CSV for ou_complete
     with open(os.path.join(SHIPPED, f"{config}.json"), encoding="utf-8") as fh:
         cfg = json.load(fh)
     cfg["sim"] = {**cfg["sim"], "n_paths": 2000, "n_steps": 50}
-    cfg["sweep"] = {"T_grid": [1, 5, 10]}
-    got, out = _run(["simulate", "--config", _write(tmp_path, cfg),
-                     "--workers", workers])
+    cfg["sweep"] = {"T_grid": [1, 5, 10]} if config != "ou_complete" else \
+        {"parameter": "b", "T_grid": [0.5, 1, 2]}
+    path = _write(tmp_path, cfg)
+    got, out = _run([command, "--config", path, "--workers", workers])
     assert got == 0
-    with open(os.path.join(GOLDEN, f"simulate_T_grid_{config}.out"), "rb") as fh:
+    golden = os.path.join(GOLDEN, f"{command}_T_grid_{config}")
+    with open(f"{golden}.out", "rb") as fh:
         assert out.encode() == fh.read()
+    if config == "ou_complete":
+        csv_path = tmp_path / "rows.csv"
+        got, out = _run([command, "--config", path, "--workers", workers,
+                         "--format", "csv", "--out", str(csv_path)])
+        assert (got, out) == (0, "")
+        with open(f"{golden}.csv", "rb") as fh:
+            assert csv_path.read_bytes() == fh.read()

@@ -1,5 +1,6 @@
 """Monte Carlo engines: determinism, positivity, and identity checks."""
 
+import json
 import math
 import warnings
 
@@ -27,7 +28,7 @@ from utilsens import coefficients as co
 from utilsens import simulation as si
 from utilsens import valuation as va
 
-from conftest import HESTON_SET, KO_SET, draw_heston, draw_ko
+from conftest import HESTON_SET, KO_SET, OU_SET, draw_heston, draw_ko
 
 
 def _ens(model, cfg, **kw):
@@ -273,6 +274,49 @@ def test_verify_monte_carlo_draws_each_normal_once(ko_model, monkeypatch):
         warnings.simplefilter("ignore")
         cli._verify_checks(ko_model, cfg, None)
     assert sum(sizes) == 1000 * 40
+
+
+@pytest.mark.parametrize("command", ["value", "simulate", "diagnose"])
+def test_ou_horizon_grid_draws_each_normal_once(tmp_path, monkeypatch, capsys, command):
+    # on the complete-market model every horizon of a T_grid (and, for
+    # diagnose, both bump legs of each) is stepped in one engine pass on the
+    # same words: each normal is computed once, not once per horizon
+    from utilsens import cli
+
+    config = tmp_path / "ou.json"
+    config.write_text(json.dumps({
+        "ou_complete": OU_SET, "preferences": {"p": -3.0},
+        "sim": {"T": 1.0, "n_steps": 40, "n_paths": 1000, "seed": 5},
+        "sweep": {"parameter": "b", "T_grid": [0.5, 1.0, 2.0]}}))
+    sizes = _counted_draws(monkeypatch)
+    assert cli.main([command, "--config", str(config)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 3
+    assert sum(sizes) == 1000 * 40
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind, parameter", [
+    ("ko", "mu"), ("ko", "chi"),
+    ("heston", "sigma"), ("heston", "chi"),
+    ("ou", "b"), ("ou", "s0"),
+])
+def test_bump_horizons_bit_identical_to_own_runs(ko_model, heston_model, ou_model,
+                                                 kind, parameter, workers):
+    # the bump legs of several horizons (T = 0 among them) stepped in one
+    # pass give, bit for bit, what each horizon's own call gives; n_paths is
+    # odd and spans several path blocks
+    model = {"ko": ko_model, "heston": heston_model, "ou": ou_model}[kind]
+    cfg = SimConfig(T=1.0, n_steps=20, n_paths=si._BLOCK + 701, seed=2**63 + 29,
+                    scheme=model.spec.schemes[0])
+    horizons = [0.0, 0.5, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        shared = si.mc_bump_sensitivities(model, None, horizons, parameter, 1e-3,
+                                          cfg, workers)
+        own = [mc_bump_sensitivity(model, None, T, parameter, 1e-3, cfg, workers)
+               for T in horizons]
+    assert shared == own
+    assert shared[0] == (0.0, 0.0) and all(se > 0.0 for _, se in shared[1:])
 
 
 @pytest.mark.parametrize("kind, parameter, calls", [
