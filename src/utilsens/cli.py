@@ -53,6 +53,8 @@ _OUTPUT_KEYS = ("path", "format")
 VERIFY_T_VALUES = (1.0, 5.0, 10.0)
 TWO_ROUTE_T = 2.0
 DIAG_T = 50.0
+# verify's oracle grid: every 0.1 up to T = 50, then the long horizons
+VERIFY_ORACLE_GRID = np.concatenate([np.linspace(0.0, 50.0, 501), [1e2, 1e3, 1e4, 1e6]])
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,7 @@ def _riccati_grid(rc: RunConfig) -> np.ndarray:
 
 
 def _closed_and_oracle_gap(model: Model, grid: np.ndarray):
-    """(closed path, sup over grid and columns of |closed - RK4 oracle|)."""
+    """(closed path, sup over grid and columns of |closed - ODE oracle|)."""
     closed = coeff.build_path(model, grid)
     oracle = coeff.riccati_oracle(model, grid)
     sup = max(float(np.max(np.abs(getattr(closed, f) - getattr(oracle, f))))
@@ -301,7 +303,8 @@ def cmd_diagnose(rc: RunConfig, workers: int | None) -> int:
         raise ConfigError("diagnose needs sweep.parameter and sweep.T_grid")
     _positive_increasing(rc.sweep_T_grid, "sweep.T_grid")
     rows = [asdict(r) for r in sens.convergence_diagnostic(
-        rc.model, rc.sweep_parameter, rc.sweep_T_grid, sim_config=rc.sim)]
+        rc.model, rc.sweep_parameter, rc.sweep_T_grid, sim_config=rc.sim,
+        workers=workers)]
     _emit(rc, {"model": rc.model.kind, "parameter": rc.sweep_parameter,
                "rows": rows}, _table(rows))
     return 0
@@ -347,7 +350,7 @@ def _verify_checks(model: Model, cfg: sim.SimConfig,
                          {"max_abs_residual": max_r, "n_points": int(grid.size)}))
 
     if model.spec.has_path:
-        _, sup = _closed_and_oracle_gap(model, np.linspace(0.0, 50.0, 501))
+        _, sup = _closed_and_oracle_gap(model, VERIFY_ORACLE_GRID)
         checks.append(_check("riccati_oracle_agreement", sup < 1e-6,
                              {"sup_abs_diff": sup}))
 

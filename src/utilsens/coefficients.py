@@ -26,11 +26,13 @@ spec, returning the columns named by ``spec.path_fields``.  ``closed_path``
 is its one reader, and ``build_path`` samples it on a checked grid;
 ``_path_spec`` is the one refusal of a kind without a closed path.
 
-``riccati_oracle`` integrates the governing ODE systems with classical RK4 as
-an independent verification path for the closed forms.  The coefficients
-approach their limits at the model's mixing rate (2 alpha4 for Kim-Omberg,
-beta2 for Heston), so the oracle steps at a fixed fraction of the mixing
-time, never below ``H_ODE``.
+``riccati_oracle`` integrates the governing ODE systems, ``spec.oracle_rhs``,
+as an independent verification path for the closed forms: adaptive
+Dormand-Prince 5(4) in pure Python, run at two tolerances that must agree.
+In both kinds the last column (``Lambda``, ``gamma``) is an integral that no
+right-hand side reads.  Once the other columns stop moving, Newton finds the
+ODE's own fixed point (never the closed eigenpair) and the pass settles on
+it, so the oracle's cost does not grow with the horizon or the mixing rate.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ import numpy as np
 
 from .models import Model, ModelSpec, UnsupportedModelError
 
-H_ODE = 1e-3          # smallest RK4 step of the oracle
-H_MIX = 0.02          # oracle step in units of the model's mixing time
-TOL_ODE = 1e-8        # half-step Richardson gate of the oracle
+ORACLE_TOLS = (1e-12, 1e-13)  # tolerances of the oracle's two passes
+TOL_ODE = 1e-8                # largest disagreement allowed between them
+MAX_RHS_EVALS = 100_000       # right-hand-side evaluations allowed per pass
 
 
 @dataclass(frozen=True)
@@ -96,52 +98,149 @@ def build_path(model: Model, grid) -> CoefficientPath:
 
 # --- independent ODE oracle --------------------------------------------------
 
-def _rk4(rhs, state: tuple, grid: np.ndarray, h: float) -> np.ndarray:
-    """Classical RK4 at steps <= h, landing exactly on the grid points.
+# Dormand-Prince 5(4): the rows of stages 2-7 (the last is the fifth-order
+# solution, whose right-hand side starts the next step) and the weights of
+# the embedded error estimate, fifth- minus fourth-order solution.
+_DP_ROWS = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+           -1 / 40)
+_H_START = 1e-6       # first trial step; each accepted step grows it at most tenfold
+_NEWTON_ITERS = 8
 
-    ``state`` is a tuple of floats; returns the states at the grid points,
-    stacked.
+
+def _counted(rhs, cap: int):
+    """``rhs`` with its calls counted in ``.evals``; past ``cap`` it raises."""
+    def f(state):
+        f.evals += 1
+        if f.evals > cap:
+            raise UnsupportedModelError(
+                f"ODE oracle exceeded {cap} right-hand-side evaluations")
+        return rhs(state)
+
+    f.evals = 0
+    return f
+
+
+def _fixed_point(f, y: tuple, tol: float) -> tuple | None:
+    """The root of the right-hand side of every column but the last, by
+    Newton from ``y`` with a forward-difference Jacobian (1x1 or 2x2); None
+    unless Newton converges to a root within tol (1 + |x|) of ``y``."""
+    x, tail, n = y[:-1], y[-1:], len(y) - 1
+    for _ in range(_NEWTON_ITERS):
+        r = f(x + tail)[:n]
+        cols = []
+        for j in range(n):
+            d = 1e-7 * (1.0 + abs(x[j]))
+            rj = f(x[:j] + (x[j] + d,) + x[j + 1:] + tail)[:n]
+            cols.append([(a - b) / d for a, b in zip(rj, r)])
+        if n == 1:
+            det = cols[0][0]
+            dx = (-r[0] / det,) if det else None
+        else:
+            (a, c), (b, d) = cols
+            det = a * d - b * c
+            dx = ((b * r[1] - d * r[0]) / det, (c * r[0] - a * r[1]) / det) if det else None
+        if dx is None:
+            return None
+        x = tuple(xi + di for xi, di in zip(x, dx))
+        if all(abs(di) <= 4e-16 * (1.0 + abs(xi)) for xi, di in zip(x, dx)):
+            near = all(abs(xi - yi) <= tol * (1.0 + abs(yi)) for xi, yi in zip(x, y))
+            return x if near else None
+    return None
+
+
+def _dp5_pass(rhs, n_cols: int, grid: np.ndarray, tol: float):
+    """One adaptive Dormand-Prince 5(4) pass at relative and absolute
+    tolerance ``tol``, every step clipped to land on the grid points.
+
+    Once an accepted step moves every column but the last by at most
+    tol (1 + |x|) and ``_fixed_point`` finds a root within tol of the state,
+    the path has settled: the rest of the grid takes the root, and the last
+    column, an integral that no right-hand side reads, grows at the root's
+    slope.  Returns (states at the grid points, rhs evaluations, accepted
+    steps, time stepped before settling).
     """
-    out = [state]
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        span = t1 - t0
-        m = max(1, math.ceil(span / h))
-        dt = span / m
-        for _ in range(m):
-            k1 = rhs(state)
-            k2 = rhs(tuple(s + 0.5 * dt * k for s, k in zip(state, k1)))
-            k3 = rhs(tuple(s + 0.5 * dt * k for s, k in zip(state, k2)))
-            k4 = rhs(tuple(s + dt * k for s, k in zip(state, k3)))
-            state = tuple(
-                s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-            )
-        out.append(state)
-    return np.array(out)
+    f = _counted(rhs, MAX_RHS_EVALS)
+    y = (0.0,) * n_cols
+    rows, k1 = [y], f(y)
+    t, h, steps, settled = 0.0, _H_START, 0, None
+    for g in grid[1:].tolist():
+        while settled is None and t < g:
+            hs = min(h, g - t)
+            ks = [k1]
+            for row in _DP_ROWS:
+                ys = tuple(yj + hs * sum(a * kj for a, kj in zip(row, col))
+                           for yj, col in zip(y, zip(*ks)))
+                ks.append(f(ys))
+            err = 0.0
+            for yj, zj, col in zip(y, ys, zip(*ks)):
+                e = hs * sum(a * kj for a, kj in zip(_DP_ERR, col))
+                e /= tol * (1.0 + max(abs(yj), abs(zj)))
+                err += e * e
+            err = math.sqrt(err / n_cols)
+            factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.2))
+            if err <= 1.0:
+                steps += 1
+                t = g if hs == g - t else t + hs
+                still = all(abs(b - a) <= tol * (1.0 + abs(b))
+                            for a, b in zip(y[:-1], ys[:-1]))
+                y, k1 = ys, ks[-1]
+                h = max(h, hs * factor) if hs < h else hs * factor
+                root = _fixed_point(f, y, tol) if still else None
+                if root is not None:
+                    slope = f(root + y[-1:])[-1]
+                    settled = (root, t, y[-1], slope)
+            else:
+                h = hs * min(1.0, factor)
+            if not t + h > t:
+                raise UnsupportedModelError(
+                    f"ODE oracle step underflow at t={t:g} (tol={tol:g})")
+        if settled is None:
+            rows.append(y)
+        else:
+            root, ts, tail, slope = settled
+            rows.append(root + (tail + slope * (g - ts),))
+    span = grid[-1] if settled is None else settled[1]
+    return np.array(rows), f.evals, steps, float(span)
 
 
 def riccati_oracle(model: Model, grid) -> CoefficientPath:
-    """RK4 integration of the coefficient ODEs, Richardson-gated.
+    """Adaptive Dormand-Prince 5(4) integration of the coefficient ODEs,
+    gated by two tolerances.
 
-    The step is ``max(H_ODE, H_MIX / rate)`` for the model's mixing rate, so
-    a slowly mixing model is not stepped finer than its coefficients vary.
-    The systems are integrated at that step and at half of it; if the two
-    disagree beyond ``TOL_ODE`` at any grid point the step is declared too
-    large and :class:`UnsupportedModelError` is raised; a pass that overflows
-    (a step past RK4's stability limit) disagrees by NaN and is refused too.
+    The systems are integrated at each of ``ORACLE_TOLS``; the tighter pass is
+    returned.  If the two disagree beyond ``TOL_ODE`` at any grid point, or
+    either gives a NaN, :class:`UnsupportedModelError` is raised, as it is
+    when a pass exceeds ``MAX_RHS_EVALS`` evaluations or its step underflows.
+    A pass settles on the ODE's own fixed point (see ``_dp5_pass``), so its
+    cost does not grow with the horizon.
+
+    ``meta``: ``richardson_disagreement``, the largest gap between the two
+    passes; ``h_ode``, the tighter pass's time stepped before settling over
+    its accepted steps; ``rhs_evals``, the right-hand-side evaluations of
+    both passes.  The first two keep the names of the fixed-step oracle they
+    replace, which the benchmark's tracer still reads.
     """
     grid = _check_grid(grid)
     spec = _path_spec(model)
-    h_ode = max(H_ODE, H_MIX / spec.mixing_rate(model))
     rhs = spec.oracle_rhs(model)
-    zero = (0.0,) * len(spec.path_fields)
+    n_cols = len(spec.path_fields)
     with np.errstate(over="ignore", invalid="ignore"):
-        half = _rk4(rhs, zero, grid, h_ode / 2.0)
-        disagreement = float(np.max(np.abs(_rk4(rhs, zero, grid, h_ode) - half)))
+        loose, evals, _, _ = _dp5_pass(rhs, n_cols, grid, ORACLE_TOLS[0])
+        tight, evals2, steps, span = _dp5_pass(rhs, n_cols, grid, ORACLE_TOLS[1])
+        disagreement = float(np.max(np.abs(loose - tight)))
     if not disagreement <= TOL_ODE:
         raise UnsupportedModelError(
-            f"RK4 step h_ode={h_ode:g} too large: half-step disagreement "
-            f"{disagreement:.3e} exceeds TOL_ODE={TOL_ODE:g}"
+            f"ODE oracle passes at tolerances {ORACLE_TOLS} disagree by "
+            f"{disagreement:.3e}, over TOL_ODE={TOL_ODE:g}"
         )
-    meta = {"h_ode": h_ode, "richardson_disagreement": disagreement}
-    return CoefficientPath(grid=grid, meta=meta, **dict(zip(spec.path_fields, half.T)))
+    meta = {"h_ode": span / steps if steps else 0.0,
+            "richardson_disagreement": disagreement, "rhs_evals": evals + evals2}
+    return CoefficientPath(grid=grid, meta=meta, **dict(zip(spec.path_fields, tight.T)))

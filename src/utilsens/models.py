@@ -201,8 +201,8 @@ class ModelSpec:
     exponent: Callable               # (model, ep, measure, times, beta, gamma) -> (g2, g1, g0)
     sensitivity_rows: Callable       # model -> {parameter: published long-term limit}
     path: Callable | None = None            # path: (model, t array) -> path_fields columns
-    oracle_rhs: Callable | None = None      # path: model -> rhs(state tuple)
-    mixing_rate: Callable | None = None     # path: model -> rate the path nears its limit
+    oracle_rhs: Callable | None = None      # path: model -> rhs(state tuple); no rhs
+    #                                         reads the last column, an integral
 
     @cached_property
     def fields(self) -> tuple[str, ...]:
@@ -641,7 +641,6 @@ SPECS: dict[str, ModelSpec] = {
         sensitivity_rows=_ko_rows,
         path=_ko_path,
         oracle_rhs=_ko_rhs,
-        mixing_rate=lambda m: 2.0 * m.constants.alpha4,
     ),
     HESTON: ModelSpec(
         kind=HESTON, params_type=HestonParams, state_field="chi",
@@ -656,7 +655,6 @@ SPECS: dict[str, ModelSpec] = {
         sensitivity_rows=_heston_rows,
         path=_heston_path,
         oracle_rhs=_heston_rhs,
-        mixing_rate=lambda m: m.constants.beta2,
     ),
 }
 _SPEC_BY_TYPE = {spec.params_type: spec for spec in SPECS.values()}

@@ -151,14 +151,16 @@ class DiagnosticRow:
 
 
 def convergence_diagnostic(model: Model, parameter: str, T_grid,
-                           sim_config=None) -> list[DiagnosticRow]:
+                           sim_config=None, workers: int | None = None
+                           ) -> list[DiagnosticRow]:
     """Table of (1/T) d ln v / d theta against the long-horizon limit.
 
     One pair of models from ``models.bumped_models`` at ``lambda_fd``'s
     default step gives both columns: the limit, exactly
     ``-lambda_fd(model, parameter).value``, and the slopes, from the pair's
     closed-form log values or, for the complete-market model, which has no
-    closed value, from the Monte Carlo bump route given a sim config.
+    closed value, from the Monte Carlo bump route given a sim config, run
+    on ``workers`` threads.
     """
     if parameter == "chi":
         raise ConfigError("use initial_factor_sensitivity for the chi derivative")
@@ -181,7 +183,7 @@ def convergence_diagnostic(model: Model, parameter: str, T_grid,
         from . import simulation  # local import keeps module deps one-way
 
         slopes = [slope for slope, _ in simulation.mc_bump_sensitivities(
-            model, None, T_grid.tolist(), parameter, h, sim_config)]
+            model, None, T_grid.tolist(), parameter, h, sim_config, workers)]
     rows = []
     for T, slope in zip(T_grid, slopes):
         val = slope / float(T)

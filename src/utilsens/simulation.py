@@ -25,8 +25,9 @@ value runs of ``decomposition_checks`` and the bump legs of
 ``mc_bump_sensitivities``, whose one-horizon cases are
 ``decomposition_check``, ``simulate_phat_value`` and ``mc_bump_sensitivity``.
 Blocks are sized by leg-paths: a pass of k main legs takes blocks of about
-_BLOCK / k paths.  No result depends on the block layout or the worker
-count.
+_BLOCK / k paths, their count rounded down to a multiple of the worker count
+when it is at least that, so every worker steps as many blocks.  No result
+depends on the block layout or the worker count.
 
 The dt-halving leg of a decomposition run has n_paths // 2 paths at
 2 n_steps steps and draws no normals of its own: its path i takes fine steps
@@ -66,7 +67,8 @@ from .models import (
 
 SCHEMES = ("exact_gaussian", "euler", "full_truncation_euler")
 _BLOCK = 16384  # leg-paths per block: a pass of k main legs takes even blocks
-# of about _BLOCK / k paths; block geometry never depends on workers
+# of about _BLOCK / k paths, resized so that each worker steps as many blocks;
+# the layout depends on workers, no result does
 _LOG_HEADROOM = 300.0  # terms compared below exp(300) keep finite squares
 
 
@@ -191,9 +193,20 @@ class _Leg(NamedTuple):
     halving: bool = False
 
 
+def _block_layout(n_paths: int, block: int, workers: int) -> list[tuple[int, int]]:
+    """Path blocks [lo, hi) of at most about ``block`` paths.  A pass that
+    needs at least ``workers`` blocks takes a multiple of ``workers`` of even
+    size, so every worker steps as many; every block but the last is even."""
+    count = -(-n_paths // block)
+    if count >= workers:
+        count -= count % workers
+        block = 2 * -(-n_paths // (2 * count))
+    return [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
+
+
 def _run_blocks(kernel, n_paths: int, block: int, workers: int | None) -> None:
-    blocks = [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
     workers = workers or 1
+    blocks = _block_layout(n_paths, block, workers)
     if workers <= 1 or len(blocks) == 1:
         for lo, hi in blocks:
             kernel(lo, hi)
@@ -357,8 +370,10 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     Blocks are sized by leg-paths: a pass of k stepped main legs takes even
     blocks of about _BLOCK / k paths, so no halving pair straddles two blocks
     (at odd n_paths the last main path has no partner) and a pass holds
-    about as much state as one leg does in a block of _BLOCK.  Results never
-    depend on the block layout or the worker count.
+    about as much state as one leg does in a block of _BLOCK.  A pass of at
+    least ``workers`` blocks takes a multiple of ``workers`` of them, evenly
+    sized (``_block_layout``).  Results never depend on the block layout or
+    the worker count.
     """
     for leg in legs:
         if cfg.scheme not in leg.model.spec.schemes:

@@ -275,8 +275,9 @@ def test_bad_argv_or_output_exit_2(tmp_path, capsys, argv, patch):
     ("value", HESTON_CFG, "preferences", "p", -1e300),
     ("eigenpair", OU_CFG, "ou_complete", "varsigma", 1e-200),
     ("value", OU_CFG, "ou_complete", "mu", 1e200),
-    # mixing rate ~6000: the RK4 oracle's passes overflow at the H_ODE floor
-    ("riccati", KO_CFG, "kim_omberg", "k", 3000.0),
+    # beta ~ 9e10 and Lambda ~ -2e11 by T = 50: passes held to relative
+    # tolerances 1e-12 and 1e-13 differ by far more than TOL_ODE = 1e-8
+    ("riccati", KO_CFG, "kim_omberg", "mu", 1e10),
     # numpy refuses the arrays at once (petabytes), so nothing is allocated
     ("simulate", KO_CFG, "sim", "n_steps", 10**15),
     ("simulate", HESTON_CFG, "sim", "n_paths", 10**15),
@@ -287,6 +288,15 @@ def test_extreme_finite_parameters_exit_2(tmp_path, capsys, command, cfg, kind,
     code, _ = _run([command, "--config", _write(tmp_path, cfg)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_riccati_fast_mixing_model_exits_0(tmp_path):
+    # k = 3000 mixes at rate ~6000: the adaptive oracle settles on the ODE's
+    # fixed point, and the closed path matches it
+    cfg = {**KO_CFG, "kim_omberg": {**KO_CFG["kim_omberg"], "k": 3000.0}}
+    code, out = _run(["riccati", "--config", _write(tmp_path, cfg)])
+    assert code == 0
+    assert json.loads(out)["oracle_max_abs_diff"] < 1e-10
 
 
 @pytest.mark.parametrize("command, field, value, exc", [
@@ -337,7 +347,7 @@ def test_random_finite_configs_exit_0_1_or_2(tmp_path, capsys, cfg):
     # every finite model and preferences block ends in an answer, a failed
     # verification or a named error: no exception or traceback leaves main
     path = _write(tmp_path, cfg)
-    for command in ("eigenpair", "sensitivities", "value"):
+    for command in ("eigenpair", "sensitivities", "value", "riccati"):
         code, _ = _run([command, "--config", path])
         assert code in (0, 1, 2), (command, cfg)
         assert "Traceback" not in capsys.readouterr().err, (command, cfg)
@@ -356,6 +366,20 @@ def test_random_finite_configs_diagnose_exit_0_1_or_2(tmp_path, capsys, cfg):
     code, _ = _run(["diagnose", "--config", _write(tmp_path, cfg)])
     assert code in (0, 1, 2), cfg
     assert "Traceback" not in capsys.readouterr().err, cfg
+
+
+def test_diagnose_runs_its_monte_carlo_on_the_given_workers(tmp_path, monkeypatch):
+    # the complete-market bump legs are stepped on --workers threads
+    seen, real = [], utilsens.simulation.mc_bump_sensitivities
+
+    def spy(*args):
+        seen.append(args[6])
+        return real(*args)
+
+    monkeypatch.setattr(utilsens.simulation, "mc_bump_sensitivities", spy)
+    cfg = {**OU_CFG, "sweep": {"parameter": "b", "T_grid": [0.5, 1.0]}}
+    code, _ = _run(["diagnose", "--config", _write(tmp_path, cfg), "--workers", "2"])
+    assert (code, seen) == (0, [2])
 
 
 def test_diagnose_requires_sweep(tmp_path, capsys):

@@ -341,35 +341,65 @@ def test_closed_forms_match_oracle_uniformly():
                 assert np.max(np.abs(closed.Lambda - oracle.Lambda)) < 1e-6
 
 
-def test_riccati_oracle_step_too_large_detected(ko_model, monkeypatch):
-    monkeypatch.setattr(co, "H_ODE", 0.5)
-    with pytest.raises(ValueError, match="too large"):
-        co.riccati_oracle(ko_model, np.linspace(0.0, 5.0, 6))
+def _with_rhs(monkeypatch, model, rhs):
+    """Give ``model``'s kind the right-hand side ``rhs`` for the oracle."""
+    monkeypatch.setitem(SPECS, model.kind,
+                        replace(model.spec, oracle_rhs=lambda m: rhs))
 
 
-def test_riccati_oracle_refuses_an_overflowing_pass():
-    # k = 3000 mixes at rate ~6000, so the H_ODE floor puts h * rate past
-    # RK4's stability limit: both passes overflow and disagree by NaN
+def test_riccati_oracle_step_too_large_detected(heston_model, monkeypatch):
+    # beta' = beta + 1 grows like e^t: each pass holds its own tolerance
+    # relative to beta ~ 5e8 at t = 20, so the looser pass's steps leave it
+    # about 1e-4 from the tighter one, over TOL_ODE
+    _with_rhs(monkeypatch, heston_model, lambda s: (s[0] + 1.0, s[0]))
+    with pytest.raises(UnsupportedModelError, match="disagree"):
+        co.riccati_oracle(heston_model, np.linspace(0.0, 20.0, 5))
+
+
+def test_riccati_oracle_refuses_an_overflowing_pass(ko_model, monkeypatch):
+    # beta' = 1 + beta^2 is tan(t), which overflows before t = pi/2: the step
+    # underflows at the pole; a rhs that returns NaN has every step rejected
+    # until it underflows; a circle around (1, 1) never settles and runs
+    # into the evaluation cap on a long grid
+    blow_up = lambda s: (1.0 + s[0] * s[0], 0.0, s[0])
+    nan = lambda s: (math.nan, 0.0, 0.0)
+    circle = lambda s: (1.0 - s[1], s[0] - 1.0, s[0])
+    for rhs, grid, why in ((blow_up, [0.0, 2.0], "underflow"),
+                           (nan, [0.0, 1.0], "underflow"),
+                           (circle, [0.0, 1e5], "evaluations")):
+        _with_rhs(monkeypatch, ko_model, rhs)
+        with pytest.raises(UnsupportedModelError, match=why):
+            co.riccati_oracle(ko_model, grid)
+
+
+def test_riccati_oracle_checks_a_fast_mixing_model():
+    # k = 3000 mixes at rate ~6000, past the stability limit of a
+    # fixed-step oracle at any affordable step; the adaptive passes settle
     m = validate(KimOmbergParams(**{**KO_SET, "k": 3000.0}), Preferences(p=-1.0))
-    with pytest.raises(UnsupportedModelError, match="too large"):
-        co.riccati_oracle(m, [0.0, 1.0])
+    grid = np.linspace(0.0, 50.0, 501)
+    oracle, closed = co.riccati_oracle(m, grid), co.build_path(m, grid)
+    for f in m.spec.path_fields:
+        assert np.max(np.abs(getattr(closed, f) - getattr(oracle, f))) < 1e-10
 
 
-def test_riccati_oracle_step_set_by_mixing_rate(ko_model, heston_model):
-    # a fast-mixing model is stepped at the H_ODE floor
-    fast = validate(KimOmbergParams(**{**KO_SET, "k": 30.0}), Preferences(p=-1.0))
-    for m, rate in ((ko_model, 2.0 * ko_model.constants.alpha4),
-                    (heston_model, heston_model.constants.beta2),
-                    (fast, 2.0 * fast.constants.alpha4)):
-        h = co.riccati_oracle(m, [0.0, 1.0]).meta["h_ode"]
-        assert h == max(co.H_ODE, co.H_MIX / rate)
-    assert h == co.H_ODE
+def test_riccati_oracle_cost_does_not_grow_with_T():
+    # verify's grid cut at T = 50 and carried on to 1e6: once a pass settles
+    # on the fixed point the long horizons cost nothing, and the gap to the
+    # closed forms stays far below verify's 1e-6 bound out to 1e6
+    short = np.linspace(0.0, 50.0, 501)
+    long = np.concatenate([short, [1e2, 1e3, 1e4, 1e6]])
+    for config in ("kim_omberg", "heston"):
+        model = model_from_config(load_config(os.path.join(SHIPPED, f"{config}.json")))
+        evals = [co.riccati_oracle(model, g).meta["rhs_evals"] for g in (short, long)]
+        assert evals[0] <= evals[1] <= evals[0] + 100
+        _, sup = _closed_and_oracle_gap(model, long)
+        assert sup < 1e-10
 
 
 @pytest.mark.parametrize("config", ["kim_omberg", "heston"])
 def test_riccati_oracle_steps_on_shipped_config(config, monkeypatch):
-    # both Richardson passes on verify's 501-point grid, counted at the RHS
-    # (4 evaluations per RK4 step)
+    # both tolerance passes on verify's 501-point grid, counted at the RHS:
+    # the count the oracle reports is every evaluation, Newton's included
     model = model_from_config(load_config(os.path.join(SHIPPED, f"{config}.json")))
     spec, calls = model.spec, [0]
 
@@ -383,8 +413,10 @@ def test_riccati_oracle_steps_on_shipped_config(config, monkeypatch):
         return wrapped
 
     monkeypatch.setitem(SPECS, model.kind, replace(spec, oracle_rhs=counted_rhs))
-    co.riccati_oracle(model, np.linspace(0.0, 50.0, 501))
-    assert calls[0] % 4 == 0 and 0 < calls[0] // 4 <= 15000
+    meta = co.riccati_oracle(model, np.linspace(0.0, 50.0, 501)).meta
+    assert calls[0] == meta["rhs_evals"] <= 2 * co.MAX_RHS_EVALS
+    assert meta["richardson_disagreement"] <= co.TOL_ODE
+    assert 0.0 < meta["h_ode"] < 50.0
 
 
 @pytest.mark.parametrize("kind, field", [("kim_omberg", "Lambda"), ("heston", "gamma")])

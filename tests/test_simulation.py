@@ -263,6 +263,31 @@ def test_one_pass_bit_identical_to_own_runs(ko_model, heston_model, kind, scheme
     assert None not in (checks[0].halved_dt_error_term, checks[2].halved_dt_error_term)
 
 
+def test_block_layout_gives_every_worker_an_equal_share():
+    # a pass needing at least `workers` blocks takes a multiple of `workers`
+    # of them, sized evenly; every block but the last is even, so no
+    # dt-halving pair straddles two blocks; a smaller pass keeps its layout
+    for n_paths in (si._BLOCK + 701, 20_000, 100_000, 2000, 150):
+        for legs in (1, 2, 4, 6):
+            block = 2 * max(1, si._BLOCK // (2 * legs))
+            needed = -(-n_paths // block)
+            for workers in (1, 2, 3, 4):
+                blocks = si._block_layout(n_paths, block, workers)
+                assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+                assert blocks[-1][1] == n_paths
+                assert all((hi - lo) % 2 == 0 for lo, hi in blocks[:-1])
+                if needed >= workers:
+                    assert len(blocks) % workers == 0 and len(blocks) <= needed
+                    sizes = [hi - lo for lo, hi in blocks]
+                    assert max(sizes) - min(sizes) < 2 * len(blocks)
+                else:
+                    assert blocks == [(lo, min(lo + block, n_paths))
+                                      for lo in range(0, n_paths, block)]
+    # verify's 20,000 paths at 4 main legs
+    assert si._block_layout(20_000, 4096, 2) == [(i, i + 5000)
+                                                 for i in range(0, 20_000, 5000)]
+
+
 def test_verify_monte_carlo_draws_each_normal_once(ko_model, monkeypatch):
     # verify's three decomposition runs, their dt-halving legs and the
     # two-route value read the same words: each normal is computed once
