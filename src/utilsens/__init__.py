@@ -30,11 +30,9 @@ from .simulation import (
     SimConfig,
     decomposition_check,
     decomposition_checks,
-    estimate_error_term,
     mc_bump_sensitivities,
     mc_bump_sensitivity,
     simulate_phat_value,
-    simulate_q_paths,
 )
 from .valuation import (
     ValueResult,

@@ -458,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
             if rc.sim is None:
                 raise ConfigError("--seed given but the config has no sim block")
             try:
-                rc = replace(rc, sim=rc.sim.with_(seed=args.seed))
+                rc = replace(rc, sim=replace(rc.sim, seed=args.seed))
             except ValueError as exc:
                 raise ConfigError(f"invalid --seed: {exc}") from exc
         # a numpy overflow raises FloatingPointError, an ArithmeticError

@@ -162,7 +162,7 @@ def convergence_diagnostic(model: Model, parameter: str, T_grid,
     closed value, from the Monte Carlo bump route given a sim config, run
     on ``workers`` threads.
     """
-    if parameter == "chi":
+    if parameter in ("chi", model.spec.state_field):
         raise ConfigError("use initial_factor_sensitivity for the chi derivative")
     T_grid = np.asarray(T_grid, dtype=float)
     if T_grid.ndim != 1 or T_grid.size == 0 or np.any(np.diff(T_grid) <= 0) \

@@ -19,11 +19,13 @@ the whole run, moved only when it is not already at the block's next word.
 
 One engine call steps several legs together on one draw per step and block
 (common random numbers), and computes each normal once.  A leg carries its
-own model, initial state, horizon and measure, so its step dt = T / n_steps
-is its own.  Several horizons are always one pass: the decomposition and
-value runs of ``decomposition_checks`` and the bump legs of
-``mc_bump_sensitivities``, whose one-horizon cases are
-``decomposition_check``, ``simulate_phat_value`` and ``mc_bump_sensitivity``.
+own model, initial state, horizon and measure and is set up from those and
+the step count alone, so its step dt = T / n_steps is its own.  Several
+horizons are always one pass: the decomposition and value runs of
+``decomposition_checks`` and the bump legs of ``mc_bump_sensitivities``,
+whose one-horizon cases are ``decomposition_check``, ``simulate_phat_value``
+and ``mc_bump_sensitivity``; each route checks its horizons by
+``SimConfig``'s rule before any work.
 Blocks are sized by leg-paths: a pass of k main legs takes blocks of about
 _BLOCK / k paths, their count rounded down to a multiple of the worker count
 when it is at least that, so every worker steps as many blocks.  No result
@@ -35,10 +37,10 @@ The dt-halving leg of a decomposition run has n_paths // 2 paths at
 the row the block's stream already holds.  It is stepped in the same engine
 pass, with the main leg's results those of a run without halving.
 
-The module owns the simulation grid: every run reads its drift and exponent
-coefficients on the half-step grid linspace(0, T, 2 n_steps + 1), taken for a
-factor model from one read of its closed path, ``coefficients.closed_path``,
-at time-to-go T - t.
+The module owns the simulation grid: a leg of horizon T stepped n times
+reads its drift and exponent coefficients on the half-step grid
+linspace(0, T, 2 n + 1), taken for a factor model from one read of its closed
+path, ``coefficients.closed_path``, at time-to-go T - t.
 """
 
 from __future__ import annotations
@@ -81,10 +83,7 @@ class SimConfig:
     scheme: str = "exact_gaussian"
 
     def __post_init__(self) -> None:
-        if isinstance(self.T, bool) or not isinstance(self.T, numbers.Real):
-            raise ValueError("T must be a real number")
-        if not (math.isfinite(self.T) and self.T >= 0):
-            raise ValueError("T must be finite and >= 0")
+        _check_horizons(self.T)
         for name in ("n_steps", "n_paths", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -98,8 +97,14 @@ class SimConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
 
-    def with_(self, **kw) -> "SimConfig":
-        return replace(self, **kw)
+
+def _check_horizons(*horizons) -> None:
+    """``SimConfig``'s rule for a horizon, applied to each of ``horizons``."""
+    for T in horizons:
+        if isinstance(T, bool) or not isinstance(T, numbers.Real):
+            raise ValueError("T must be a real number")
+        if not (math.isfinite(T) and T >= 0):
+            raise ValueError("T must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -225,15 +230,15 @@ def _affine_gaussian_tables(c0m, c1m, sigma, dt):
     return decay, c0m * psi, sigma * np.sqrt(psi2)
 
 
-def _coefficients(model: Model, cfg: SimConfig, measure: str):
-    """(c0, c1, g2, g1, g0) on the half-step grid linspace(0, T, 2 n_steps + 1).
+def _coefficients(model: Model, T: float, steps: int, measure: str):
+    """(c0, c1, g2, g1, g0) on the half-step grid linspace(0, T, 2 steps + 1).
 
     The factor drift is c0 - c1 x and the accumulated exponent integrand
     g2 x^2 + g1 x + g0: the tilt rate f under measure "q", the value
     exponent under "phat".  A factor model reads its closed path once, at
     time-to-go T - t.
     """
-    times = np.linspace(0.0, cfg.T, 2 * cfg.n_steps + 1)
+    times = np.linspace(0.0, T, 2 * steps + 1)
     beta = gamma = None
     if model.spec.has_path:
         path = coeff.closed_path(model, times)
@@ -245,25 +250,15 @@ def _coefficients(model: Model, cfg: SimConfig, measure: str):
     return c0 * one, c1 * one, g2, g1, g0
 
 
-def _tables(leg: _Leg, cfg: SimConfig, shared: dict):
+def _tables(leg: _Leg, steps: int, scheme: str):
     """The scheme's per-step tables and the per-node exponent tables
-    (t0, t1, t2, g2, g1, g0) of ``leg`` over the n_steps steps of ``cfg``,
-    after its stability-floor check and step warning.
-
-    ``shared`` holds the ``_coefficients`` tables already made in the pass,
-    keyed by the model without its state, the measure, the horizon and the
-    step count: legs that differ only in their initial state (the two legs
-    of a ``chi`` bump, say) share one call.
-    """
-    model, steps = leg.model, cfg.n_steps
-    stateless = replace(model.params, **{model.spec.state_field: 0.0})
-    key = (replace(model, params=stateless), leg.measure, leg.T, steps)
-    if key not in shared:
-        shared[key] = _coefficients(model, cfg.with_(T=leg.T), leg.measure)
-    c0, c1, g2, g1, g0 = shared[key]
+    (t0, t1, t2, g2, g1, g0) of ``leg`` over ``steps`` steps of its horizon,
+    after its stability-floor check and step warning."""
+    model = leg.model
+    c0, c1, g2, g1, g0 = _coefficients(model, leg.T, steps, leg.measure)
     sigma = getattr(model.params, model.spec.vol_field)
     max_rate = float(np.max(np.abs(c1)))
-    if cfg.scheme in ("euler", "full_truncation_euler"):
+    if scheme in ("euler", "full_truncation_euler"):
         floor = math.ceil(2.0 * leg.T * max_rate)
         if steps < floor:
             raise ConfigError(
@@ -276,16 +271,16 @@ def _tables(leg: _Leg, cfg: SimConfig, shared: dict):
             f"(~{10.0 * leg.T * max_rate:.0f}); discretization bias may be visible",
             stacklevel=3,
         )
-    if cfg.scheme == "exact_gaussian":
+    if scheme == "exact_gaussian":
         per_step = _affine_gaussian_tables(c0[1::2], c1[1::2], sigma, leg.T / steps)
     else:
         per_step = (c0[0:-1:2], c1[0:-1:2], np.full(steps, sigma))
     return (*per_step, g2, g1, g0)
 
 
-def _stepper(legs: list[_Leg], tables: list[tuple], cfg: SimConfig):
-    """(start, step) of the scheme for ``legs`` on their ``tables`` (see
-    ``_tables``) over the n_steps steps of ``cfg``; the state, the integral,
+def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
+    """(start, step) of ``scheme`` for ``legs`` on their ``tables`` (see
+    ``_tables``) over ``steps`` steps of each horizon; the state, the integral,
     the tables and the step columns dt, sqrt(dt) and dt / 2 carry a leading
     leg axis, so each leg keeps its own horizon and measure.
 
@@ -294,7 +289,7 @@ def _stepper(legs: list[_Leg], tables: list[tuple], cfg: SimConfig):
     integral acc and the integrand g at the last node.  ``step(j, state, z)``
     moves it over step j on the normals z, updating x and acc in place.  Odd entries
     of the half-step drift arrays are the midpoints used by exact_gaussian;
-    the exponent integrand is read at the n_steps + 1 nodes and accumulated
+    the exponent integrand is read at the steps + 1 nodes and accumulated
     by the trapezoid rule.
     """
     # (decay, shift, sd) for exact_gaussian and (c0, c1, sigma) at the step's
@@ -302,12 +297,12 @@ def _stepper(legs: list[_Leg], tables: list[tuple], cfg: SimConfig):
     t0, t1, t2, g2, g1, g0 = (np.stack(col, axis=1)[:, :, None]
                               for col in zip(*tables))
     chi = np.array([[leg.chi] for leg in legs])
-    dt = np.array([[leg.T / cfg.n_steps] for leg in legs])
+    dt = np.array([[leg.T / steps] for leg in legs])
     sqdt = np.sqrt(dt)
     half_dt = 0.5 * dt
     g_start = (g2[0] * chi + g1[0]) * chi + g0[0]
-    exact = cfg.scheme == "exact_gaussian"
-    truncate = cfg.scheme == "full_truncation_euler"
+    exact = scheme == "exact_gaussian"
+    truncate = scheme == "full_truncation_euler"
 
     def start(size: int):
         x = np.repeat(chi, size, axis=1)
@@ -359,9 +354,11 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     horizon, all legs on the same normals: (main ensembles, dt-halving
     ensembles), one of each per leg, the latter None for a leg without one.
 
-    ``cfg`` gives the paths, steps, seed and scheme; ``cfg.T`` is not read.
-    Each step draws one row of normals per path block and moves every leg
-    with it, so a leg's results are those of a run of that leg alone.  A leg
+    ``cfg`` gives the paths, steps, seed and scheme; ``cfg.T`` is not read,
+    as each leg's tables come from the leg at n_steps (2 n_steps for its
+    dt-halving leg).  Each step draws one row of normals per path block and
+    moves every leg with it, so a leg's results are those of a run of that
+    leg alone.  A leg
     at T = 0 is not stepped: its ensemble is every path at its state, with
     no dt-halving leg.  A dt-halving leg has n_paths // 2 paths at 2 n_steps:
     its path i of a block [lo, hi) takes fine steps 2j and 2j + 1 on the
@@ -388,19 +385,17 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     moving = [i for i, leg in enumerate(legs) if leg.T != 0.0]
     if not moving:
         return mains, fines
-    # n_paths stays: SimConfig refuses n_paths // 2 below 100
-    fine_cfg = cfg.with_(n_steps=2 * steps)
     halving = [i for i in moving if legs[i].halving]
-    shared, main_tables, fine_tables = {}, [], []
+    main_tables, fine_tables = [], []
     for i in moving:  # each leg's checks and warnings, main step then fine
-        main_tables.append(_tables(legs[i], cfg, shared))
+        main_tables.append(_tables(legs[i], steps, cfg.scheme))
         if legs[i].halving:
-            fine_tables.append(_tables(legs[i], fine_cfg, shared))
-    start, step = _stepper([legs[i] for i in moving], main_tables, cfg)
+            fine_tables.append(_tables(legs[i], 2 * steps, cfg.scheme))
+    start, step = _stepper([legs[i] for i in moving], main_tables, steps, cfg.scheme)
     if halving:
         fine_start, fine_step = _stepper([legs[i] for i in halving], fine_tables,
-                                         fine_cfg)
-    del shared, main_tables, fine_tables  # the steppers hold stacked copies
+                                         2 * steps, cfg.scheme)
+    del main_tables, fine_tables  # the steppers hold stacked copies
     n2 = n // 2
     x_T, integral = np.empty((len(moving), n)), np.empty((len(moving), n))
     x_T2, integral2 = np.empty((len(halving), n2)), np.empty((len(halving), n2))
@@ -430,17 +425,10 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     return mains, fines
 
 
-def simulate_q_paths(model: Model, cfg: SimConfig, chi: float | None = None,
-                     workers: int | None = None) -> PathEnsemble:
-    """Sample the decomposition dynamics; per path (X_T, int f ds)."""
-    coeff._path_spec(model)
-    leg = _Leg(model, initial_state(model, chi), cfg.T, "q")
-    return _ensemble([leg], cfg, workers)[0][0]
-
-
 def _shifted_error_term(ensemble: PathEnsemble, ep: Eigenpair) -> tuple[float, float, float]:
     """(top, mean, SE) of the weights exp(int f ds - log phi(X_T) - top),
-    with top the largest per-path exponent, so the weights lie in (0, 1]."""
+    with top the largest per-path exponent, so the weights lie in (0, 1] and
+    neither they nor their squares in the SE overflow."""
     if ensemble.x_T.size == 0:
         raise ValueError("empty ensemble")
     log_w = ensemble.integral - phi_log(ep, ensemble.x_T)
@@ -458,19 +446,6 @@ def _times_exp(x: float, s: float) -> float:
             return 0.0
         with np.errstate(over="ignore"):
             return float(np.exp(s + math.log(x)))
-
-
-def estimate_error_term(ensemble: PathEnsemble, ep: Eigenpair) -> tuple[float, float]:
-    """Sample mean and standard error of exp(int f ds) / phi(X_T).
-
-    The per-path exponent int f - log phi(X_T) is assembled in log scale and
-    shifted by its largest value before it is exponentiated, so the weights
-    lie in (0, 1] and neither they nor their squares in the SE overflow; the
-    mean and SE are scaled back by exp of that shift, inf where that
-    overflows.
-    """
-    top, mean, se = _shifted_error_term(ensemble, ep)
-    return _times_exp(mean, top), _times_exp(se, top)
 
 
 def _mean_se(w: np.ndarray) -> tuple[float, float]:
@@ -515,9 +490,8 @@ def decomposition_checks(model: Model, chi: float | None, horizons, cfg: SimConf
     same ``cfg``: the runs read the same Philox words, so computing each
     normal once changes no per-path number.
     """
+    _check_horizons(*horizons, *value_horizons)
     chi = initial_state(model, chi)
-    for T in (*horizons, *value_horizons):
-        cfg.with_(T=T)  # a horizon SimConfig refuses is refused before any work
     ep = eigenpair(model)
     lphi = float(phi_log(ep, chi))
     log_values = [valuation.log_dual_value(model, chi, T) for T in horizons]
@@ -614,6 +588,7 @@ def mc_bump_sensitivities(model: Model, chi: float | None, horizons, parameter: 
     ``chi``, so a leg outside the state's domain shrinks the step once by
     10x or raises, as an inadmissible parameter bump does.
     """
+    _check_horizons(*horizons)
     chi = initial_state(model, chi)
     state = model.spec.state_field
     if parameter in ("chi", state):

@@ -382,6 +382,17 @@ def test_diagnose_runs_its_monte_carlo_on_the_given_workers(tmp_path, monkeypatc
     assert (code, seen) == (0, [2])
 
 
+@pytest.mark.parametrize("parameter", ["chi", "s0"])
+def test_diagnose_refuses_the_state_under_either_name(tmp_path, capsys, parameter):
+    # the initial state has no long-horizon limit to diagnose: its alias and
+    # its field name are both refused, before any Monte Carlo state bump
+    cfg = {**OU_CFG, "sweep": {"parameter": parameter, "T_grid": [0.5, 1.0]}}
+    code, out = _run(["diagnose", "--config", _write(tmp_path, cfg)])
+    assert (code, out) == (2, "")
+    assert "use initial_factor_sensitivity for the chi derivative" in \
+        capsys.readouterr().err
+
+
 def test_diagnose_requires_sweep(tmp_path, capsys):
     code, _ = _run(["diagnose", "--config", _write(tmp_path, HESTON_CFG)])
     assert code == 2
@@ -565,11 +576,8 @@ def test_only_coefficients_reads_the_closed_path():
 
 
 # independent routes kept on purpose although only tests call them: each
-# recomputes a quantity that the library already gets another way;
-# simulate_q_paths is the single-leg run the bit-identity tests compare the
-# engine's shared passes against
-CROSS_ROUTES = ("estimate_error_term", "f_eval", "f_eval_expanded", "kappa_eval",
-                "kappa_eval_generic", "simulate_q_paths")
+# recomputes a quantity that the library already gets another way
+CROSS_ROUTES = ("f_eval", "f_eval_expanded", "kappa_eval", "kappa_eval_generic")
 
 
 def test_public_functions_are_reached():
@@ -647,6 +655,10 @@ GOLDEN_CASES = [
     ("sensitivities", "ou_complete", 0, "csv"),
     ("riccati", "heston", 0, "csv"),
     ("riccati", "kim_omberg", 0, "csv"),
+    ("value", "heston", 0, "json"),
+    ("value", "kim_omberg", 0, "json"),
+    ("value", "heston", 0, "csv"),
+    ("value", "kim_omberg", 0, "csv"),
 ]
 
 

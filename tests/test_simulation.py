@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,8 @@ from utilsens import (
     UnsupportedModelError,
     decomposition_check,
     eigenpair,
-    estimate_error_term,
     mc_bump_sensitivity,
     simulate_phat_value,
-    simulate_q_paths,
     validate,
 )
 from utilsens.models import bumped_models
@@ -31,8 +30,17 @@ from utilsens import valuation as va
 from conftest import HESTON_SET, KO_SET, OU_SET, draw_heston, draw_ko
 
 
-def _ens(model, cfg, **kw):
-    return simulate_q_paths(model, cfg, **kw)
+def _ens(model, cfg, workers=None):
+    """The engine on one decomposition leg at ``cfg.T``: per path (X_T, int f)."""
+    leg = si._Leg(model, si.initial_state(model), cfg.T, "q")
+    return si._ensemble([leg], cfg, workers)[0][0]
+
+
+def _error_term(ens, ep):
+    """Mean and SE of exp(int f ds) / phi(X_T), from the shifted weights
+    scaled back as ``decomposition_check`` reports them."""
+    top, mean, se = si._shifted_error_term(ens, ep)
+    return si._times_exp(mean, top), si._times_exp(se, top)
 
 
 def test_normals_chunk_and_worker_independence(ko_model):
@@ -88,8 +96,8 @@ def _single_leg_reference(model, chi, cfg, measure, paired=False):
     ``paired`` gives the dt-halving leg of a run of ``cfg`` instead: n_paths
     // 2 paths at 2 n_steps, fine step k of path i of block [lo, hi) on the
     normal of main path lo + 2i + k % 2 at step k // 2."""
-    fine = cfg.with_(n_steps=2 * cfg.n_steps) if paired else cfg
-    c0, c1, g2, g1, g0 = si._coefficients(model, fine, measure)
+    fine = replace(cfg, n_steps=2 * cfg.n_steps) if paired else cfg
+    c0, c1, g2, g1, g0 = si._coefficients(model, fine.T, fine.n_steps, measure)
     dt, sigma = fine.T / fine.n_steps, getattr(model.params, model.spec.vol_field)
     decay, shift, sd = si._affine_gaussian_tables(c0[1::2], c1[1::2], sigma, dt)
     x_T, integral = [], []
@@ -220,11 +228,11 @@ def test_shared_dt_halving_leg_bit_identical_to_own_runs(ko_model, heston_model,
         r = decomposition_check(model, None, 2.0, cfg, workers, check_dt_halving=True)
     with warnings.catch_warnings(record=True) as own:
         warnings.simplefilter("always")
-        mc, se = estimate_error_term(_ens(model, cfg, workers=workers), ep)
-        si._tables(si._Leg(model, chi, 2.0, "q"), cfg.with_(n_steps=20), {})
+        mc, se = _error_term(_ens(model, cfg, workers=workers), ep)
+        si._tables(si._Leg(model, chi, 2.0, "q"), 20, cfg.scheme)
     x_T, integral = _single_leg_reference(model, chi, cfg, "q", paired=True)
     assert x_T.size == n // 2
-    halved, _ = estimate_error_term(si.PathEnsemble(x_T=x_T, integral=integral), ep)
+    halved, _ = _error_term(si.PathEnsemble(x_T=x_T, integral=integral), ep)
     assert (r.mc_error_term, r.mc_se, r.halved_dt_error_term) == (mc, se, halved)
     assert [str(w.message) for w in shared] == [str(w.message) for w in own]
     assert len(own) == (1 if kind == "ko" else 2)  # the coarse step warns
@@ -344,25 +352,22 @@ def test_bump_horizons_bit_identical_to_own_runs(ko_model, heston_model, ou_mode
     assert shared[0] == (0.0, 0.0) and all(se > 0.0 for _, se in shared[1:])
 
 
-@pytest.mark.parametrize("kind, parameter, calls", [
-    ("ko", "chi", 1), ("heston", "chi", 1), ("ou", "s0", 1), ("ko", "mu", 2)])
-def test_state_bump_legs_share_one_coefficients_call(ko_model, heston_model, ou_model,
-                                                     monkeypatch, kind, parameter,
-                                                     calls):
-    # the legs of a state bump differ only in their initial state, so their
-    # tables come from one _coefficients call; a parameter bump needs two
-    model = {"ko": ko_model, "heston": heston_model, "ou": ou_model}[kind]
-    made = []
-    build = si._coefficients
-
-    def counted(*args):
-        made.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(si, "_coefficients", counted)
-    cfg = SimConfig(T=1.0, n_steps=40, n_paths=200, seed=3, scheme=model.spec.schemes[0])
-    mc_bump_sensitivity(model, None, 1.0, parameter, 1e-3, cfg)
-    assert len(made) == calls
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_multi_horizon_routes_refuse_a_bad_horizon_before_any_work(ko_model, monkeypatch,
+                                                                   bad):
+    # both routes check every horizon by SimConfig's rule at entry, so a bad
+    # one anywhere in the list is refused before the engine is called
+    called = []
+    monkeypatch.setattr(si, "_ensemble", lambda *args: called.append(args))
+    cfg = SimConfig(T=1.0, n_steps=20, n_paths=200, seed=1)
+    refused = pytest.raises(ValueError, match=r"^T must be finite and >= 0$")
+    with refused:
+        si.mc_bump_sensitivities(ko_model, None, [1.0, bad], "mu", 1e-3, cfg)
+    with refused:
+        si.decomposition_checks(ko_model, None, [1.0, bad], cfg)
+    with refused:
+        si.decomposition_checks(ko_model, None, [1.0], cfg, value_horizons=[bad])
+    assert called == []
 
 
 def test_mc_bump_finite_where_value_underflows(ou_model):
@@ -392,7 +397,7 @@ def test_mu_zero_error_term_exactly_one():
     for m, scheme in [(ko, "exact_gaussian"), (he, "full_truncation_euler")]:
         cfg = SimConfig(T=2.0, n_steps=100, n_paths=500, seed=3, scheme=scheme)
         ens = _ens(m, cfg)
-        mean, se = estimate_error_term(ens, eigenpair(m))
+        mean, se = _error_term(ens, eigenpair(m))
         assert mean == 1.0 and se == 0.0
 
 
@@ -402,7 +407,7 @@ def test_t0_error_term():
     cfg = SimConfig(T=0.0, n_steps=10, n_paths=200, seed=1, scheme="exact_gaussian")
     ens = _ens(m, cfg)
     assert np.all(ens.x_T == 0.0)
-    mean, se = estimate_error_term(ens, eigenpair(m))
+    mean, se = _error_term(ens, eigenpair(m))
     assert mean == 1.0 and se == 0.0
 
 
@@ -424,7 +429,7 @@ def test_ko_terminal_mean_matches_ode_oracle(ko_model):
                     scheme="exact_gaussian")
     ens = _ens(ko_model, cfg)
     times = np.linspace(0.0, T, 2 * n_steps + 1)
-    c0, c1, _, _, _ = si._coefficients(ko_model, cfg, "q")
+    c0, c1, _, _, _ = si._coefficients(ko_model, T, n_steps, "q")
 
     def rhs(t, y):
         c0t = np.interp(t, times, c0)
@@ -451,7 +456,7 @@ def test_engine_coefficients_match_pointwise_routes(request, name, xs):
     T, n_steps = 5.0, 50
     cfg = SimConfig(T=T, n_steps=n_steps, n_paths=100, seed=1,
                     scheme=m.spec.schemes[0])
-    c0, c1, g2, g1, g0 = si._coefficients(m, cfg, "q")
+    c0, c1, g2, g1, g0 = si._coefficients(m, T, n_steps, "q")
     times = np.linspace(0.0, T, 2 * n_steps + 1)
     half = 0.5 * m.q * (1.0 - m.q)
     for k in (0, 1, 37, 50, 99, 100):
@@ -471,9 +476,9 @@ def test_euler_scheme_agrees_with_exact_gaussian(ko_model):
     T = 1.0
     base = SimConfig(T=T, n_steps=1000, n_paths=30000, seed=29,
                      scheme="exact_gaussian")
-    eul = base.with_(scheme="euler")
-    m1, s1 = estimate_error_term(_ens(ko_model, base), eigenpair(ko_model))
-    m2, s2 = estimate_error_term(_ens(ko_model, eul), eigenpair(ko_model))
+    eul = replace(base, scheme="euler")
+    m1, s1 = _error_term(_ens(ko_model, base), eigenpair(ko_model))
+    m2, s2 = _error_term(_ens(ko_model, eul), eigenpair(ko_model))
     assert abs(m1 - m2) < 3.0 * math.sqrt(s1**2 + s2**2) + 1e-3 * abs(m1)
 
 
@@ -597,19 +602,20 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(T=-1.0, n_steps=10, n_paths=200, seed=1)
     cfg = SimConfig(T=1.0, n_steps=10, n_paths=200, seed=1)
-    assert cfg.with_(T=2.0, seed=3) == SimConfig(T=2.0, n_steps=10, n_paths=200, seed=3)
+    assert replace(cfg, T=2.0, seed=3) == SimConfig(T=2.0, n_steps=10, n_paths=200,
+                                                    seed=3)
     with pytest.raises(ValueError):
-        cfg.with_(n_paths=50)
+        replace(cfg, n_paths=50)
     # counts are integers: a float or bool is refused, not run or truncated
     for bad in (dict(seed=1.5), dict(seed=True), dict(n_steps=10.0),
                 dict(n_paths=1000.0), dict(n_steps=True)):
         with pytest.raises(ValueError, match="must be an integer"):
-            cfg.with_(**bad)
+            replace(cfg, **bad)
     # the horizon is a real number: a bool or a string is refused by name
     for bad in (True, "1"):
         with pytest.raises(ValueError, match="T must be a real number"):
-            cfg.with_(T=bad)
-    assert cfg.with_(T=2).T == 2 and cfg.with_(T=np.float64(2.5)).T == 2.5
+            replace(cfg, T=bad)
+    assert replace(cfg, T=2).T == 2 and replace(cfg, T=np.float64(2.5)).T == 2.5
 
 
 def test_error_term_log_scale_robust():
@@ -624,7 +630,7 @@ def test_error_term_log_scale_robust():
         x_T=np.array([30.0, 0.0, 0.0]),
         integral=np.array([-900.0, 0.0, -math.log(2.0)]),
     )
-    mean, se = estimate_error_term(ens, ep)
+    mean, se = _error_term(ens, ep)
     assert math.isfinite(mean) and math.isfinite(se)
     assert mean == pytest.approx(2.5 / 3.0, rel=1e-12)
 
