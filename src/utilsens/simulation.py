@@ -11,9 +11,13 @@ Two discretizations cover all supported runs:
   drift and diffusion at the positive part of the state and so keeps the
   reported path nonnegative (scheme ``full_truncation_euler``).
 
-Noise is counter-based: path i at step j always reads the same Philox word
-(index j * n_paths + i), so results are bit-identical for any worker count
-or path blocking.  Normals come from the inverse CDF, one uniform per draw.
+Noise is counter-based and antithetic.  Paths 2k and 2k + 1 form pair k <
+P = ceil(n_paths / 2); at step j the pair reads the Philox word j * P + k,
+one uniform per word mapped to a normal z by the inverse CDF, and path 2k
+takes +z while its mirror path 2k + 1 takes -z (at odd n_paths the last path
+has no mirror).  So a pass computes P normals per step, and results are
+bit-identical for any worker count or path blocking.  Every standard error
+is taken over pair means: a pair is one cluster, an unpaired path another.
 Each path block reads its words through one generator (``BlockStream``) for
 the whole run, moved only when it is not already at the block's next word.
 
@@ -28,14 +32,18 @@ and ``mc_bump_sensitivity``; each route checks its horizons by
 ``SimConfig``'s rule before any work.
 Blocks are sized by leg-paths: a pass of k main legs takes blocks of about
 _BLOCK / k paths, their count rounded down to a multiple of the worker count
-when it is at least that, so every worker steps as many blocks.  No result
-depends on the block layout or the worker count.
+when it is at least that, so every worker steps as many blocks.  Every block
+but the last holds a multiple of 4 paths.  No result depends on the block
+layout or the worker count.
 
-The dt-halving leg of a decomposition run has n_paths // 2 paths at
-2 n_steps steps and draws no normals of its own: its path i takes fine steps
-2j and 2j + 1 on the words of main paths 2i and 2i + 1 at step j, read from
-the row the block's stream already holds.  It is stepped in the same engine
-pass, with the main leg's results those of a run without halving.
+The dt-halving leg of a decomposition run has 2 (n_paths // 4) paths at
+2 n_steps steps and draws no normals of its own.  Its pair r takes main
+pairs 2r and 2r + 1: fine path 2r takes fine steps 2j and 2j + 1 on +z of
+those pairs at step j, and its mirror 2r + 1 on their -z, read from the row
+the block's stream already holds.  A fine path's two increments thus come
+from two different pairs, never from a pair and its own mirror, whose sum
+is 0.  It is stepped in the same engine pass, with the main leg's results
+those of a run without halving.
 
 The module owns the simulation grid: a leg of horizon T stepped n times
 reads its drift and exponent coefficients on the half-step grid
@@ -68,9 +76,9 @@ from .models import (
 )
 
 SCHEMES = ("exact_gaussian", "euler", "full_truncation_euler")
-_BLOCK = 16384  # leg-paths per block: a pass of k main legs takes even blocks
-# of about _BLOCK / k paths, resized so that each worker steps as many blocks;
-# the layout depends on workers, no result does
+_BLOCK = 16384  # leg-paths per block: a pass of k main legs takes blocks of
+# about _BLOCK / k paths, a multiple of 4, resized so that each worker steps
+# as many blocks; the layout depends on workers, no result does
 _LOG_HEADROOM = 300.0  # terms compared below exp(300) keep finite squares
 
 
@@ -138,15 +146,17 @@ class BlockStream:
     rest of a 4-word Philox block, or advances its counter over whole blocks.
     A read behind the current position starts a fresh generator.
 
-    ``normals(word, size)`` maps those words to standard normals, one uniform
-    each, and holds the last row it computed: asked again for the same words,
-    it returns that read-only row and neither reads nor computes anything.
+    ``normals(word, size)`` is the antithetic row of ``size`` paths whose
+    first pair reads ``word``: the normals z of words [word, word + ceil(size
+    / 2)), one uniform each, then -z of the first size // 2 of them.  It
+    holds the last row it computed: asked again for the same row, it returns
+    that read-only row and neither reads nor computes anything.
     """
 
     def __init__(self, seed: int) -> None:
         self._seed = seed
         self._word = -1  # next word of the generator; -1 before the first read
-        self._held = (-1, 0, None)  # (word, size, normals) of the last row
+        self._held = (-1, 0, None)  # (word, size, row) of the last row
 
     def read(self, word: int, size: int) -> np.ndarray:
         if word < self._word or self._word < 0:
@@ -165,26 +175,33 @@ class BlockStream:
 
     def normals(self, word: int, size: int) -> np.ndarray:
         if self._held[:2] != (word, size):
-            u = self.read(word, size)
+            u = self.read(word, (size + 1) // 2)
             # u = 0 would map to -inf; nudge the (2^-53-probability) exact zero
             z = ndtri(np.maximum(u, 2.0**-54))
-            z.flags.writeable = False
-            self._held = (word, size, z)
+            row = np.concatenate((z, -z[:size // 2]))
+            row.flags.writeable = False
+            self._held = (word, size, row)
         return self._held[2]
 
 
 def normals_for(seed: int, n_paths: int, step: int, lo: int, hi: int,
                 stream: BlockStream | None = None) -> np.ndarray:
-    """Standard normals for paths [lo, hi) at the given step.
+    """Standard normals for paths [lo, hi) at the given step, lo even.
 
-    Word index of (path i, step j) is j * n_paths + i, one uniform per word.
-    ``stream`` is the block's own generator for ``seed``, reused from step to
-    step; the normals are the same with or without it, and a repeat of the
-    stream's last words returns the row it holds.
+    Pair k < P = ceil(n_paths / 2) holds paths 2k and 2k + 1 and reads word
+    step * P + k, one uniform per word.  The row is the block's
+    np.concatenate((z, -z)): z of its pairs [lo / 2, ceil(hi / 2)) for paths
+    lo, lo + 2, ..., then -z for their mirrors lo + 1, lo + 3, ... (a last
+    path without a mirror has no -z).  ``stream`` is the block's own
+    generator for ``seed``, reused from step to step; the normals are the
+    same with or without it, and a repeat of the stream's last row returns
+    the row it holds.
     """
+    if lo % 2:
+        raise ValueError("a path block starts at the first path of a pair")
     if stream is None:
         stream = BlockStream(seed)
-    return stream.normals(step * n_paths + lo, hi - lo)
+    return stream.normals(step * ((n_paths + 1) // 2) + lo // 2, hi - lo)
 
 
 class _Leg(NamedTuple):
@@ -199,14 +216,24 @@ class _Leg(NamedTuple):
 
 
 def _block_layout(n_paths: int, block: int, workers: int) -> list[tuple[int, int]]:
-    """Path blocks [lo, hi) of at most about ``block`` paths.  A pass that
-    needs at least ``workers`` blocks takes a multiple of ``workers`` of even
-    size, so every worker steps as many; every block but the last is even."""
+    """Path blocks [lo, hi) of at most about ``block`` paths, a multiple of 4.
+    A pass that needs at least ``workers`` blocks takes a multiple of
+    ``workers`` of evenly sized ones, so every worker steps as many; every
+    block but the last holds a multiple of 4 paths, so no antithetic pair and
+    no pair of pairs of the dt-halving leg straddles two blocks."""
     count = -(-n_paths // block)
     if count >= workers:
         count -= count % workers
-        block = 2 * -(-n_paths // (2 * count))
+        block = 4 * -(-n_paths // (4 * count))
     return [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
+
+
+def _interleave(out: np.ndarray, row: np.ndarray) -> None:
+    """Write a block's results, held as [paths on +z, their mirrors on -z],
+    into ``out`` in path order: a pair's two paths side by side."""
+    half = (row.shape[-1] + 1) // 2
+    out[..., 0::2] = row[..., :half]
+    out[..., 1::2] = row[..., half:]
 
 
 def _run_blocks(kernel, n_paths: int, block: int, workers: int | None) -> None:
@@ -358,19 +385,27 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     as each leg's tables come from the leg at n_steps (2 n_steps for its
     dt-halving leg).  Each step draws one row of normals per path block and
     moves every leg with it, so a leg's results are those of a run of that
-    leg alone.  A leg
-    at T = 0 is not stepped: its ensemble is every path at its state, with
-    no dt-halving leg.  A dt-halving leg has n_paths // 2 paths at 2 n_steps:
-    its path i of a block [lo, hi) takes fine steps 2j and 2j + 1 on the
-    normals of main paths lo + 2i and lo + 2i + 1 at step j.
+    leg alone.  A leg at T = 0 is not stepped: its ensemble is every path at
+    its state, with no dt-halving leg.  A block's row is [+z, -z] (see
+    ``normals_for``), so the legs hold a block's paths as [paths on +z,
+    their mirrors]; at the block's end ``_interleave`` writes them in path
+    order, a pair side by side.
 
-    Blocks are sized by leg-paths: a pass of k stepped main legs takes even
-    blocks of about _BLOCK / k paths, so no halving pair straddles two blocks
-    (at odd n_paths the last main path has no partner) and a pass holds
-    about as much state as one leg does in a block of _BLOCK.  A pass of at
-    least ``workers`` blocks takes a multiple of ``workers`` of them, evenly
-    sized (``_block_layout``).  Results never depend on the block layout or
-    the worker count.
+    A dt-halving leg has 2 (n_paths // 4) paths at 2 n_steps, pair r of them
+    on main pairs 2r and 2r + 1 (see the module docstring).  On a row of an
+    even number of pairs, z[0::2] is [+z, -z] of the block's even pairs and
+    z[1::2] of its odd ones, so fine steps 2j and 2j + 1 read those slices
+    of step j's row and the fine leg holds its block as [+, -] halves too.
+    A last block with an odd pair or an unpaired path first cuts its row to
+    [+z, -z] of its whole pairs of pairs.
+
+    Blocks are sized by leg-paths: a pass of k stepped main legs takes
+    blocks of about _BLOCK / k paths, so a pass holds about as much state as
+    one leg does in a block of _BLOCK.  Every block but the last holds a
+    multiple of 4 paths, an even number of pairs, so no pair of pairs
+    straddles two blocks.  A pass of at least ``workers`` blocks takes a
+    multiple of ``workers`` of them, evenly sized (``_block_layout``).
+    Results never depend on the block layout or the worker count.
     """
     for leg in legs:
         if cfg.scheme not in leg.model.spec.schemes:
@@ -396,28 +431,33 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
         fine_start, fine_step = _stepper([legs[i] for i in halving], fine_tables,
                                          2 * steps, cfg.scheme)
     del main_tables, fine_tables  # the steppers hold stacked copies
-    n2 = n // 2
+    n2 = 2 * (n // 4)
     x_T, integral = np.empty((len(moving), n)), np.empty((len(moving), n))
     x_T2, integral2 = np.empty((len(halving), n2)), np.empty((len(halving), n2))
 
     def kernel(lo: int, hi: int) -> None:
         stream = BlockStream(cfg.seed)
+        pairs, fine = (hi - lo + 1) // 2, 2 * ((hi - lo) // 4)
         s = start(hi - lo)
-        f = fine_start((hi - lo) // 2) if halving else None
+        f = fine_start(fine) if halving else None
         for j in range(steps):
             s = step(j, s, normals_for(cfg.seed, n, j, lo, hi, stream))
             if halving:
                 # a repeat read computes nothing, but keeps perfbench's traced
                 # count of a one-horizon check at one normal per path-step per
-                # leg; odd blocks end unpaired
+                # leg
                 z = normals_for(cfg.seed, n, j, lo, hi, stream)
-                f = fine_step(2 * j, f, z[0:-1:2])
+                if fine != pairs:
+                    z = np.concatenate((z[:fine], z[pairs:pairs + fine]))
+                f = fine_step(2 * j, f, z[0::2])
                 f = fine_step(2 * j + 1, f, z[1::2])
-        x_T[:, lo:hi], integral[:, lo:hi] = s[1], s[2]
+        _interleave(x_T[:, lo:hi], s[1])
+        _interleave(integral[:, lo:hi], s[2])
         if halving:
-            x_T2[:, lo // 2:hi // 2], integral2[:, lo // 2:hi // 2] = f[1], f[2]
+            _interleave(x_T2[:, lo // 2:lo // 2 + fine], f[1])
+            _interleave(integral2[:, lo // 2:lo // 2 + fine], f[2])
 
-    _run_blocks(kernel, n, 2 * max(1, _BLOCK // (2 * len(moving))), workers)
+    _run_blocks(kernel, n, 4 * max(1, _BLOCK // (4 * len(moving))), workers)
     for k, i in enumerate(moving):
         mains[i] = PathEnsemble(x_T=x_T[k], integral=integral[k])
     for k, i in enumerate(halving):
@@ -449,9 +489,19 @@ def _times_exp(x: float, s: float) -> float:
 
 
 def _mean_se(w: np.ndarray) -> tuple[float, float]:
-    """Sample mean and standard error of per-path weights."""
-    se = float(np.std(w, ddof=1) / math.sqrt(w.size)) if w.size > 1 else 0.0
-    return float(np.mean(w)), se
+    """Mean of per-path weights in path order, and its standard error over
+    the clusters of antithetic pairs: paths 2k and 2k + 1 are cluster k, and
+    at odd size the last path is a cluster of its own.  With every path
+    paired the SE is std(pair means, ddof=1) / sqrt(pairs)."""
+    mean = float(np.mean(w))
+    clusters = (w.size + 1) // 2
+    if clusters < 2:
+        return mean, 0.0
+    dev = w - mean
+    sums = dev[0::2]  # each cluster's summed deviation from the mean
+    sums[:w.size // 2] += dev[1::2]
+    ss = float(np.dot(sums, sums)) * clusters / (clusters - 1)
+    return mean, math.sqrt(ss) / w.size
 
 
 def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfig,
@@ -460,10 +510,11 @@ def decomposition_check(model: Model, chi: float | None, T: float, cfg: SimConfi
     """Verify v = exp(-lambda T) phi(chi) E[exp(int f)/phi(X_T)] at 3 SE, and
     to 1e-12 at T = 0, where the ensemble is every path at chi.
 
-    The dt-halving gate steps a leg of n_paths // 2 paths at doubled n_steps
-    on the main leg's normals, paired main paths 2i and 2i + 1 giving path
-    i's fine steps (see ``_ensemble``), and requires the error-term shift to
-    stay below 3 combined SE, which bounds the scheme's visible bias.
+    Its SE is taken over antithetic pair means.  The dt-halving gate steps a
+    leg of 2 (n_paths // 4) paths at doubled n_steps on the main leg's
+    normals, two main pairs giving a fine pair's steps (see ``_ensemble``),
+    and requires the error-term shift to stay below 3 combined SE, which
+    bounds the scheme's visible bias.
 
     The closed ratio v e^{lambda T} / phi(chi) and the error terms are
     compared on one scale exp(shift), so the gates see finite numbers at any

@@ -478,20 +478,21 @@ def test_simulate_large_state_exits_cleanly(tmp_path):
 
 
 @pytest.mark.parametrize("n_paths", [
-    # odd, two path blocks, the last with an unpaired path for the halving leg
+    # odd, at least 3 path blocks at any worker count, the last with an
+    # unpaired path, which the halving leg does not use
     utilsens.simulation._BLOCK + 701,
-    150,  # the halving leg has 75 paths
+    150,  # the halving leg has 74 paths, 37 pairs of pairs
 ])
 def test_verify_byte_identical_across_workers(tmp_path, n_paths):
     cfg = _write(tmp_path, {**HESTON_CFG,
                             "sim": {**HESTON_CFG["sim"], "n_paths": n_paths}})
     runs = []
-    for w in ("1", "2", "4"):
+    for w in ("1", "2", "3", "4"):
         out_path = tmp_path / f"verify_{w}.json"
         code, _ = _run(["verify", "--config", cfg, "--workers", w,
                         "--out", str(out_path)])
         runs.append((code, out_path.read_bytes()))
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
 def _child_env() -> dict:

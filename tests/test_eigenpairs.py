@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from utilsens import (
@@ -13,6 +15,7 @@ from utilsens import (
     OUCompleteParams,
     Preferences,
     eigenpair,
+    ValidationError,
     ergodic_residual,
     validate,
 )
@@ -170,6 +173,44 @@ def test_residual_grid_property_random_draws():
             worst = max(abs(ergodic_residual(m, ep, x))
                         for x in residual_grid(m))
             assert worst < 1e-8
+
+
+@st.composite
+def _admissible_factor_model(draw):
+    """A Kim-Omberg or Heston model from the boxes of ``draw_ko`` and
+    ``draw_heston``, admissible with the same 0.05 mean-reversion margin."""
+    u = lambda lo, hi: draw(st.floats(lo, hi))  # noqa: E731
+    prefs = Preferences(p=u(-4.0, -0.3))
+    common = dict(mu=u(-0.8, 0.8), varsigma=u(0.15, 0.5), rho=u(-0.85, 0.85))
+    if draw(st.booleans()):
+        params = KimOmbergParams(**common, k=u(0.5, 2.0), m_bar=u(-0.2, 0.4),
+                                 sigma=u(0.1, 0.5), chi=u(-0.4, 0.6))
+    else:
+        k, m_bar = u(0.5, 2.5), u(0.03, 0.2)
+        params = HestonParams(**common, k=k, m_bar=m_bar,
+                              sigma=u(0.1, 0.95 * math.sqrt(2.0 * k * m_bar)),
+                              chi=u(0.02, 0.3))
+    try:
+        model = validate(params, prefs)
+    except ValidationError:
+        assume(False)
+    c = model.constants
+    if model.kind == "kim_omberg":
+        margin = c.alpha1 + (c.alpha4 - c.alpha1) / c.alpha2 * params.sigma**2 / 2.0
+    else:
+        margin = c.beta1
+    assume(margin >= 0.05)
+    return model
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(model=_admissible_factor_model())
+def test_residual_grid_property_hypothesis(model):
+    # the ergodic HJB residual stays below 1e-8 on the 101-point grid of any
+    # admissible draw, as c01 requires of its seeded draws
+    ep = eigenpair(model)
+    assert max(abs(ergodic_residual(model, ep, x)) for x in residual_grid(model)) < 1e-8
 
 
 def test_residual_heston_domain_error(heston_model):

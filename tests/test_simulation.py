@@ -7,7 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.integrate import solve_ivp
+from scipy.special import ndtri
 
 from utilsens import (
     ConfigError,
@@ -43,12 +45,27 @@ def _error_term(ens, ep):
     return si._times_exp(mean, top), si._times_exp(se, top)
 
 
+def _path_order(row):
+    """A block's row [+z, -z] in path order: pair k's paths 2k and 2k + 1."""
+    half = (row.size + 1) // 2
+    out = np.empty(row.size)
+    out[0::2], out[1::2] = row[:half], row[half:]
+    return out
+
+
+def _pair_normals(seed, n_paths, n_steps):
+    """The contract's normals, (n_steps, ceil(n_paths / 2)): pair k at step j
+    reads Philox word j * P + k, one uniform per word."""
+    P = (n_paths + 1) // 2
+    u = Generator(Philox(key=seed)).random(n_steps * P).reshape(n_steps, P)
+    return ndtri(np.maximum(u, 2.0**-54))
+
+
 def test_normals_chunk_and_worker_independence(ko_model):
     # counter-based stream: same (path, step) value for any blocking
-    full = si.normals_for(123, 1000, 7, 0, 1000)
-    parts = np.concatenate([si.normals_for(123, 1000, 7, 0, 137),
-                            si.normals_for(123, 1000, 7, 137, 640),
-                            si.normals_for(123, 1000, 7, 640, 1000)])
+    full = _path_order(si.normals_for(123, 1000, 7, 0, 1000))
+    parts = np.concatenate([_path_order(si.normals_for(123, 1000, 7, lo, hi))
+                            for lo, hi in ((0, 136), (136, 640), (640, 1000))])
     assert np.array_equal(full, parts)
     cfg = SimConfig(T=1.0, n_steps=50, n_paths=4000, seed=9, scheme="exact_gaussian")
     outs = [_ens(ko_model, cfg, workers=w) for w in (1, 2, 4, 8)]
@@ -57,14 +74,33 @@ def test_normals_chunk_and_worker_independence(ko_model):
         assert np.array_equal(o.integral, outs[0].integral)
 
 
+@pytest.mark.parametrize("n_paths", [1000, 1001])
+def test_mirror_path_reads_the_negated_normal(n_paths):
+    # pair k at step j reads word j * P + k; path 2k takes +z and path 2k + 1
+    # exactly -z; at odd n_paths the last path has no mirror.  The row of a
+    # block is np.concatenate((z, -z)) of its pairs, and a block must start
+    # at the first path of a pair
+    z = _pair_normals(77, n_paths, 3)
+    for j in range(3):
+        row = si.normals_for(77, n_paths, j, 0, n_paths)
+        assert np.array_equal(row, np.concatenate((z[j], -z[j][:n_paths // 2])))
+        paths = _path_order(row)
+        assert np.array_equal(paths[0::2], z[j])
+        assert np.array_equal(paths[1::2], -paths[0:n_paths - 1:2])
+        tail = si.normals_for(77, n_paths, j, 400, n_paths)
+        assert np.array_equal(_path_order(tail), paths[400:])
+    with pytest.raises(ValueError, match="pair"):
+        si.normals_for(77, n_paths, 0, 401, n_paths)
+
+
 @pytest.mark.parametrize("seed", [123, 2**63 + 5, 2**64 - 1])
 def test_block_stream_matches_normals_for(seed):
     # one generator per block, read step after step, gives normals_for's
-    # words: blocks starting at lo > 0, a row length that is no multiple of 4
-    # (so offsets fall inside Philox's 4-word blocks), several blocks read
+    # words: blocks starting at lo > 0, a row of pairs that is no multiple of
+    # 4 (so offsets fall inside Philox's 4-word blocks), several blocks read
     # in turn, and a gap of 1 to 3 words that is discarded, not advanced
     n = 1003
-    blocks = [(0, 400), (400, 401), (401, 1003)]
+    blocks = [(0, 400), (400, 402), (402, 1003)]
     streams = [si.BlockStream(seed) for _ in blocks]
     for step in range(6):
         for (lo, hi), stream in zip(blocks, streams):
@@ -78,56 +114,54 @@ def test_block_stream_matches_normals_for(seed):
 
 
 def test_block_stream_hands_back_its_last_row(monkeypatch):
-    # a repeat of the last words returns the held row, read-only, and draws
-    # nothing; any other words are read and computed
+    # a repeat of the last row returns the held row, read-only, and draws
+    # nothing; any other row is read and computed, one normal per pair
     stream = si.BlockStream(7)
     z = stream.normals(40, 25)
     sizes = _counted_draws(monkeypatch)
     assert stream.normals(40, 25) is z and not z.flags.writeable
     assert sizes == []
-    assert np.array_equal(stream.normals(40, 24), z[:24])
+    assert np.array_equal(stream.normals(40, 24), np.delete(z, 12))
     assert np.array_equal(stream.normals(40, 25), z)
-    assert sizes == [24, 25]
+    assert sizes == [12, 13]
 
 
 def _single_leg_reference(model, chi, cfg, measure, paired=False):
-    """The engine one leg at a time, a fresh generator per (step, block).
+    """The engine one leg at a time, every path at once on the contract's
+    normals (``_pair_normals``): path 2k takes +z of pair k, path 2k + 1 -z.
 
-    ``paired`` gives the dt-halving leg of a run of ``cfg`` instead: n_paths
-    // 2 paths at 2 n_steps, fine step k of path i of block [lo, hi) on the
-    normal of main path lo + 2i + k % 2 at step k // 2."""
+    ``paired`` gives the dt-halving leg of a run of ``cfg`` instead: 2 (n_paths
+    // 4) paths at 2 n_steps, fine step 2j + e of path 2r on +z of pair 2r + e
+    at step j and of its mirror 2r + 1 on -z."""
     fine = replace(cfg, n_steps=2 * cfg.n_steps) if paired else cfg
     c0, c1, g2, g1, g0 = si._coefficients(model, fine.T, fine.n_steps, measure)
     dt, sigma = fine.T / fine.n_steps, getattr(model.params, model.spec.vol_field)
     decay, shift, sd = si._affine_gaussian_tables(c0[1::2], c1[1::2], sigma, dt)
-    x_T, integral = [], []
-    for lo in range(0, cfg.n_paths, si._BLOCK):
-        hi = min(lo + si._BLOCK, cfg.n_paths)
-        size = (hi - lo) // 2 if paired else hi - lo
-        x = xr = np.full(size, chi)
-        acc = np.zeros(size)
-        g_prev = (g2[0] * chi + g1[0]) * chi + g0[0]
-        for j in range(fine.n_steps):
-            if paired:
-                row = si.normals_for(cfg.seed, cfg.n_paths, j // 2, lo, hi)
-                z = row[j % 2:2 * size:2]
-            else:
-                z = si.normals_for(cfg.seed, cfg.n_paths, j, lo, hi)
-            if cfg.scheme == "exact_gaussian":
-                x = xr = decay[j] * x + shift[j] + sd[j] * z
-            elif cfg.scheme == "euler":
-                x = xr = x + (c0[2 * j] - c1[2 * j] * x) * dt + sigma * math.sqrt(dt) * z
-            else:
-                xp = np.maximum(x, 0.0)
-                x = x + (c0[2 * j] - c1[2 * j] * xp) * dt \
-                    + sigma * np.sqrt(xp) * math.sqrt(dt) * z
-                xr = np.maximum(x, 0.0)
-            g_new = (g2[2 * j + 2] * xr + g1[2 * j + 2]) * xr + g0[2 * j + 2]
-            acc += 0.5 * dt * (g_prev + g_new)
-            g_prev = g_new
-        x_T.append(xr)
-        integral.append(acc)
-    return np.concatenate(x_T), np.concatenate(integral)
+    normals = _pair_normals(cfg.seed, cfg.n_paths, cfg.n_steps)
+    size = 2 * (cfg.n_paths // 4) if paired else cfg.n_paths
+    x = xr = np.full(size, chi)
+    acc = np.zeros(size)
+    g_prev = (g2[0] * chi + g1[0]) * chi + g0[0]
+    for j in range(fine.n_steps):
+        z = np.empty(size)
+        if paired:
+            z[0::2] = normals[j // 2][j % 2:size:2]
+        else:
+            z[0::2] = normals[j]
+        z[1::2] = -z[0:size - 1:2]
+        if cfg.scheme == "exact_gaussian":
+            x = xr = decay[j] * x + shift[j] + sd[j] * z
+        elif cfg.scheme == "euler":
+            x = xr = x + (c0[2 * j] - c1[2 * j] * x) * dt + sigma * math.sqrt(dt) * z
+        else:
+            xp = np.maximum(x, 0.0)
+            x = x + (c0[2 * j] - c1[2 * j] * xp) * dt \
+                + sigma * np.sqrt(xp) * math.sqrt(dt) * z
+            xr = np.maximum(x, 0.0)
+        g_new = (g2[2 * j + 2] * xr + g1[2 * j + 2]) * xr + g0[2 * j + 2]
+        acc += 0.5 * dt * (g_prev + g_new)
+        g_prev = g_new
+    return xr, acc
 
 
 @pytest.mark.parametrize("kind, scheme, parameter, n_paths, workers", [
@@ -162,7 +196,7 @@ def test_bump_legs_bit_identical_to_single_leg_runs(ko_model, heston_model, ou_m
         assert np.array_equal(ens.integral, integral)
     l_up, l_dn = refs[0][1], refs[1][1]
     m_up, m_dn = si._log_mean_exp(l_up), si._log_mean_exp(l_dn)
-    se = np.std(np.exp(l_up - m_up) - np.exp(l_dn - m_dn), ddof=1) / math.sqrt(n_paths)
+    _, se = si._mean_se(np.exp(l_up - m_up) - np.exp(l_dn - m_dn))
     est_se = mc_bump_sensitivity(model, None, T, parameter, h, cfg, workers)
     assert est_se == ((m_up - m_dn) / (2.0 * h_used), se / (2.0 * h_used))
     assert simulate_phat_value(legs[0][0], legs[0][1], T, cfg, workers) == \
@@ -186,21 +220,22 @@ def _counted_draws(monkeypatch):
 
 def test_bump_legs_share_one_draw(ko_model, monkeypatch):
     # regression guard on shared noise: the engine reads each step's normals
-    # once per path block for both legs of a bump
+    # once per path block for both legs of a bump, one per antithetic pair
     sizes = _counted_draws(monkeypatch)
     cfg = SimConfig(T=1.0, n_steps=100, n_paths=2000, seed=3, scheme="exact_gaussian")
     mc_bump_sensitivity(ko_model, None, 1.0, "mu", 1e-3, cfg)
-    assert sizes == [2000] * 100
+    assert sizes == [1000] * 100
 
 
 @pytest.mark.parametrize("n_paths", [20000, 10000, 20001])
 def test_dt_halving_leg_draws_no_normals(ko_model, monkeypatch, n_paths):
     # the halving leg is stepped on the main leg's rows at any path count,
-    # odd ones included; only the main leg's normals are computed
+    # odd ones included; only the main leg's normals are computed, one per
+    # antithetic pair and step: P = ceil(n_paths / 2) per step
     sizes = _counted_draws(monkeypatch)
     cfg = SimConfig(T=1.0, n_steps=40, n_paths=n_paths, seed=3)
     decomposition_check(ko_model, None, 1.0, cfg, check_dt_halving=True)
-    assert sum(sizes) == n_paths * 40
+    assert sum(sizes) == (n_paths + 1) // 2 * 40
 
 
 @pytest.mark.parametrize("kind, scheme, workers", [
@@ -215,9 +250,9 @@ def test_shared_dt_halving_leg_bit_identical_to_own_runs(ko_model, heston_model,
                                                          scheme, workers):
     # the main leg stepped with the halving leg gives, bit for bit, what it
     # gives simulated on its own; the halving leg gives what the fine scheme
-    # gives stepped on the interleaved columns of the main leg's rows; the
-    # warnings are those of the main and the fine step.  n_paths is odd and
-    # spans three path blocks, so the last main path has no partner
+    # gives stepped on the normals of pairs of main pairs; the warnings are
+    # those of the main and the fine step.  n_paths is odd and spans three
+    # path blocks, so the last main path has no partner
     model = {"ko": ko_model, "heston": heston_model}[kind]
     n = 2 * si._BLOCK + 701
     cfg = SimConfig(T=2.0, n_steps=10, n_paths=n, seed=2**63 + 17, scheme=scheme)
@@ -231,11 +266,57 @@ def test_shared_dt_halving_leg_bit_identical_to_own_runs(ko_model, heston_model,
         mc, se = _error_term(_ens(model, cfg, workers=workers), ep)
         si._tables(si._Leg(model, chi, 2.0, "q"), 20, cfg.scheme)
     x_T, integral = _single_leg_reference(model, chi, cfg, "q", paired=True)
-    assert x_T.size == n // 2
+    assert x_T.size == 2 * (n // 4)
     halved, _ = _error_term(si.PathEnsemble(x_T=x_T, integral=integral), ep)
     assert (r.mc_error_term, r.mc_se, r.halved_dt_error_term) == (mc, se, halved)
     assert [str(w.message) for w in shared] == [str(w.message) for w in own]
     assert len(own) == (1 if kind == "ko" else 2)  # the coarse step warns
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dt_halving_leg_keeps_the_variance_of_the_main_leg(ko_model, monkeypatch,
+                                                           workers):
+    # detector for the halving leg's pairing: on a zero-drift Euler leg both
+    # legs end at chi + sigma W_T, so E[(X_T - chi)^2] = sigma^2 T on each.
+    # A fine path that took a pair's +z and its own mirror's -z would end at
+    # chi (variance 0); one that took a pair's +z twice would double it
+    def zero_drift(model, T, steps, measure):
+        zero = np.zeros(2 * steps + 1)
+        return zero, zero, zero, zero, zero
+
+    monkeypatch.setattr(si, "_coefficients", zero_drift)
+    T, sigma = 0.5, ko_model.params.sigma
+    cfg = SimConfig(T=T, n_steps=4, n_paths=4 * si._BLOCK + 2003, seed=41,
+                    scheme="euler")
+    mains, fines = si._ensemble([si._Leg(ko_model, 0.0, T, "q", True)], cfg, workers)
+    (m, se), (m2, se2) = (si._mean_se(e.x_T ** 2) for e in (mains[0], fines[0]))
+    assert fines[0].x_T.size == 2 * (cfg.n_paths // 4)
+    assert abs(m - sigma**2 * T) < 4.0 * se
+    assert abs(m2 - m) < 4.0 * math.sqrt(se**2 + se2**2)
+
+
+def test_mean_se_is_the_se_over_pair_means():
+    # the mean is over all paths; the SE treats a pair (paths 2k, 2k + 1) as
+    # one cluster and, at odd size, the last path as a cluster of its own
+    rng = np.random.default_rng(3)
+    w = rng.lognormal(size=2000)
+    w[1::2] = 0.5 * w[0::2] + rng.lognormal(size=1000)  # correlated mirrors
+    mean, se = si._mean_se(w)
+    pairs = 0.5 * (w[0::2] + w[1::2])
+    assert mean == float(np.mean(w))
+    assert se == pytest.approx(np.std(pairs, ddof=1) / math.sqrt(pairs.size),
+                               rel=1e-12)
+    odd = np.append(w, 7.0)
+    mean, se = si._mean_se(odd)
+    assert mean == float(np.mean(odd))
+    # cluster sums about the mean of all paths, the last cluster one path
+    dev = np.append(w[0::2] + w[1::2] - 2.0 * mean, 7.0 - mean)
+    C = dev.size
+    assert se == pytest.approx(math.sqrt(C / (C - 1) * np.sum(dev**2)) / odd.size,
+                               rel=1e-12)
+    # mirrored weights that cancel exactly have no pair-mean spread
+    assert si._mean_se(np.array([1.0, -1.0, 2.0, -2.0])) == (0.0, 0.0)
+    assert si._mean_se(np.array([3.0, 5.0])) == (4.0, 0.0)  # one cluster
 
 
 def test_shared_dt_halving_leg_keeps_the_stability_floor(heston_model):
@@ -273,21 +354,22 @@ def test_one_pass_bit_identical_to_own_runs(ko_model, heston_model, kind, scheme
 
 def test_block_layout_gives_every_worker_an_equal_share():
     # a pass needing at least `workers` blocks takes a multiple of `workers`
-    # of them, sized evenly; every block but the last is even, so no
-    # dt-halving pair straddles two blocks; a smaller pass keeps its layout
+    # of them, sized evenly; every block but the last holds a multiple of 4
+    # paths, so no antithetic pair or dt-halving pair of pairs straddles two
+    # blocks; a smaller pass keeps its layout
     for n_paths in (si._BLOCK + 701, 20_000, 100_000, 2000, 150):
         for legs in (1, 2, 4, 6):
-            block = 2 * max(1, si._BLOCK // (2 * legs))
+            block = 4 * max(1, si._BLOCK // (4 * legs))
             needed = -(-n_paths // block)
             for workers in (1, 2, 3, 4):
                 blocks = si._block_layout(n_paths, block, workers)
                 assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
                 assert blocks[-1][1] == n_paths
-                assert all((hi - lo) % 2 == 0 for lo, hi in blocks[:-1])
+                assert all((hi - lo) % 4 == 0 for lo, hi in blocks[:-1])
                 if needed >= workers:
                     assert len(blocks) % workers == 0 and len(blocks) <= needed
                     sizes = [hi - lo for lo, hi in blocks]
-                    assert max(sizes) - min(sizes) < 2 * len(blocks)
+                    assert max(sizes) - min(sizes) < 4 * len(blocks)
                 else:
                     assert blocks == [(lo, min(lo + block, n_paths))
                                       for lo in range(0, n_paths, block)]
@@ -298,7 +380,8 @@ def test_block_layout_gives_every_worker_an_equal_share():
 
 def test_verify_monte_carlo_draws_each_normal_once(ko_model, monkeypatch):
     # verify's three decomposition runs, their dt-halving legs and the
-    # two-route value read the same words: each normal is computed once
+    # two-route value read the same words: each normal is computed once, one
+    # per antithetic pair and step
     from utilsens import cli
 
     sizes = _counted_draws(monkeypatch)
@@ -306,14 +389,15 @@ def test_verify_monte_carlo_draws_each_normal_once(ko_model, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cli._verify_checks(ko_model, cfg, None)
-    assert sum(sizes) == 1000 * 40
+    assert sum(sizes) == 500 * 40
 
 
 @pytest.mark.parametrize("command", ["value", "simulate", "diagnose"])
 def test_ou_horizon_grid_draws_each_normal_once(tmp_path, monkeypatch, capsys, command):
     # on the complete-market model every horizon of a T_grid (and, for
     # diagnose, both bump legs of each) is stepped in one engine pass on the
-    # same words: each normal is computed once, not once per horizon
+    # same words: each normal is computed once, not once per horizon, one
+    # per antithetic pair and step
     from utilsens import cli
 
     config = tmp_path / "ou.json"
@@ -324,7 +408,7 @@ def test_ou_horizon_grid_draws_each_normal_once(tmp_path, monkeypatch, capsys, c
     sizes = _counted_draws(monkeypatch)
     assert cli.main([command, "--config", str(config)]) == 0
     assert len(json.loads(capsys.readouterr().out)["rows"]) == 3
-    assert sum(sizes) == 1000 * 40
+    assert sum(sizes) == 500 * 40
 
 
 @pytest.mark.parametrize("workers", [1, 2])
