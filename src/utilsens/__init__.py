@@ -26,7 +26,6 @@ from .sensitivities import (
 )
 from .simulation import (
     DecompositionResult,
-    PathEnsemble,
     SimConfig,
     decomposition_check,
     decomposition_checks,

@@ -78,8 +78,8 @@ def parse_run_config(cfg: dict) -> RunConfig:
         missing = [k for k in ("T", "n_steps", "n_paths", "seed") if k not in block]
         if missing:
             raise ConfigError(f"missing key '{missing[0]}' in sim block")
-        scheme = block.get("scheme", model.spec.schemes[0])
-        if scheme not in model.spec.schemes:
+        scheme = block.get("scheme")
+        if scheme is not None and scheme not in model.spec.schemes:
             raise ConfigError(f"sim.scheme must be one of {model.spec.schemes} "
                               f"for {model.kind}")
         try:
@@ -105,8 +105,9 @@ def parse_run_config(cfg: dict) -> RunConfig:
                 )
         if "T_grid" in block:
             sweep_T = _config_numbers(block["T_grid"], "sweep.T_grid")
-            if not all(0.0 <= t < math.inf for t in sweep_T):
-                raise ConfigError("sweep.T_grid horizons must be finite and >= 0")
+            if not sweep_T or not all(0.0 <= t < math.inf for t in sweep_T):
+                raise ConfigError("sweep.T_grid must be a nonempty list of "
+                                  "horizons, finite and >= 0")
     out_path = None
     out_format = "json"
     if "output" in cfg:

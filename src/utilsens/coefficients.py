@@ -64,8 +64,8 @@ def _path_spec(model: Model) -> ModelSpec:
     """``model.spec``; the one refusal of a kind without a closed path."""
     if not model.spec.has_path:
         raise UnsupportedModelError(
-            f"no closed finite-horizon path for {model.kind}; "
-            "use simulation.simulate_phat_value"
+            f"no closed finite-horizon path for {model.kind}; use the CLI's "
+            "value or simulate, or simulation.simulate_phat_value"
         )
     return model.spec
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import valuation
+from . import simulation, valuation
 from .eigenpairs import eigenpair
 from .models import (
     ConfigError,
@@ -64,33 +64,28 @@ class SensitivityReport:
     def flagged_parameters(self) -> list[str]:
         return [e.parameter for e in self.entries if e.flagged]
 
-    def entry(self, parameter: str) -> SensitivityEntry:
-        for e in self.entries:
-            if e.parameter == parameter:
-                return e
-        raise KeyError(parameter)
 
-
-def _step(model: Model, parameter: str, h: float | None = None) -> float:
-    """``h``, or the default step FD_SCALE * max(|theta|, 1) for ``parameter``."""
+def _step(model: Model, parameter: str) -> float:
+    """The step FD_SCALE * max(|theta|, 1) for ``parameter``."""
     theta = getattr(model.params, parameter, None)
     if theta is None:
         raise ConfigError(f"unknown parameter '{parameter}' for {model.kind}")
-    return FD_SCALE * max(abs(theta), 1.0) if h is None else h
+    return FD_SCALE * max(abs(theta), 1.0)
 
 
 def _central(up: Model, dn: Model, h: float) -> float:
     return (eigenpair(up).lam - eigenpair(dn).lam) / (2.0 * h)
 
 
-def lambda_fd(model: Model, parameter: str, h: float | None = None) -> FDEstimate:
-    """Central finite difference of the eigenvalue in ``parameter``.
+def lambda_fd(model: Model, parameter: str) -> FDEstimate:
+    """Central finite difference of the eigenvalue in ``parameter``, at the
+    step FD_SCALE * max(|theta|, 1).
 
     The two legs come from ``models.bumped_models``: both bumped parameter
     sets must be admissible, and if one is not the step shrinks once by 10x
-    before giving up.
+    before giving up; ``FDEstimate.h`` is the step taken.
     """
-    up, dn, h = bumped_models(model, parameter, _step(model, parameter, h))
+    up, dn, h = bumped_models(model, parameter, _step(model, parameter))
     return FDEstimate(value=_central(up, dn, h), h=h)
 
 
@@ -156,7 +151,7 @@ def convergence_diagnostic(model: Model, parameter: str, T_grid,
     """Table of (1/T) d ln v / d theta against the long-horizon limit.
 
     One pair of models from ``models.bumped_models`` at ``lambda_fd``'s
-    default step gives both columns: the limit, exactly
+    step gives both columns: the limit, exactly
     ``-lambda_fd(model, parameter).value``, and the slopes, from the pair's
     closed-form log values or, for the complete-market model, which has no
     closed value, from the Monte Carlo bump route given a sim config, run
@@ -180,8 +175,6 @@ def convergence_diagnostic(model: Model, parameter: str, T_grid,
             raise UnsupportedModelError(
                 f"{model.kind} convergence diagnostics need a sim config"
             )
-        from . import simulation  # local import keeps module deps one-way
-
         slopes = [slope for slope, _ in simulation.mc_bump_sensitivities(
             model, None, T_grid.tolist(), parameter, h, sim_config, workers)]
     rows = []

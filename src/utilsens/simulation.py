@@ -11,6 +11,9 @@ Two discretizations cover all supported runs:
   drift and diffusion at the positive part of the state and so keeps the
   reported path nonnegative (scheme ``full_truncation_euler``).
 
+A ``SimConfig`` without a scheme runs the model's default, the first of
+its ``spec.schemes``.
+
 Noise is counter-based and antithetic.  Paths 2k and 2k + 1 form pair k <
 P = ceil(n_paths / 2); at step j the pair reads the Philox word j * P + k,
 one uniform per word mapped to a normal z by the inverse CDF, and path 2k
@@ -88,7 +91,7 @@ class SimConfig:
     n_steps: int
     n_paths: int
     seed: int
-    scheme: str = "exact_gaussian"
+    scheme: str | None = None  # None: the model's default, spec.schemes[0]
 
     def __post_init__(self) -> None:
         _check_horizons(self.T)
@@ -102,7 +105,7 @@ class SimConfig:
             raise ValueError("n_paths must be >= 100")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.scheme not in SCHEMES:
+        if self.scheme is not None and self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
 
 
@@ -184,23 +187,21 @@ class BlockStream:
         return self._held[2]
 
 
-def normals_for(seed: int, n_paths: int, step: int, lo: int, hi: int,
-                stream: BlockStream | None = None) -> np.ndarray:
-    """Standard normals for paths [lo, hi) at the given step, lo even.
+def normals_for(stream: BlockStream, n_paths: int, step: int, lo: int,
+                hi: int) -> np.ndarray:
+    """Standard normals for paths [lo, hi) at the given step, lo even, read
+    through ``stream``, the block's generator, reused from step to step.
 
     Pair k < P = ceil(n_paths / 2) holds paths 2k and 2k + 1 and reads word
     step * P + k, one uniform per word.  The row is the block's
     np.concatenate((z, -z)): z of its pairs [lo / 2, ceil(hi / 2)) for paths
     lo, lo + 2, ..., then -z for their mirrors lo + 1, lo + 3, ... (a last
-    path without a mirror has no -z).  ``stream`` is the block's own
-    generator for ``seed``, reused from step to step; the normals are the
-    same with or without it, and a repeat of the stream's last row returns
-    the row it holds.
+    path without a mirror has no -z).  The normals depend only on the
+    stream's seed, whatever the stream read before, and a repeat of the
+    stream's last row returns the row it holds.
     """
     if lo % 2:
         raise ValueError("a path block starts at the first path of a pair")
-    if stream is None:
-        stream = BlockStream(seed)
     return stream.normals(step * ((n_paths + 1) // 2) + lo // 2, hi - lo)
 
 
@@ -381,12 +382,13 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     horizon, all legs on the same normals: (main ensembles, dt-halving
     ensembles), one of each per leg, the latter None for a leg without one.
 
-    ``cfg`` gives the paths, steps, seed and scheme; ``cfg.T`` is not read,
-    as each leg's tables come from the leg at n_steps (2 n_steps for its
-    dt-halving leg).  Each step draws one row of normals per path block and
-    moves every leg with it, so a leg's results are those of a run of that
-    leg alone.  A leg at T = 0 is not stepped: its ensemble is every path at
-    its state, with no dt-halving leg.  A block's row is [+z, -z] (see
+    ``cfg`` gives the paths, steps, seed and scheme (by default the first of
+    ``spec.schemes``: every leg of a pass has one kind); ``cfg.T`` is not
+    read, as each leg's tables come from the leg at n_steps (2 n_steps for
+    its dt-halving leg).  Each step draws one row of normals per path block
+    and moves every leg with it, so a leg's results are those of a run of
+    that leg alone.  A leg at T = 0 is not stepped: its ensemble is every
+    path at its state, with no dt-halving leg.  A block's row is [+z, -z] (see
     ``normals_for``), so the legs hold a block's paths as [paths on +z,
     their mirrors]; at the block's end ``_interleave`` writes them in path
     order, a pair side by side.
@@ -407,10 +409,12 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     multiple of ``workers`` of them, evenly sized (``_block_layout``).
     Results never depend on the block layout or the worker count.
     """
+    scheme = cfg.scheme
     for leg in legs:
-        if cfg.scheme not in leg.model.spec.schemes:
+        scheme = scheme or leg.model.spec.schemes[0]
+        if scheme not in leg.model.spec.schemes:
             raise ValueError(
-                f"scheme '{cfg.scheme}' not supported for {leg.model.kind}; "
+                f"scheme '{scheme}' not supported for {leg.model.kind}; "
                 f"allowed: {leg.model.spec.schemes}"
             )
     n, steps = cfg.n_paths, cfg.n_steps
@@ -423,13 +427,13 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     halving = [i for i in moving if legs[i].halving]
     main_tables, fine_tables = [], []
     for i in moving:  # each leg's checks and warnings, main step then fine
-        main_tables.append(_tables(legs[i], steps, cfg.scheme))
+        main_tables.append(_tables(legs[i], steps, scheme))
         if legs[i].halving:
-            fine_tables.append(_tables(legs[i], 2 * steps, cfg.scheme))
-    start, step = _stepper([legs[i] for i in moving], main_tables, steps, cfg.scheme)
+            fine_tables.append(_tables(legs[i], 2 * steps, scheme))
+    start, step = _stepper([legs[i] for i in moving], main_tables, steps, scheme)
     if halving:
         fine_start, fine_step = _stepper([legs[i] for i in halving], fine_tables,
-                                         2 * steps, cfg.scheme)
+                                         2 * steps, scheme)
     del main_tables, fine_tables  # the steppers hold stacked copies
     n2 = 2 * (n // 4)
     x_T, integral = np.empty((len(moving), n)), np.empty((len(moving), n))
@@ -441,12 +445,12 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
         s = start(hi - lo)
         f = fine_start(fine) if halving else None
         for j in range(steps):
-            s = step(j, s, normals_for(cfg.seed, n, j, lo, hi, stream))
+            s = step(j, s, normals_for(stream, n, j, lo, hi))
             if halving:
                 # a repeat read computes nothing, but keeps perfbench's traced
                 # count of a one-horizon check at one normal per path-step per
                 # leg
-                z = normals_for(cfg.seed, n, j, lo, hi, stream)
+                z = normals_for(stream, n, j, lo, hi)
                 if fine != pairs:
                     z = np.concatenate((z[:fine], z[pairs:pairs + fine]))
                 f = fine_step(2 * j, f, z[0::2])

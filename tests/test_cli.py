@@ -232,6 +232,10 @@ def test_riccati_csv(tmp_path):
     # the T = 1 decomposition run passes the floor but warns of visible bias
     pytest.param("verify", {"sim": {**HESTON_CFG["sim"], "n_steps": 10}},
                  marks=pytest.mark.filterwarnings("ignore:n_steps=10")),
+    # an empty grid is refused, not read as an absent one
+    ("value", {"sweep": {"T_grid": []}}),
+    ("simulate", {"sweep": {"T_grid": []}}),
+    ("riccati", {"sweep": {"T_grid": []}}),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, command, patch):
     code, _ = _run([command, "--config", _write(tmp_path, {**HESTON_CFG, **patch})])
@@ -391,6 +395,42 @@ def test_diagnose_refuses_the_state_under_either_name(tmp_path, capsys, paramete
     assert (code, out) == (2, "")
     assert "use initial_factor_sensitivity for the chi derivative" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["value", "simulate", "riccati"])
+def test_empty_T_grid_names_the_key(tmp_path, capsys, command):
+    # without the refusal, value and simulate ran sim.T and riccati its
+    # default 0-50 grid
+    with open(os.path.join(SHIPPED, "kim_omberg.json"), encoding="utf-8") as fh:
+        cfg = {**json.load(fh), "sweep": {"T_grid": []}}
+    code, out = _run([command, "--config", _write(tmp_path, cfg)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: sweep.T_grid ")
+
+
+def test_riccati_refusal_names_the_cli_route(capsys):
+    # the complete-market model has no closed path: the refusal points to the
+    # subcommands that reach its value, and to the library route
+    code, out = _run(["riccati", "--config", os.path.join(SHIPPED, "ou_complete.json")])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: no closed finite-horizon path for ou_complete; ")
+    assert "value or simulate" in err and "simulate_phat_value" in err
+
+
+@pytest.mark.parametrize("config", ["heston", "kim_omberg", "ou_complete"])
+def test_omitted_scheme_runs_the_kinds_first(tmp_path, config):
+    # sim.scheme is optional: a shipped config without it runs the first
+    # scheme its kind lists, byte for byte as the config that names it
+    # (at 2,000 paths, so that the test stays short)
+    with open(os.path.join(SHIPPED, f"{config}.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["sim"] = {**cfg["sim"], "n_paths": 2000}
+    assert cfg["sim"]["scheme"] == SPECS[config].schemes[0]
+    without = {**cfg, "sim": {k: v for k, v in cfg["sim"].items() if k != "scheme"}}
+    named = _run(["simulate", "--config", _write(tmp_path, cfg, "named.json")])
+    assert named[0] == 0
+    assert _run(["simulate", "--config", _write(tmp_path, without)]) == named
 
 
 def test_diagnose_requires_sweep(tmp_path, capsys):
@@ -582,9 +622,10 @@ CROSS_ROUTES = ("f_eval", "f_eval_expanded", "kappa_eval", "kappa_eval_generic")
 
 
 def test_public_functions_are_reached():
-    # every public top-level function of the package is named somewhere other
-    # than its own def and the package __init__: in other library code, in the
-    # benchmark harness, or in CROSS_ROUTES; one that only tests call is dead
+    # every public top-level function of the package, and every public method
+    # of its classes, is named somewhere other than its own def and the
+    # package __init__: in other library code, in the benchmark harness, or
+    # in CROSS_ROUTES; one that only tests call is dead
     import ast
     import pathlib
 
@@ -596,14 +637,18 @@ def test_public_functions_are_reached():
             continue
         in_pkg = path.parent == pkg
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = top.name if isinstance(top, ast.FunctionDef) else None
-            if in_pkg and owner and not owner.startswith("_"):
-                defined[owner] = f"{path.name}:{top.lineno}"
-            for node in ast.walk(top):
-                name = node.name if isinstance(node, ast.alias) else (
-                    getattr(node, "id", None) or getattr(node, "attr", None))
-                if name and not (in_pkg and name == owner):
-                    used.add(name)
+            # a class's methods are owners in their own right
+            units = ([*top.decorator_list, *top.bases, *top.body]
+                     if isinstance(top, ast.ClassDef) else [top])
+            for unit in units:
+                owner = unit.name if isinstance(unit, ast.FunctionDef) else None
+                if in_pkg and owner and not owner.startswith("_"):
+                    defined[owner] = f"{path.name}:{unit.lineno}"
+                for node in ast.walk(unit):
+                    name = node.name if isinstance(node, ast.alias) else (
+                        getattr(node, "id", None) or getattr(node, "attr", None))
+                    if name and not (in_pkg and name == owner):
+                        used.add(name)
     assert set(CROSS_ROUTES) <= set(defined)
     unreached = [f"{where} {name}" for name, where in defined.items()
                  if name not in used]

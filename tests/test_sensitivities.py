@@ -21,27 +21,33 @@ from utilsens.models import ConfigError
 from conftest import HESTON_SET, draw_heston, draw_ko
 
 
+def _rows(report):
+    """The report's entries by parameter."""
+    return {e.parameter: e for e in report.entries}
+
+
 def test_ou_complete_rows_exact(ou_model):
     # p = -3: sqrt(1-p) = 2, so the b limit is -1/2 and mu, varsigma are 0
     rep = long_term_sensitivities(ou_model)
-    assert rep.entry("b").closed_form == -0.5
-    assert rep.entry("mu").closed_form == 0.0
-    assert rep.entry("varsigma").closed_form == 0.0
+    rows = _rows(rep)
+    assert rows["b"].closed_form == -0.5
+    assert rows["mu"].closed_form == 0.0
+    assert rows["varsigma"].closed_form == 0.0
     assert not rep.flagged_parameters()
     ep = eigenpair(ou_model)
     s = ou_model.params.s0
-    assert rep.entry("chi").closed_form == pytest.approx(
+    assert rows["chi"].closed_form == pytest.approx(
         -(1 - ou_model.p) * (ep.a2 * s + ep.a1), rel=1e-14)
-    assert rep.entry("chi").fd_lambda_check is None
+    assert rows["chi"].fd_lambda_check is None
 
 
 def test_heston_m_bar_row(heston_model):
     B = eigenpair(heston_model).a1
     k = heston_model.params.k
-    rep = long_term_sensitivities(heston_model)
-    assert rep.entry("m_bar").closed_form == pytest.approx(
+    m_bar = _rows(long_term_sensitivities(heston_model))["m_bar"]
+    assert m_bar.closed_form == pytest.approx(
         -(1 - heston_model.p) * k * B, rel=1e-14)
-    assert rep.entry("m_bar").closed_form < 0.0  # sign -(1-p) sign(B) with mu != 0
+    assert m_bar.closed_form < 0.0  # sign -(1-p) sign(B) with mu != 0
     # mu = 0 collapses every row to zero
     m0 = validate(HestonParams(**{**HESTON_SET, "mu": 0.0}), Preferences(p=-1.0))
     rep0 = long_term_sensitivities(m0)
@@ -110,12 +116,15 @@ def test_diagnostic_limit_is_the_lambda_fd(ko_model, heston_model):
 
 
 def test_lambda_fd_shrinks_near_admissibility_boundary():
-    # Feller margin smaller than the default bump: the step must shrink
+    # Feller margin smaller than a bump of 2e-9: the step must shrink once
     params = HestonParams(mu=0.1, varsigma=0.3, k=1.0, m_bar=0.045000001,
                           sigma=0.3, rho=0.2, chi=0.05)
     m = validate(params, Preferences(p=-1.0))
-    fd = lambda_fd(m, "m_bar", h=2e-9)
-    assert fd.h == pytest.approx(2e-10)
+    _, _, h = models.bumped_models(m, "m_bar", 2e-9)
+    assert h == pytest.approx(2e-10)
+    # lambda_fd's own step, 1e-6, is too wide even after the shrink
+    with pytest.raises(models.ValidationError):
+        lambda_fd(m, "m_bar")
 
 
 def test_audit_flags_exactly_the_inconsistent_ko_rows():

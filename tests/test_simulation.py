@@ -63,8 +63,9 @@ def _pair_normals(seed, n_paths, n_steps):
 
 def test_normals_chunk_and_worker_independence(ko_model):
     # counter-based stream: same (path, step) value for any blocking
-    full = _path_order(si.normals_for(123, 1000, 7, 0, 1000))
-    parts = np.concatenate([_path_order(si.normals_for(123, 1000, 7, lo, hi))
+    full = _path_order(si.normals_for(si.BlockStream(123), 1000, 7, 0, 1000))
+    parts = np.concatenate([_path_order(si.normals_for(si.BlockStream(123), 1000,
+                                                       7, lo, hi))
                             for lo, hi in ((0, 136), (136, 640), (640, 1000))])
     assert np.array_equal(full, parts)
     cfg = SimConfig(T=1.0, n_steps=50, n_paths=4000, seed=9, scheme="exact_gaussian")
@@ -82,30 +83,32 @@ def test_mirror_path_reads_the_negated_normal(n_paths):
     # at the first path of a pair
     z = _pair_normals(77, n_paths, 3)
     for j in range(3):
-        row = si.normals_for(77, n_paths, j, 0, n_paths)
+        row = si.normals_for(si.BlockStream(77), n_paths, j, 0, n_paths)
         assert np.array_equal(row, np.concatenate((z[j], -z[j][:n_paths // 2])))
         paths = _path_order(row)
         assert np.array_equal(paths[0::2], z[j])
         assert np.array_equal(paths[1::2], -paths[0:n_paths - 1:2])
-        tail = si.normals_for(77, n_paths, j, 400, n_paths)
+        tail = si.normals_for(si.BlockStream(77), n_paths, j, 400, n_paths)
         assert np.array_equal(_path_order(tail), paths[400:])
     with pytest.raises(ValueError, match="pair"):
-        si.normals_for(77, n_paths, 0, 401, n_paths)
+        si.normals_for(si.BlockStream(77), n_paths, 0, 401, n_paths)
 
 
 @pytest.mark.parametrize("seed", [123, 2**63 + 5, 2**64 - 1])
 def test_block_stream_matches_normals_for(seed):
-    # one generator per block, read step after step, gives normals_for's
-    # words: blocks starting at lo > 0, a row of pairs that is no multiple of
-    # 4 (so offsets fall inside Philox's 4-word blocks), several blocks read
-    # in turn, and a gap of 1 to 3 words that is discarded, not advanced
+    # one generator per block, read step after step, gives the words of a
+    # fresh generator: blocks starting at lo > 0, a row of pairs that is no
+    # multiple of 4 (so offsets fall inside Philox's 4-word blocks), several
+    # blocks read in turn, and a gap of 1 to 3 words that is discarded, not
+    # advanced
     n = 1003
     blocks = [(0, 400), (400, 402), (402, 1003)]
     streams = [si.BlockStream(seed) for _ in blocks]
     for step in range(6):
         for (lo, hi), stream in zip(blocks, streams):
-            got = si.normals_for(seed, n, step, lo, hi, stream)
-            assert np.array_equal(got, si.normals_for(seed, n, step, lo, hi))
+            got = si.normals_for(stream, n, step, lo, hi)
+            fresh = si.normals_for(si.BlockStream(seed), n, step, lo, hi)
+            assert np.array_equal(got, fresh)
     stream = si.BlockStream(seed)
     for word in (0, 5, 7, 8, 13, 50, 49):  # the last read is behind: restart
         u = stream.read(word, 3)
@@ -660,6 +663,24 @@ def test_scheme_model_mismatch_rejected(ko_model, heston_model):
         _ens(heston_model, cfg2)
     with pytest.raises(ValueError, match="scheme"):
         simulate_phat_value(heston_model, None, 1.0, cfg2)
+
+
+@pytest.mark.parametrize("name", ["ko_model", "heston_model", "ou_model"])
+def test_default_scheme_is_the_models_first(request, name):
+    # a SimConfig without a scheme runs spec.schemes[0], field for field as
+    # the config that names it; Heston's is full_truncation_euler
+    model = request.getfixturevalue(name)
+    cfg = SimConfig(T=1.0, n_steps=50, n_paths=1000, seed=1)
+    named = replace(cfg, scheme=model.spec.schemes[0])
+    parameter = model.spec.sensitivity_params[0]
+    assert mc_bump_sensitivity(model, None, 1.0, parameter, 1e-3, cfg) == \
+        mc_bump_sensitivity(model, None, 1.0, parameter, 1e-3, named)
+    if model.spec.has_path:
+        assert decomposition_check(model, None, 1.0, cfg) == \
+            decomposition_check(model, None, 1.0, named)
+    else:
+        assert simulate_phat_value(model, None, 1.0, cfg) == \
+            simulate_phat_value(model, None, 1.0, named)
 
 
 def test_stability_floor_error(heston_model):
