@@ -34,10 +34,14 @@ whose one-horizon cases are ``decomposition_check``, ``simulate_phat_value``
 and ``mc_bump_sensitivity``; each route checks its horizons by
 ``SimConfig``'s rule before any work.
 Blocks are sized by leg-paths: a pass of k main legs takes blocks of about
-_BLOCK / k paths, their count rounded down to a multiple of the worker count
-when it is at least that, so every worker steps as many blocks.  Every block
-but the last holds a multiple of 4 paths.  No result depends on the block
-layout or the worker count.
+_BLOCK / k paths.  With two or more workers, a pass of more than one such
+block takes instead the fewest blocks of at most 4 _BLOCK / k paths whose
+count is a multiple of the worker count, so each worker steps one long span
+of paths.  Every block but the last holds a multiple of 4 paths.  Each
+worker steps its blocks in place, in one workspace of its own made before
+the pass: the state, the integral and the integrand of its legs, and its
+stream's row of normals.  No result depends on the block layout or the
+worker count.
 
 The dt-halving leg of a decomposition run has 2 (n_paths // 4) paths at
 2 n_steps steps and draws no normals of its own.  Its pair r takes main
@@ -56,6 +60,7 @@ path, ``coefficients.closed_path``, at time-to-go T - t.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
 import warnings
@@ -80,8 +85,9 @@ from .models import (
 
 SCHEMES = ("exact_gaussian", "euler", "full_truncation_euler")
 _BLOCK = 16384  # leg-paths per block: a pass of k main legs takes blocks of
-# about _BLOCK / k paths, a multiple of 4, resized so that each worker steps
-# as many blocks; the layout depends on workers, no result does
+# about _BLOCK / k paths, a multiple of 4, or with several workers spans of at
+# most 4 _BLOCK / k paths, as many per worker; the layout depends on workers,
+# no result does
 _LOG_HEADROOM = 300.0  # terms compared below exp(300) keep finite squares
 
 
@@ -151,17 +157,21 @@ class BlockStream:
 
     ``normals(word, size)`` is the antithetic row of ``size`` paths whose
     first pair reads ``word``: the normals z of words [word, word + ceil(size
-    / 2)), one uniform each, then -z of the first size // 2 of them.  It
-    holds the last row it computed: asked again for the same row, it returns
-    that read-only row and neither reads nor computes anything.
+    / 2)), one uniform each, then -z of the first size // 2 of them.  The row
+    is filled in place in the stream's buffer, made for rows of ``size``
+    paths and grown when a longer row is asked for, and handed back as a
+    read-only view of it, valid until the next row.  Asked again for the row
+    it holds, the stream returns that view and neither reads nor computes
+    anything.
     """
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int, size: int = 0) -> None:
         self._seed = seed
         self._word = -1  # next word of the generator; -1 before the first read
+        self._buf = np.empty(size)
         self._held = (-1, 0, None)  # (word, size, row) of the last row
 
-    def read(self, word: int, size: int) -> np.ndarray:
+    def read(self, word: int, size: int, out: np.ndarray | None = None) -> np.ndarray:
         if word < self._word or self._word < 0:
             self._bg = Philox(key=self._seed)
             self._gen = Generator(self._bg)
@@ -174,14 +184,19 @@ class BlockStream:
         if gap:
             self._bg.random_raw(gap)
         self._word = word + size
-        return self._gen.random(size)
+        return self._gen.random(size, out=out)
 
     def normals(self, word: int, size: int) -> np.ndarray:
         if self._held[:2] != (word, size):
-            u = self.read(word, (size + 1) // 2)
+            if self._buf.size < size:
+                self._buf = np.empty(size)
+            pairs = (size + 1) // 2
+            z = self.read(word, pairs, out=self._buf[:pairs])
             # u = 0 would map to -inf; nudge the (2^-53-probability) exact zero
-            z = ndtri(np.maximum(u, 2.0**-54))
-            row = np.concatenate((z, -z[:size // 2]))
+            np.maximum(z, 2.0**-54, out=z)
+            ndtri(z, out=z)
+            np.negative(z[:size // 2], out=self._buf[pairs:size])
+            row = self._buf[:size]
             row.flags.writeable = False
             self._held = (word, size, row)
         return self._held[2]
@@ -193,12 +208,13 @@ def normals_for(stream: BlockStream, n_paths: int, step: int, lo: int,
     through ``stream``, the block's generator, reused from step to step.
 
     Pair k < P = ceil(n_paths / 2) holds paths 2k and 2k + 1 and reads word
-    step * P + k, one uniform per word.  The row is the block's
-    np.concatenate((z, -z)): z of its pairs [lo / 2, ceil(hi / 2)) for paths
-    lo, lo + 2, ..., then -z for their mirrors lo + 1, lo + 3, ... (a last
-    path without a mirror has no -z).  The normals depend only on the
-    stream's seed, whatever the stream read before, and a repeat of the
-    stream's last row returns the row it holds.
+    step * P + k, one uniform per word.  The row is the block's [z, -z]: z
+    of its pairs [lo / 2, ceil(hi / 2)) for paths lo, lo + 2, ..., then -z
+    for their mirrors lo + 1, lo + 3, ... (a last path without a mirror has
+    no -z), filled in place in the stream's buffer and valid until the
+    stream's next row.  The normals depend only on the stream's seed,
+    whatever the stream read before, and a repeat of the stream's last row
+    returns the row it holds.
     """
     if lo % 2:
         raise ValueError("a path block starts at the first path of a pair")
@@ -217,15 +233,16 @@ class _Leg(NamedTuple):
 
 
 def _block_layout(n_paths: int, block: int, workers: int) -> list[tuple[int, int]]:
-    """Path blocks [lo, hi) of at most about ``block`` paths, a multiple of 4.
-    A pass that needs at least ``workers`` blocks takes a multiple of
-    ``workers`` of evenly sized ones, so every worker steps as many; every
-    block but the last holds a multiple of 4 paths, so no antithetic pair and
-    no pair of pairs of the dt-halving leg straddles two blocks."""
+    """Evenly sized path blocks [lo, hi): as many as blocks of at most
+    ``block`` paths need, or, with two or more workers and more than one
+    such block, the fewest blocks of at most 4 ``block`` paths whose count is
+    a multiple of ``workers``, so each worker steps one long span of paths.
+    Every block but the last holds a multiple of 4 paths, so no antithetic
+    pair and no pair of pairs of the dt-halving leg straddles two blocks."""
     count = -(-n_paths // block)
-    if count >= workers:
-        count -= count % workers
-        block = 4 * -(-n_paths // (4 * count))
+    if workers > 1 and count > 1:
+        count = workers * -(-n_paths // (4 * block * workers))
+    block = 4 * -(-n_paths // (4 * count))
     return [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
 
 
@@ -237,15 +254,32 @@ def _interleave(out: np.ndarray, row: np.ndarray) -> None:
     out[..., 1::2] = row[..., half:]
 
 
-def _run_blocks(kernel, n_paths: int, block: int, workers: int | None) -> None:
+def _run_blocks(kernel, workspace, n_paths: int, block: int,
+                workers: int | None) -> None:
+    """Step the blocks of ``_block_layout``: ``kernel(ws, lo, hi)`` steps
+    paths [lo, hi) in the workspace ``ws = workspace(size)``, made for blocks
+    of up to ``size`` paths.  Each worker steps one span of consecutive
+    blocks, one after another in one workspace.  The workspaces are made in
+    the calling thread, before any block is stepped, and each worker's share
+    runs in its own copy of the calling thread's context, so numpy's error
+    state (``np.errstate``) holds on every worker as it does on the caller."""
     workers = workers or 1
     blocks = _block_layout(n_paths, block, workers)
-    if workers <= 1 or len(blocks) == 1:
-        for lo, hi in blocks:
-            kernel(lo, hi)
+    per = -(-len(blocks) // workers)
+    shares = [blocks[i:i + per] for i in range(0, len(blocks), per)]
+    spaces = [workspace(blocks[0][1]) for _ in shares]
+
+    def run(share, ws) -> None:
+        for lo, hi in share:
+            kernel(ws, lo, hi)
+
+    if len(shares) == 1:
+        run(shares[0], spaces[0])
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda b: kernel(*b), blocks))
+    contexts = [contextvars.copy_context() for _ in shares]
+    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+        list(pool.map(lambda c, share, ws: c.run(run, share, ws),
+                      contexts, shares, spaces))
 
 
 def _affine_gaussian_tables(c0m, c1m, sigma, dt):
@@ -307,15 +341,20 @@ def _tables(leg: _Leg, steps: int, scheme: str):
 
 
 def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
-    """(start, step) of ``scheme`` for ``legs`` on their ``tables`` (see
-    ``_tables``) over ``steps`` steps of each horizon; the state, the integral,
-    the tables and the step columns dt, sqrt(dt) and dt / 2 carry a leading
-    leg axis, so each leg keeps its own horizon and measure.
+    """(workspace, start, step) of ``scheme`` for ``legs`` on their
+    ``tables`` (see ``_tables``) over ``steps`` steps of each horizon; the
+    state, the integral, the tables and the step columns dt, sqrt(dt) and
+    dt / 2 carry a leading leg axis, so each leg keeps its own horizon and
+    measure.
 
-    ``start(size)`` is the state (x, xr, acc, g) of ``size`` paths per leg at
-    t = 0: the raw scheme state x, the reported path value xr, the exponent
-    integral acc and the integrand g at the last node.  ``step(j, state, z)``
-    moves it over step j on the normals z, updating x and acc in place.  Odd entries
+    ``workspace(size)`` holds the buffers of blocks of up to ``size`` paths
+    per leg: the raw scheme state x, the exponent integral acc, two
+    integrand buffers and, under full truncation, the reported path value
+    xr.  ``start(ws, size)`` sets the state (x, xr, acc, g, h) of ``size``
+    paths per leg at t = 0 in ``ws``: acc = 0 and g the integrand at the
+    first node, h free.  ``step(j, state, z)`` moves it over step j on the
+    normals z in place, h taking the temporaries and then the integrand at
+    the step's end, and returns the state with g and h swapped.  Odd entries
     of the half-step drift arrays are the midpoints used by exact_gaussian;
     the exponent integrand is read at the steps + 1 nodes and accumulated
     by the trapezoid rule.
@@ -332,48 +371,55 @@ def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
     exact = scheme == "exact_gaussian"
     truncate = scheme == "full_truncation_euler"
 
-    def start(size: int):
-        x = np.repeat(chi, size, axis=1)
-        return x, x, np.zeros_like(x), g_start
+    def workspace(size: int) -> np.ndarray:
+        return np.empty((5 if truncate else 4, len(legs) * size))
+
+    def start(ws: np.ndarray, size: int):
+        x, acc, g, h, *xr = (b[:len(legs) * size].reshape(len(legs), size)
+                             for b in ws)
+        x[...] = chi
+        acc[...] = 0.0
+        g[...] = g_start
+        return x, xr[0] if truncate else x, acc, g, h
 
     def step(j: int, state, z: np.ndarray):
         # full truncation keeps x unclamped but evaluates drift, diffusion and
-        # the integrand at the positive part, so the reported path is >= 0.
-        # The updates run in place, in the order of the plain expressions
-        # (x + (t0 - t1 x) dt + t2 sqrt(dt) z, and so on), so every path's
-        # numbers are theirs while fewer block-sized temporaries are live
-        x, _, acc, g_prev = state
+        # the integrand at the positive part (held in xr until x moves), so
+        # the reported path is >= 0.  The updates run in place, in the order
+        # of the plain expressions (x + (t0 - t1 x) dt + t2 sqrt(dt) z, and so
+        # on), so every path's numbers are theirs and no step allocates
+        x, xr, acc, g, h = state
         if exact:
             x *= t0[j]
             x += t1[j]
-            x += t2[j] * z
-            xr = x
+            x += np.multiply(t2[j], z, out=h)
         else:
-            xp = np.maximum(x, 0.0) if truncate else x
-            drift = t1[j] * xp
+            xp = np.maximum(x, 0.0, out=xr) if truncate else x
+            drift = np.multiply(t1[j], xp, out=h)
             np.subtract(t0[j], drift, out=drift)
             drift *= dt
+            x += drift
             if truncate:
                 noise = np.sqrt(xp, out=xp)
                 noise *= t2[j]
                 noise *= sqdt
                 noise *= z
             else:
-                noise = t2[j] * sqdt * z
-            x += drift
+                noise = np.multiply(t2[j] * sqdt, z, out=h)
             x += noise
-            xr = np.maximum(x, 0.0) if truncate else x
+            if truncate:
+                np.maximum(x, 0.0, out=xr)
         k = 2 * (j + 1)
-        g_new = g2[k] * xr
+        g_new = np.multiply(g2[k], xr, out=h)
         g_new += g1[k]
         g_new *= xr
         g_new += g0[k]
-        area = g_prev + g_new
+        area = np.add(g, g_new, out=g)
         area *= half_dt
         acc += area
-        return x, xr, acc, g_new
+        return x, xr, acc, g_new, area
 
-    return start, step
+    return workspace, start, step
 
 
 def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
@@ -402,12 +448,16 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     [+z, -z] of its whole pairs of pairs.
 
     Blocks are sized by leg-paths: a pass of k stepped main legs takes
-    blocks of about _BLOCK / k paths, so a pass holds about as much state as
-    one leg does in a block of _BLOCK.  Every block but the last holds a
-    multiple of 4 paths, an even number of pairs, so no pair of pairs
-    straddles two blocks.  A pass of at least ``workers`` blocks takes a
-    multiple of ``workers`` of them, evenly sized (``_block_layout``).
-    Results never depend on the block layout or the worker count.
+    blocks of about _BLOCK / k paths, or with two or more workers spans of at
+    most 4 _BLOCK / k paths, a multiple of ``workers`` of them
+    (``_block_layout``), so a worker holds about as much state as one leg
+    does in a block of _BLOCK (of 4 _BLOCK with several workers).  Every
+    block but the last holds a multiple of 4 paths, an even number of pairs,
+    so no pair of pairs straddles two blocks.  Each worker steps its blocks
+    in one workspace made before the pass (``_run_blocks``): its stream,
+    whose buffer holds the row of normals, and the buffers of the main and
+    the dt-halving steppers, reset at each block's start.  Results never
+    depend on the block layout or the worker count.
     """
     scheme = cfg.scheme
     for leg in legs:
@@ -430,20 +480,25 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
         main_tables.append(_tables(legs[i], steps, scheme))
         if legs[i].halving:
             fine_tables.append(_tables(legs[i], 2 * steps, scheme))
-    start, step = _stepper([legs[i] for i in moving], main_tables, steps, scheme)
+    workspace, start, step = _stepper([legs[i] for i in moving], main_tables,
+                                      steps, scheme)
     if halving:
-        fine_start, fine_step = _stepper([legs[i] for i in halving], fine_tables,
-                                         2 * steps, scheme)
+        fine_workspace, fine_start, fine_step = _stepper(
+            [legs[i] for i in halving], fine_tables, 2 * steps, scheme)
     del main_tables, fine_tables  # the steppers hold stacked copies
     n2 = 2 * (n // 4)
     x_T, integral = np.empty((len(moving), n)), np.empty((len(moving), n))
     x_T2, integral2 = np.empty((len(halving), n2)), np.empty((len(halving), n2))
 
-    def kernel(lo: int, hi: int) -> None:
-        stream = BlockStream(cfg.seed)
+    def worker_space(size: int):
+        return (BlockStream(cfg.seed, size), workspace(size),
+                fine_workspace(2 * (size // 4)) if halving else None)
+
+    def kernel(ws, lo: int, hi: int) -> None:
+        stream, main_ws, fine_ws = ws
         pairs, fine = (hi - lo + 1) // 2, 2 * ((hi - lo) // 4)
-        s = start(hi - lo)
-        f = fine_start(fine) if halving else None
+        s = start(main_ws, hi - lo)
+        f = fine_start(fine_ws, fine) if halving else None
         for j in range(steps):
             s = step(j, s, normals_for(stream, n, j, lo, hi))
             if halving:
@@ -461,7 +516,8 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
             _interleave(x_T2[:, lo // 2:lo // 2 + fine], f[1])
             _interleave(integral2[:, lo // 2:lo // 2 + fine], f[2])
 
-    _run_blocks(kernel, n, 4 * max(1, _BLOCK // (4 * len(moving))), workers)
+    _run_blocks(kernel, worker_space, n, 4 * max(1, _BLOCK // (4 * len(moving))),
+                workers)
     for k, i in enumerate(moving):
         mains[i] = PathEnsemble(x_T=x_T[k], integral=integral[k])
     for k, i in enumerate(halving):

@@ -518,8 +518,9 @@ def test_simulate_large_state_exits_cleanly(tmp_path):
 
 
 @pytest.mark.parametrize("n_paths", [
-    # odd, at least 3 path blocks at any worker count, the last with an
-    # unpaired path, which the halving leg does not use
+    # odd: 5 path blocks in one workspace at one worker, one block per
+    # worker at 2 to 4, the last with an unpaired path, which the halving
+    # leg does not use
     utilsens.simulation._BLOCK + 701,
     150,  # the halving leg has 74 paths, 37 pairs of pairs
 ])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -117,16 +118,22 @@ def test_block_stream_matches_normals_for(seed):
 
 
 def test_block_stream_hands_back_its_last_row(monkeypatch):
-    # a repeat of the last row returns the held row, read-only, and draws
-    # nothing; any other row is read and computed, one normal per pair
-    stream = si.BlockStream(7)
+    # the row is a read-only view of the stream's buffer, filled in place; a
+    # repeat of the last row returns the held row and draws nothing; any
+    # other row is read and computed, one normal per pair, into the same
+    # buffer (grown for a longer row)
+    stream = si.BlockStream(7, 25)
     z = stream.normals(40, 25)
+    first = z.copy()
     sizes = _counted_draws(monkeypatch)
     assert stream.normals(40, 25) is z and not z.flags.writeable
     assert sizes == []
-    assert np.array_equal(stream.normals(40, 24), np.delete(z, 12))
-    assert np.array_equal(stream.normals(40, 25), z)
-    assert sizes == [12, 13]
+    row = stream.normals(40, 24)
+    assert np.shares_memory(row, z)
+    assert np.array_equal(row, np.delete(first, 12))
+    assert np.array_equal(stream.normals(40, 25), first)
+    assert np.array_equal(stream.normals(40, 31)[:13], first[:13])
+    assert sizes == [12, 13, 16]
 
 
 def _single_leg_reference(model, chi, cfg, measure, paired=False):
@@ -176,6 +183,8 @@ def _single_leg_reference(model, chi, cfg, measure, paired=False):
     ("ko", "exact_gaussian", "k", si._BLOCK + 700, 1),
     ("ko", "exact_gaussian", "k", si._BLOCK + 700, 2),
     ("heston", "full_truncation_euler", "m_bar", si._BLOCK + 700, 2),
+    # each of two workers steps three blocks in one workspace, the last smaller
+    ("heston", "full_truncation_euler", "m_bar", 8 * si._BLOCK + 700, 2),
 ])
 def test_bump_legs_bit_identical_to_single_leg_runs(ko_model, heston_model, ou_model,
                                                     kind, scheme, parameter, n_paths,
@@ -208,12 +217,12 @@ def test_bump_legs_bit_identical_to_single_leg_runs(ko_model, heston_model, ou_m
 
 def _counted_draws(monkeypatch):
     # sizes of the rows of normals computed (a row a block stream hands back
-    # again is not drawn again)
+    # again is not drawn again); the stream maps its uniforms in place
     sizes = []
     draw = si.ndtri
 
-    def counted(u):
-        z = draw(u)
+    def counted(u, out=None):
+        z = draw(u, out=out)
         sizes.append(z.size)
         return z
 
@@ -254,8 +263,9 @@ def test_shared_dt_halving_leg_bit_identical_to_own_runs(ko_model, heston_model,
     # the main leg stepped with the halving leg gives, bit for bit, what it
     # gives simulated on its own; the halving leg gives what the fine scheme
     # gives stepped on the normals of pairs of main pairs; the warnings are
-    # those of the main and the fine step.  n_paths is odd and spans three
-    # path blocks, so the last main path has no partner
+    # those of the main and the fine step.  n_paths is odd, so the last main
+    # path has no partner; one worker steps it as three blocks in one
+    # workspace, the last smaller, and two workers one block each
     model = {"ko": ko_model, "heston": heston_model}[kind]
     n = 2 * si._BLOCK + 701
     cfg = SimConfig(T=2.0, n_steps=10, n_paths=n, seed=2**63 + 17, scheme=scheme)
@@ -356,29 +366,89 @@ def test_one_pass_bit_identical_to_own_runs(ko_model, heston_model, kind, scheme
 
 
 def test_block_layout_gives_every_worker_an_equal_share():
-    # a pass needing at least `workers` blocks takes a multiple of `workers`
-    # of them, sized evenly; every block but the last holds a multiple of 4
+    # one worker, or a pass that fits one block of `block` paths, takes the
+    # fewest blocks of at most `block` paths; with two or more workers a pass
+    # of more takes the fewest blocks of at most 4 * block paths whose count
+    # is a multiple of `workers`, so each worker steps one long span.  Blocks
+    # are sized evenly, and every block but the last holds a multiple of 4
     # paths, so no antithetic pair or dt-halving pair of pairs straddles two
-    # blocks; a smaller pass keeps its layout
-    for n_paths in (si._BLOCK + 701, 20_000, 100_000, 2000, 150):
+    for n_paths in (si._BLOCK + 701, 20_000, 100_000, 250_000, 2000, 150):
         for legs in (1, 2, 4, 6):
             block = 4 * max(1, si._BLOCK // (4 * legs))
             needed = -(-n_paths // block)
             for workers in (1, 2, 3, 4):
                 blocks = si._block_layout(n_paths, block, workers)
+                sizes = [hi - lo for lo, hi in blocks]
                 assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
                 assert blocks[-1][1] == n_paths
-                assert all((hi - lo) % 4 == 0 for lo, hi in blocks[:-1])
-                if needed >= workers:
-                    assert len(blocks) % workers == 0 and len(blocks) <= needed
-                    sizes = [hi - lo for lo, hi in blocks]
-                    assert max(sizes) - min(sizes) < 4 * len(blocks)
+                assert all(size % 4 == 0 for size in sizes[:-1])
+                assert max(sizes) - min(sizes) < 4 * len(blocks)
+                if workers == 1 or needed == 1:
+                    assert len(blocks) == needed and max(sizes) <= block
                 else:
-                    assert blocks == [(lo, min(lo + block, n_paths))
-                                      for lo in range(0, n_paths, block)]
-    # verify's 20,000 paths at 4 main legs
-    assert si._block_layout(20_000, 4096, 2) == [(i, i + 5000)
-                                                 for i in range(0, 20_000, 5000)]
+                    assert len(blocks) % workers == 0 and max(sizes) <= 4 * block
+                    assert (len(blocks) - workers) * 4 * block < n_paths
+    # verify's 20,000 paths at 4 main legs, and a 100,000-path decomposition
+    # run at one main leg
+    assert si._block_layout(20_000, 4096, 2) == [(0, 10_000), (10_000, 20_000)]
+    assert si._block_layout(20_000, 4096, 1) == [(i, i + 4000)
+                                                 for i in range(0, 20_000, 4000)]
+    assert si._block_layout(100_000, si._BLOCK, 2) == [(0, 50_000), (50_000, 100_000)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_workers_keep_the_callers_error_state(ko_model, monkeypatch, workers):
+    # numpy keeps np.errstate in a context variable, which a pool thread does
+    # not inherit; each worker's share runs in a copy of the caller's context,
+    # so an overflow raises at any worker count, as it does under cli.main
+    def kernel(ws, lo, hi):
+        ws[:] = 1e308
+        ws *= 10.0
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        si._run_blocks(kernel, np.empty, 2 * si._BLOCK, si._BLOCK, workers)
+
+    def huge_integrand(model, T, steps, measure):
+        zero = np.zeros(2 * steps + 1)
+        return zero, zero, zero, zero, zero + 1e308
+
+    monkeypatch.setattr(si, "_coefficients", huge_integrand)
+    cfg = SimConfig(T=1.0, n_steps=2, n_paths=2 * si._BLOCK + 701, seed=1,
+                    scheme="euler")
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        si._ensemble([si._Leg(ko_model, 0.0, 1.0, "q")], cfg, workers)
+
+
+def test_pass_memory_does_not_grow_with_n_paths(ko_model, monkeypatch):
+    # each worker steps its blocks in place in one workspace made before the
+    # pass, so beyond its output arrays a 2-worker pass traces at most two
+    # workspaces (blocks of at most 4 _BLOCK leg-paths), whatever n_paths:
+    # one holds 4 main rows (x, acc and two integrand rows), the row of
+    # normals and 4 dt-halving rows of half the paths
+    engine, extra = si._ensemble, {}
+
+    def traced(legs, cfg, workers):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        mains, fines = engine(legs, cfg, workers)
+        out = sum(e.x_T.nbytes + e.integral.nbytes for e in mains + fines)
+        extra[cfg.n_paths] = tracemalloc.get_traced_memory()[1] - base - out
+        return mains, fines
+
+    monkeypatch.setattr(si, "_ensemble", traced)
+    tracemalloc.start()
+    try:
+        for n in (250_000, 1_000_000):
+            cfg = SimConfig(T=1.0, n_steps=2, n_paths=n, seed=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                decomposition_check(ko_model, None, 1.0, cfg, workers=2)
+    finally:
+        tracemalloc.stop()
+    size = max(hi - lo for lo, hi in si._block_layout(1_000_000, si._BLOCK, 2))
+    workspace = 8 * (4 + 1 + 4 / 2) * size
+    assert abs(extra[1_000_000] - extra[250_000]) < 64 * 1024
+    assert extra[1_000_000] < 2 * workspace + 2**20
 
 
 def test_verify_monte_carlo_draws_each_normal_once(ko_model, monkeypatch):
@@ -424,7 +494,8 @@ def test_bump_horizons_bit_identical_to_own_runs(ko_model, heston_model, ou_mode
                                                  kind, parameter, workers):
     # the bump legs of several horizons (T = 0 among them) stepped in one
     # pass give, bit for bit, what each horizon's own call gives; n_paths is
-    # odd and spans several path blocks
+    # odd and spans several path blocks at one worker and one per worker at
+    # two
     model = {"ko": ko_model, "heston": heston_model, "ou": ou_model}[kind]
     cfg = SimConfig(T=1.0, n_steps=20, n_paths=si._BLOCK + 701, seed=2**63 + 29,
                     scheme=model.spec.schemes[0])
