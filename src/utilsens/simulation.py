@@ -9,7 +9,10 @@ Two discretizations cover all supported runs:
   ``exact_gaussian``), or does a plain Euler step (scheme ``euler``);
 * full-truncation Euler for the square-root Heston factor, which evaluates
   drift and diffusion at the positive part of the state and so keeps the
-  reported path nonnegative (scheme ``full_truncation_euler``).
+  reported path nonnegative (scheme ``full_truncation_euler``).  The
+  positive part is kept from the end of one step to the next, and Heston's
+  exponent integrand, linear in the state, is one product per step: 14
+  array passes per leg-step (see ``_stepper``).
 
 A ``SimConfig`` without a scheme runs the model's default, the first of
 its ``spec.schemes``.
@@ -23,6 +26,11 @@ bit-identical for any worker count or path blocking.  Every standard error
 is taken over pair means: a pair is one cluster, an unpaired path another.
 Each path block reads its words through one generator (``BlockStream``) for
 the whole run, moved only when it is not already at the block's next word.
+A block's rows come in runs of steps: a row shorter than _BLOCK is computed
+_BLOCK // size steps at a time, one read per row and then one
+``np.maximum``, one ``ndtri`` and one ``np.negative`` over the run, in the
+stream's one buffer of at most max(size, _BLOCK) doubles; a longer row is a
+run of one step.  How the steps fall into runs changes no normal.
 
 One engine call steps several legs together on one draw per step and block
 (common random numbers), and computes each normal once.  A leg carries its
@@ -40,13 +48,13 @@ count is a multiple of the worker count, so each worker steps one long span
 of paths.  Every block but the last holds a multiple of 4 paths.  Each
 worker steps its blocks in place, in one workspace of its own made before
 the pass: the state, the integral and the integrand of its legs, and its
-stream's row of normals.  No result depends on the block layout or the
-worker count.
+stream's run of rows of normals.  No result depends on the block layout or
+the worker count.
 
 The dt-halving leg of a decomposition run has 2 (n_paths // 4) paths at
 2 n_steps steps and draws no normals of its own.  Its pair r takes main
 pairs 2r and 2r + 1: fine path 2r takes fine steps 2j and 2j + 1 on +z of
-those pairs at step j, and its mirror 2r + 1 on their -z, read from the row
+those pairs at step j, and its mirror 2r + 1 on their -z, read from the rows
 the block's stream already holds.  A fine path's two increments thus come
 from two different pairs, never from a pair and its own mirror, whose sum
 is 0.  It is stepped in the same engine pass, with the main leg's results
@@ -155,21 +163,24 @@ class BlockStream:
     rest of a 4-word Philox block, or advances its counter over whole blocks.
     A read behind the current position starts a fresh generator.
 
-    ``normals(word, size)`` is the antithetic row of ``size`` paths whose
-    first pair reads ``word``: the normals z of words [word, word + ceil(size
-    / 2)), one uniform each, then -z of the first size // 2 of them.  The row
-    is filled in place in the stream's buffer, made for rows of ``size``
-    paths and grown when a longer row is asked for, and handed back as a
-    read-only view of it, valid until the next row.  Asked again for the row
-    it holds, the stream returns that view and neither reads nor computes
-    anything.
+    ``normals(words, size)`` is a run of antithetic rows of ``size`` paths,
+    one per entry of ``words``, the word of the row's first pair: row r holds
+    the normals z of words [words[r], words[r] + ceil(size / 2)), one uniform
+    each, then -z of the first size // 2 of them.  Each row's uniforms come
+    from one read, and one ``np.maximum``, one ``ndtri`` and one
+    ``np.negative`` map the whole run, so a run of short rows costs a few
+    calls, not a few per row.  The rows are filled in place in the stream's
+    buffer, made for ``size`` doubles and grown when a longer run is asked
+    for, and handed back as a read-only (len(words), size) view of it, valid
+    until the next run.  Asked again for the run it holds, the stream
+    returns that view and neither reads nor computes anything.
     """
 
     def __init__(self, seed: int, size: int = 0) -> None:
         self._seed = seed
         self._word = -1  # next word of the generator; -1 before the first read
         self._buf = np.empty(size)
-        self._held = (-1, 0, None)  # (word, size, row) of the last row
+        self._held = (None, 0, None)  # (words, size, rows) of the last run
 
     def read(self, word: int, size: int, out: np.ndarray | None = None) -> np.ndarray:
         if word < self._word or self._word < 0:
@@ -186,39 +197,44 @@ class BlockStream:
         self._word = word + size
         return self._gen.random(size, out=out)
 
-    def normals(self, word: int, size: int) -> np.ndarray:
-        if self._held[:2] != (word, size):
-            if self._buf.size < size:
-                self._buf = np.empty(size)
+    def normals(self, words: range, size: int) -> np.ndarray:
+        if self._held[:2] != (words, size):
+            if self._buf.size < len(words) * size:
+                self._buf = np.empty(len(words) * size)
+            rows = self._buf[:len(words) * size].reshape(len(words), size)
             pairs = (size + 1) // 2
-            z = self.read(word, pairs, out=self._buf[:pairs])
+            z = rows[:, :pairs]
+            for word, row in zip(words, z):
+                self.read(word, pairs, out=row)
             # u = 0 would map to -inf; nudge the (2^-53-probability) exact zero
             np.maximum(z, 2.0**-54, out=z)
             ndtri(z, out=z)
-            np.negative(z[:size // 2], out=self._buf[pairs:size])
-            row = self._buf[:size]
-            row.flags.writeable = False
-            self._held = (word, size, row)
+            np.negative(z[:, :size // 2], out=rows[:, pairs:])
+            rows.flags.writeable = False
+            self._held = (words, size, rows)
         return self._held[2]
 
 
-def normals_for(stream: BlockStream, n_paths: int, step: int, lo: int,
+def normals_for(stream: BlockStream, n_paths: int, steps: range, lo: int,
                 hi: int) -> np.ndarray:
-    """Standard normals for paths [lo, hi) at the given step, lo even, read
-    through ``stream``, the block's generator, reused from step to step.
+    """Standard normals for paths [lo, hi) at each of ``steps``, lo even,
+    read through ``stream``, the block's generator, reused from run to run:
+    one row per step, (len(steps), hi - lo).
 
     Pair k < P = ceil(n_paths / 2) holds paths 2k and 2k + 1 and reads word
-    step * P + k, one uniform per word.  The row is the block's [z, -z]: z
-    of its pairs [lo / 2, ceil(hi / 2)) for paths lo, lo + 2, ..., then -z
+    step * P + k, one uniform per word.  A step's row is the block's [z, -z]:
+    z of its pairs [lo / 2, ceil(hi / 2)) for paths lo, lo + 2, ..., then -z
     for their mirrors lo + 1, lo + 3, ... (a last path without a mirror has
     no -z), filled in place in the stream's buffer and valid until the
-    stream's next row.  The normals depend only on the stream's seed,
-    whatever the stream read before, and a repeat of the stream's last row
-    returns the row it holds.
+    stream's next run.  The normals depend only on the stream's seed,
+    whatever the stream read before or how the steps are split into runs,
+    and a repeat of the stream's last run returns the rows it holds.
     """
     if lo % 2:
         raise ValueError("a path block starts at the first path of a pair")
-    return stream.normals(step * ((n_paths + 1) // 2) + lo // 2, hi - lo)
+    P = (n_paths + 1) // 2
+    return stream.normals(range(steps.start * P + lo // 2, steps.stop * P + lo // 2,
+                                steps.step * P), hi - lo)
 
 
 class _Leg(NamedTuple):
@@ -350,14 +366,22 @@ def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
     ``workspace(size)`` holds the buffers of blocks of up to ``size`` paths
     per leg: the raw scheme state x, the exponent integral acc, two
     integrand buffers and, under full truncation, the reported path value
-    xr.  ``start(ws, size)`` sets the state (x, xr, acc, g, h) of ``size``
-    paths per leg at t = 0 in ``ws``: acc = 0 and g the integrand at the
-    first node, h free.  ``step(j, state, z)`` moves it over step j on the
-    normals z in place, h taking the temporaries and then the integrand at
-    the step's end, and returns the state with g and h swapped.  Odd entries
-    of the half-step drift arrays are the midpoints used by exact_gaussian;
-    the exponent integrand is read at the steps + 1 nodes and accumulated
-    by the trapezoid rule.
+    xr = max(x, 0).  ``start(ws, size)`` sets the state (x, xr, acc, g, h) of
+    ``size`` paths per leg at t = 0 in ``ws``: acc = 0 and g the integrand
+    at the first node, h free.  ``step(j, state, z)`` moves it over step j on
+    the normals z in place, h taking the temporaries and then the integrand
+    at the step's end, and returns the state with g and h swapped.  Odd
+    entries of the half-step drift arrays are the midpoints used by
+    exact_gaussian; the exponent integrand is read at the steps + 1 nodes
+    and accumulated by the trapezoid rule.
+
+    The tables are read once, here.  Where g2 and g0 are zero on every leg
+    (Heston under both measures) the integrand is the one product g1 xr.  At
+    a finite state the full form's 0 xr + g1 is g1, and its + 0 can only
+    turn a -0 into +0, a sign that no sum into the integral keeps (acc
+    starts at +0), so the results are the full form's bit for bit.  A
+    full-truncation step thus takes 14 array passes: 4 for the drift, 5 for
+    the noise, 1 for xr and 4 for the integrand and its trapezoid.
     """
     # (decay, shift, sd) for exact_gaussian and (c0, c1, sigma) at the step's
     # left end for the Euler schemes; t[j] is the (legs, 1) column of step j
@@ -368,6 +392,7 @@ def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
     sqdt = np.sqrt(dt)
     half_dt = 0.5 * dt
     g_start = (g2[0] * chi + g1[0]) * chi + g0[0]
+    linear = not (g2.any() or g0.any())
     exact = scheme == "exact_gaussian"
     truncate = scheme == "full_truncation_euler"
 
@@ -380,11 +405,11 @@ def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
         x[...] = chi
         acc[...] = 0.0
         g[...] = g_start
-        return x, xr[0] if truncate else x, acc, g, h
+        return x, np.maximum(x, 0.0, out=xr[0]) if truncate else x, acc, g, h
 
     def step(j: int, state, z: np.ndarray):
         # full truncation keeps x unclamped but evaluates drift, diffusion and
-        # the integrand at the positive part (held in xr until x moves), so
+        # the integrand at the positive part xr, kept from the step before, so
         # the reported path is >= 0.  The updates run in place, in the order
         # of the plain expressions (x + (t0 - t1 x) dt + t2 sqrt(dt) z, and so
         # on), so every path's numbers are theirs and no step allocates
@@ -394,13 +419,12 @@ def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
             x += t1[j]
             x += np.multiply(t2[j], z, out=h)
         else:
-            xp = np.maximum(x, 0.0, out=xr) if truncate else x
-            drift = np.multiply(t1[j], xp, out=h)
+            drift = np.multiply(t1[j], xr, out=h)
             np.subtract(t0[j], drift, out=drift)
             drift *= dt
             x += drift
             if truncate:
-                noise = np.sqrt(xp, out=xp)
+                noise = np.sqrt(xr, out=h)
                 noise *= t2[j]
                 noise *= sqdt
                 noise *= z
@@ -410,10 +434,11 @@ def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
             if truncate:
                 np.maximum(x, 0.0, out=xr)
         k = 2 * (j + 1)
-        g_new = np.multiply(g2[k], xr, out=h)
-        g_new += g1[k]
-        g_new *= xr
-        g_new += g0[k]
+        g_new = np.multiply(g1[k] if linear else g2[k], xr, out=h)
+        if not linear:
+            g_new += g1[k]
+            g_new *= xr
+            g_new += g0[k]
         area = np.add(g, g_new, out=g)
         area *= half_dt
         acc += area
@@ -433,8 +458,11 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     read, as each leg's tables come from the leg at n_steps (2 n_steps for
     its dt-halving leg).  Each step draws one row of normals per path block
     and moves every leg with it, so a leg's results are those of a run of
-    that leg alone.  A leg at T = 0 is not stepped: its ensemble is every
-    path at its state, with no dt-halving leg.  A block's row is [+z, -z] (see
+    that leg alone.  The rows come in runs of ``_BLOCK // size`` steps for a
+    block of ``size`` < _BLOCK paths, of one step otherwise (see
+    ``BlockStream``), and every leg is moved over a run before the next.  A
+    leg at T = 0 is not stepped: its ensemble is every path at its state,
+    with no dt-halving leg.  A block's row is [+z, -z] (see
     ``normals_for``), so the legs hold a block's paths as [paths on +z,
     their mirrors]; at the block's end ``_interleave`` writes them in path
     order, a pair side by side.
@@ -444,7 +472,7 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     even number of pairs, z[0::2] is [+z, -z] of the block's even pairs and
     z[1::2] of its odd ones, so fine steps 2j and 2j + 1 read those slices
     of step j's row and the fine leg holds its block as [+, -] halves too.
-    A last block with an odd pair or an unpaired path first cuts its row to
+    A last block with an odd pair or an unpaired path first cuts its rows to
     [+z, -z] of its whole pairs of pairs.
 
     Blocks are sized by leg-paths: a pass of k stepped main legs takes
@@ -455,8 +483,8 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     block but the last holds a multiple of 4 paths, an even number of pairs,
     so no pair of pairs straddles two blocks.  Each worker steps its blocks
     in one workspace made before the pass (``_run_blocks``): its stream,
-    whose buffer holds the row of normals, and the buffers of the main and
-    the dt-halving steppers, reset at each block's start.  Results never
+    whose buffer holds the run of rows of normals, and the buffers of the
+    main and the dt-halving steppers, reset at each block's start.  Results never
     depend on the block layout or the worker count.
     """
     scheme = cfg.scheme
@@ -491,25 +519,32 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     x_T2, integral2 = np.empty((len(halving), n2)), np.empty((len(halving), n2))
 
     def worker_space(size: int):
-        return (BlockStream(cfg.seed, size), workspace(size),
+        # the stream's buffer holds one run of rows of the worker's first block
+        stream = BlockStream(cfg.seed, max(1, _BLOCK // size) * size)
+        return (stream, workspace(size),
                 fine_workspace(2 * (size // 4)) if halving else None)
 
     def kernel(ws, lo: int, hi: int) -> None:
         stream, main_ws, fine_ws = ws
         pairs, fine = (hi - lo + 1) // 2, 2 * ((hi - lo) // 4)
+        run = max(1, _BLOCK // (hi - lo))  # steps per run of normals
         s = start(main_ws, hi - lo)
         f = fine_start(fine_ws, fine) if halving else None
-        for j in range(steps):
-            s = step(j, s, normals_for(stream, n, j, lo, hi))
+        for first in range(0, steps, run):
+            js = range(first, min(first + run, steps))
+            for j, z in zip(js, normals_for(stream, n, js, lo, hi)):
+                s = step(j, s, z)
             if halving:
                 # a repeat read computes nothing, but keeps perfbench's traced
                 # count of a one-horizon check at one normal per path-step per
                 # leg
-                z = normals_for(stream, n, j, lo, hi)
+                rows = normals_for(stream, n, js, lo, hi)
                 if fine != pairs:
-                    z = np.concatenate((z[:fine], z[pairs:pairs + fine]))
-                f = fine_step(2 * j, f, z[0::2])
-                f = fine_step(2 * j + 1, f, z[1::2])
+                    rows = np.concatenate((rows[:, :fine], rows[:, pairs:pairs + fine]),
+                                          axis=1)
+                for j, z in zip(js, rows):
+                    f = fine_step(2 * j, f, z[0::2])
+                    f = fine_step(2 * j + 1, f, z[1::2])
         _interleave(x_T[:, lo:hi], s[1])
         _interleave(integral[:, lo:hi], s[2])
         if halving:

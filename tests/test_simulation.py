@@ -1,5 +1,6 @@
 """Monte Carlo engines: determinism, positivity, and identity checks."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -54,6 +55,18 @@ def _path_order(row):
     return out
 
 
+def _bits(value):
+    """``value`` with each float as its bytes, so that -0.0 and 0.0 differ,
+    inside tuples, lists and dataclasses too; other values as they are."""
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    return value
+
+
 def _pair_normals(seed, n_paths, n_steps):
     """The contract's normals, (n_steps, ceil(n_paths / 2)): pair k at step j
     reads Philox word j * P + k, one uniform per word."""
@@ -64,9 +77,10 @@ def _pair_normals(seed, n_paths, n_steps):
 
 def test_normals_chunk_and_worker_independence(ko_model):
     # counter-based stream: same (path, step) value for any blocking
-    full = _path_order(si.normals_for(si.BlockStream(123), 1000, 7, 0, 1000))
+    full = _path_order(si.normals_for(si.BlockStream(123), 1000, range(7, 8), 0,
+                                      1000)[0])
     parts = np.concatenate([_path_order(si.normals_for(si.BlockStream(123), 1000,
-                                                       7, lo, hi))
+                                                       range(7, 8), lo, hi)[0])
                             for lo, hi in ((0, 136), (136, 640), (640, 1000))])
     assert np.array_equal(full, parts)
     cfg = SimConfig(T=1.0, n_steps=50, n_paths=4000, seed=9, scheme="exact_gaussian")
@@ -80,36 +94,40 @@ def test_normals_chunk_and_worker_independence(ko_model):
 def test_mirror_path_reads_the_negated_normal(n_paths):
     # pair k at step j reads word j * P + k; path 2k takes +z and path 2k + 1
     # exactly -z; at odd n_paths the last path has no mirror.  The row of a
-    # block is np.concatenate((z, -z)) of its pairs, and a block must start
-    # at the first path of a pair
+    # block is np.concatenate((z, -z)) of its pairs, one row per step of a
+    # run, and a block must start at the first path of a pair
     z = _pair_normals(77, n_paths, 3)
+    rows = si.normals_for(si.BlockStream(77), n_paths, range(3), 0, n_paths)
+    tails = si.normals_for(si.BlockStream(77), n_paths, range(3), 400, n_paths)
+    assert rows.shape == (3, n_paths) and tails.shape == (3, n_paths - 400)
     for j in range(3):
-        row = si.normals_for(si.BlockStream(77), n_paths, j, 0, n_paths)
-        assert np.array_equal(row, np.concatenate((z[j], -z[j][:n_paths // 2])))
-        paths = _path_order(row)
+        assert np.array_equal(rows[j], np.concatenate((z[j], -z[j][:n_paths // 2])))
+        paths = _path_order(rows[j])
         assert np.array_equal(paths[0::2], z[j])
         assert np.array_equal(paths[1::2], -paths[0:n_paths - 1:2])
-        tail = si.normals_for(si.BlockStream(77), n_paths, j, 400, n_paths)
-        assert np.array_equal(_path_order(tail), paths[400:])
+        assert np.array_equal(_path_order(tails[j]), paths[400:])
     with pytest.raises(ValueError, match="pair"):
-        si.normals_for(si.BlockStream(77), n_paths, 0, 401, n_paths)
+        si.normals_for(si.BlockStream(77), n_paths, range(1), 401, n_paths)
 
 
 @pytest.mark.parametrize("seed", [123, 2**63 + 5, 2**64 - 1])
 def test_block_stream_matches_normals_for(seed):
-    # one generator per block, read step after step, gives the words of a
-    # fresh generator: blocks starting at lo > 0, a row of pairs that is no
-    # multiple of 4 (so offsets fall inside Philox's 4-word blocks), several
-    # blocks read in turn, and a gap of 1 to 3 words that is discarded, not
+    # one generator per block, read run after run of steps, gives the words
+    # of a fresh generator read one step at a time: blocks starting at lo >
+    # 0, a row of pairs that is no multiple of 4 (so offsets fall inside
+    # Philox's 4-word blocks), several blocks read in turn, runs of one and
+    # of several steps, and a gap of 1 to 3 words that is discarded, not
     # advanced
     n = 1003
     blocks = [(0, 400), (400, 402), (402, 1003)]
     streams = [si.BlockStream(seed) for _ in blocks]
-    for step in range(6):
+    for steps in (range(0, 1), range(1, 4), range(4, 6)):
         for (lo, hi), stream in zip(blocks, streams):
-            got = si.normals_for(stream, n, step, lo, hi)
-            fresh = si.normals_for(si.BlockStream(seed), n, step, lo, hi)
-            assert np.array_equal(got, fresh)
+            got = si.normals_for(stream, n, steps, lo, hi)
+            for step, row in zip(steps, got):
+                fresh = si.normals_for(si.BlockStream(seed), n, range(step, step + 1),
+                                       lo, hi)
+                assert np.array_equal(row, fresh[0])
     stream = si.BlockStream(seed)
     for word in (0, 5, 7, 8, 13, 50, 49):  # the last read is behind: restart
         u = stream.read(word, 3)
@@ -118,22 +136,31 @@ def test_block_stream_matches_normals_for(seed):
 
 
 def test_block_stream_hands_back_its_last_row(monkeypatch):
-    # the row is a read-only view of the stream's buffer, filled in place; a
-    # repeat of the last row returns the held row and draws nothing; any
-    # other row is read and computed, one normal per pair, into the same
-    # buffer (grown for a longer row)
-    stream = si.BlockStream(7, 25)
-    z = stream.normals(40, 25)
-    first = z.copy()
+    # a run of rows, one per word, is a read-only view of the stream's
+    # buffer, filled in place: row r is the row whose first pair reads
+    # words[r], and one ndtri maps the whole run, one normal per pair.  A
+    # repeat of the last run returns the held rows and draws nothing; any
+    # other run is read and computed into the same buffer (grown for a
+    # longer run)
+    stream = si.BlockStream(7, 75)
+    words = range(40, 340, 100)
+    rows = stream.normals(words, 25)
+    first = rows.copy()
+    assert rows.shape == (3, 25) and not rows.flags.writeable
+    for word, row in zip(words, first):
+        assert np.array_equal(row, si.BlockStream(7).normals(range(word, word + 1),
+                                                             25)[0])
     sizes = _counted_draws(monkeypatch)
-    assert stream.normals(40, 25) is z and not z.flags.writeable
+    assert stream.normals(words, 25) is rows
     assert sizes == []
-    row = stream.normals(40, 24)
-    assert np.shares_memory(row, z)
-    assert np.array_equal(row, np.delete(first, 12))
-    assert np.array_equal(stream.normals(40, 25), first)
-    assert np.array_equal(stream.normals(40, 31)[:13], first[:13])
-    assert sizes == [12, 13, 16]
+    shorter = stream.normals(words, 24)
+    assert np.shares_memory(shorter, rows)
+    assert np.array_equal(shorter, np.delete(first, 12, axis=1))
+    assert np.array_equal(stream.normals(words, 25), first)
+    assert np.array_equal(stream.normals(words[:2], 25), first[:2])
+    assert np.array_equal(stream.normals(range(40, 440, 100), 31)[:3, :13],
+                          first[:, :13])
+    assert sizes == [3 * 12, 3 * 13, 2 * 13, 4 * 16]
 
 
 def _single_leg_reference(model, chi, cfg, measure, paired=False):
@@ -204,20 +231,21 @@ def test_bump_legs_bit_identical_to_single_leg_runs(ko_model, heston_model, ou_m
     stacked, _ = si._ensemble([si._Leg(m, c, T, "phat") for m, c in legs], cfg, workers)
     refs = [_single_leg_reference(m, c, cfg, "phat") for m, c in legs]
     for ens, (x_T, integral) in zip(stacked, refs):
-        assert np.array_equal(ens.x_T, x_T)
-        assert np.array_equal(ens.integral, integral)
+        assert ens.x_T.tobytes() == x_T.tobytes()
+        assert ens.integral.tobytes() == integral.tobytes()
     l_up, l_dn = refs[0][1], refs[1][1]
     m_up, m_dn = si._log_mean_exp(l_up), si._log_mean_exp(l_dn)
     _, se = si._mean_se(np.exp(l_up - m_up) - np.exp(l_dn - m_dn))
     est_se = mc_bump_sensitivity(model, None, T, parameter, h, cfg, workers)
-    assert est_se == ((m_up - m_dn) / (2.0 * h_used), se / (2.0 * h_used))
-    assert simulate_phat_value(legs[0][0], legs[0][1], T, cfg, workers) == \
-        (*si._mean_se(np.exp(l_up)), m_up)
+    assert _bits(est_se) == _bits(((m_up - m_dn) / (2.0 * h_used), se / (2.0 * h_used)))
+    assert _bits(simulate_phat_value(legs[0][0], legs[0][1], T, cfg, workers)) == \
+        _bits((*si._mean_se(np.exp(l_up)), m_up))
 
 
 def _counted_draws(monkeypatch):
-    # sizes of the rows of normals computed (a row a block stream hands back
-    # again is not drawn again); the stream maps its uniforms in place
+    # sizes of the runs of normals computed, one per ndtri call (a run a
+    # block stream hands back again is not drawn again); the stream maps its
+    # uniforms in place
     sizes = []
     draw = si.ndtri
 
@@ -232,11 +260,25 @@ def _counted_draws(monkeypatch):
 
 def test_bump_legs_share_one_draw(ko_model, monkeypatch):
     # regression guard on shared noise: the engine reads each step's normals
-    # once per path block for both legs of a bump, one per antithetic pair
+    # once per path block for both legs of a bump, one per antithetic pair.
+    # The 2000-path block's rows, shorter than _BLOCK, are computed
+    # _BLOCK // 2000 steps at a time, one ndtri call per run
     sizes = _counted_draws(monkeypatch)
     cfg = SimConfig(T=1.0, n_steps=100, n_paths=2000, seed=3, scheme="exact_gaussian")
     mc_bump_sensitivity(ko_model, None, 1.0, "mu", 1e-3, cfg)
-    assert sizes == [1000] * 100
+    run = si._BLOCK // 2000
+    assert sum(sizes) == 1000 * 100
+    assert len(sizes) == math.ceil(100 / run)
+    assert sizes == [1000 * run] * (100 // run) + [1000 * (100 % run)]
+    # two workers on several blocks of rows longer than _BLOCK, one step per
+    # ndtri call: P normals per step all the same
+    sizes.clear()
+    n = 8 * si._BLOCK + 700
+    mc_bump_sensitivity(ko_model, None, 1.0, "mu", 1e-3, replace(cfg, n_paths=n),
+                        workers=2)
+    blocks = si._block_layout(n, si._BLOCK // 2, 2)
+    assert len(blocks) > 2 and min(hi - lo for lo, hi in blocks) > si._BLOCK
+    assert sum(sizes) == (n + 1) // 2 * 100 and len(sizes) == 100 * len(blocks)
 
 
 @pytest.mark.parametrize("n_paths", [20000, 10000, 20001])
@@ -281,7 +323,8 @@ def test_shared_dt_halving_leg_bit_identical_to_own_runs(ko_model, heston_model,
     x_T, integral = _single_leg_reference(model, chi, cfg, "q", paired=True)
     assert x_T.size == 2 * (n // 4)
     halved, _ = _error_term(si.PathEnsemble(x_T=x_T, integral=integral), ep)
-    assert (r.mc_error_term, r.mc_se, r.halved_dt_error_term) == (mc, se, halved)
+    assert _bits((r.mc_error_term, r.mc_se, r.halved_dt_error_term)) == \
+        _bits((mc, se, halved))
     assert [str(w.message) for w in shared] == [str(w.message) for w in own]
     assert len(own) == (1 if kind == "ko" else 2)  # the coarse step warns
 
@@ -360,7 +403,7 @@ def test_one_pass_bit_identical_to_own_runs(ko_model, heston_model, kind, scheme
         own = [decomposition_check(model, None, T, cfg, workers) for T in horizons]
         own_values = [simulate_phat_value(model, None, T, cfg, workers)
                       for T in value_horizons]
-    assert checks == own and values == own_values
+    assert _bits(checks) == _bits(own) and _bits(values) == _bits(own_values)
     assert checks[1].halved_dt_error_term is None
     assert None not in (checks[0].halved_dt_error_term, checks[2].halved_dt_error_term)
 
