@@ -48,8 +48,14 @@ count is a multiple of the worker count, so each worker steps one long span
 of paths.  Every block but the last holds a multiple of 4 paths.  Each
 worker steps its blocks in place, in one workspace of its own made before
 the pass: the state, the integral and the integrand of its legs, and its
-stream's run of rows of normals.  No result depends on the block layout or
-the worker count.
+stream's run of rows of normals.  The shares run on at most os.cpu_count()
+threads.  No result depends on the block layout or the worker count.
+Each share runs under a ufunc buffer of _UFUNC_BUFFER elements, not numpy's
+default 8,192: numpy copies an op's rows through its buffer when they hold
+at most half of it, which under the default takes in every row of up to
+4,096 paths in a step's (legs, 1) column broadcasts and in a run of normals,
+and makes the op 2-3 times slower.  The copy changes no number, so neither
+does the buffer's size.
 
 The dt-halving leg of a decomposition run has 2 (n_paths // 4) paths at
 2 n_steps steps and draws no normals of its own.  Its pair r takes main
@@ -71,6 +77,8 @@ from __future__ import annotations
 import contextvars
 import math
 import numbers
+import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -96,6 +104,12 @@ _BLOCK = 16384  # leg-paths per block: a pass of k main legs takes blocks of
 # about _BLOCK / k paths, a multiple of 4, or with several workers spans of at
 # most 4 _BLOCK / k paths, as many per worker; the layout depends on workers,
 # no result does
+_UFUNC_BUFFER = 64  # numpy's ufunc buffer, in elements, while a pass steps:
+# numpy copies an op's operands through its buffer when their rows hold at
+# most half of it, which makes a (legs, 1) column broadcast over (legs, size)
+# 2-3x slower with the same result, so the buffer stays under twice the
+# shortest row of a one-block pass, the 50 dt-halving paths of SimConfig's
+# least 100; numpy takes multiples of 16, and 16 to 1,024 run equally fast
 _LOG_HEADROOM = 300.0  # terms compared below exp(300) keep finite squares
 
 
@@ -278,7 +292,19 @@ def _run_blocks(kernel, workspace, n_paths: int, block: int,
     blocks, one after another in one workspace.  The workspaces are made in
     the calling thread, before any block is stepped, and each worker's share
     runs in its own copy of the calling thread's context, so numpy's error
-    state (``np.errstate``) holds on every worker as it does on the caller."""
+    state (``np.errstate``) holds on every worker as it does on the caller.
+
+    A share runs under numpy's ufunc buffer of _UFUNC_BUFFER elements, set
+    inside ``np.errstate()``, the scope numpy ties it to, so the caller's
+    buffer and error state come back when the share ends.  Under numpy's
+    default buffer of 8,192 each row of at most 4,096 paths in a step's
+    column broadcasts and a run's ``np.maximum``, ``ndtri`` and
+    ``np.negative`` would be copied through it; under this one every row of
+    more than 32 paths runs in place.  Buffering only copies operands, the
+    kernel takes no reduction and every table is float64, so no result
+    depends on the buffer.  The shares run on a pool of at most
+    ``os.cpu_count()`` threads, however many ``workers`` asks for.
+    """
     workers = workers or 1
     blocks = _block_layout(n_paths, block, workers)
     per = -(-len(blocks) // workers)
@@ -286,14 +312,16 @@ def _run_blocks(kernel, workspace, n_paths: int, block: int,
     spaces = [workspace(blocks[0][1]) for _ in shares]
 
     def run(share, ws) -> None:
-        for lo, hi in share:
-            kernel(ws, lo, hi)
+        with np.errstate():
+            np.setbufsize(_UFUNC_BUFFER)
+            for lo, hi in share:
+                kernel(ws, lo, hi)
 
     if len(shares) == 1:
         run(shares[0], spaces[0])
         return
     contexts = [contextvars.copy_context() for _ in shares]
-    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(shares), os.cpu_count() or 1)) as pool:
         list(pool.map(lambda c, share, ws: c.run(run, share, ws),
                       contexts, shares, spaces))
 
@@ -328,6 +356,16 @@ def _coefficients(model: Model, T: float, steps: int, measure: str):
     return c0 * one, c1 * one, g2, g1, g0
 
 
+def _outside_stacklevel() -> int:
+    """The ``stacklevel``, for a ``warnings.warn`` in the calling function,
+    of the first frame outside the package, so a warning names the line of
+    the code that called into it."""
+    frame, level = sys._getframe(1), 1
+    while frame and frame.f_globals.get("__name__", "").split(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _tables(leg: _Leg, steps: int, scheme: str):
     """The scheme's per-step tables and the per-node exponent tables
     (t0, t1, t2, g2, g1, g0) of ``leg`` over ``steps`` steps of its horizon,
@@ -347,7 +385,7 @@ def _tables(leg: _Leg, steps: int, scheme: str):
         warnings.warn(
             f"n_steps={steps} is below 10 * T * max mean-reversion rate "
             f"(~{10.0 * leg.T * max_rate:.0f}); discretization bias may be visible",
-            stacklevel=3,
+            stacklevel=_outside_stacklevel(),
         )
     if scheme == "exact_gaussian":
         per_step = _affine_gaussian_tables(c0[1::2], c1[1::2], sigma, leg.T / steps)
@@ -384,8 +422,9 @@ def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
     the noise, 1 for xr and 4 for the integrand and its trapezoid.
     """
     # (decay, shift, sd) for exact_gaussian and (c0, c1, sigma) at the step's
-    # left end for the Euler schemes; t[j] is the (legs, 1) column of step j
-    t0, t1, t2, g2, g1, g0 = (np.stack(col, axis=1)[:, :, None]
+    # left end for the Euler schemes; t[j] is the (legs, 1) column of step j,
+    # float64 even for an integer parameter, so no step casts an operand
+    t0, t1, t2, g2, g1, g0 = (np.stack(col, axis=1, dtype=float)[:, :, None]
                               for col in zip(*tables))
     chi = np.array([[leg.chi] for leg in legs])
     dt = np.array([[leg.T / steps] for leg in legs])

@@ -462,6 +462,94 @@ def test_workers_keep_the_callers_error_state(ko_model, monkeypatch, workers):
         si._ensemble([si._Leg(ko_model, 0.0, 1.0, "q")], cfg, workers)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shares_run_under_the_engine_ufunc_buffer(workers):
+    # numpy copies a row of at most half its ufunc buffer through it, so each
+    # share runs under the engine's small buffer, set in np.errstate()'s
+    # scope: the caller's buffer and error state come back after the pass,
+    # and after a pass whose kernel raises
+    seen = []
+
+    def kernel(ws, lo, hi):
+        seen.append(np.getbufsize())
+
+    def failing(ws, lo, hi):
+        kernel(ws, lo, hi)
+        raise ZeroDivisionError
+
+    with np.errstate(over="raise", under="warn"):
+        np.setbufsize(1 << 14)
+        state = np.geterr()
+        si._run_blocks(kernel, np.empty, 2 * si._BLOCK, si._BLOCK, workers)
+        assert np.getbufsize() == 1 << 14 and np.geterr() == state
+        with pytest.raises(ZeroDivisionError):
+            si._run_blocks(failing, np.empty, 2 * si._BLOCK, si._BLOCK, workers)
+        assert np.getbufsize() == 1 << 14 and np.geterr() == state
+    # two blocks, then the first block of a share, which raises (the pool
+    # may cancel the other share before it starts)
+    assert len(seen) >= 3 and set(seen) == {si._UFUNC_BUFFER}
+
+
+@pytest.mark.parametrize("kind", ["ko", "heston"])
+def test_outputs_do_not_depend_on_numpys_ufunc_buffer(ko_model, heston_model,
+                                                      monkeypatch, kind):
+    # buffering only copies operands: with the caller's and the engine's
+    # buffer at numpy's default, at 65,536 and at 16 elements, a bump pass of
+    # 2 legs x 2,000 paths in one block and a 1-worker pass of 4 legs with
+    # dt-halving in 5 blocks of 4,000 paths give the same bytes
+    model = {"ko": ko_model, "heston": heston_model}[kind]
+    assert si._block_layout(20_000, 4 * (si._BLOCK // 16), 1) == \
+        [(i, i + 4000) for i in range(0, 20_000, 4000)]
+    runs = []
+    for size in (8192, 1 << 16, 16):
+        monkeypatch.setattr(si, "_UFUNC_BUFFER", size)
+        with np.errstate(), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            np.setbufsize(size)
+            bump = si.mc_bump_sensitivities(
+                model, None, [1.0], "m_bar", 1e-3,
+                SimConfig(T=1.0, n_steps=20, n_paths=2000, seed=3))
+            checks, values = si.decomposition_checks(
+                model, None, (1.0, 5.0, 10.0),
+                SimConfig(T=1.0, n_steps=40, n_paths=20_000, seed=3), 1,
+                value_horizons=[2.0])
+        runs.append(_bits([bump, checks, values]))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_pool_threads_capped_at_the_cpu_count(ko_model, monkeypatch):
+    # the layout depends on the worker count alone: verify's 20,000 paths at
+    # 4 main legs and 1,000 workers are 1,000 blocks of 20.  The shares run
+    # on at most os.cpu_count() threads, here on a stand-in pool that runs
+    # them inline, with the bits of a 1-worker run
+    assert si._block_layout(20_000, 4096, 1000) == [(i, i + 20)
+                                                    for i in range(0, 20_000, 20)]
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    cfg = SimConfig(T=1.0, n_steps=10, n_paths=si._BLOCK + 700, seed=7)
+    one = _ens(ko_model, cfg, 1)
+    monkeypatch.setattr(si, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(si.os, "cpu_count", lambda: 3)
+    assert len(si._block_layout(cfg.n_paths, si._BLOCK, 100)) == 100
+    many = _ens(ko_model, cfg, 100)
+    assert pools == [3]
+    assert many.x_T.tobytes() == one.x_T.tobytes()
+    assert many.integral.tobytes() == one.integral.tobytes()
+
+
 def test_pass_memory_does_not_grow_with_n_paths(ko_model, monkeypatch):
     # each worker steps its blocks in place in one workspace made before the
     # pass, so beyond its output arrays a 2-worker pass traces at most two
@@ -809,6 +897,20 @@ def test_soft_step_warning(ko_model):
                     scheme="exact_gaussian")
     with pytest.warns(UserWarning, match="mean-reversion"):
         _ens(ko_model, cfg)
+    # on every route the warning names the first frame outside the package
+    routes = [
+        lambda: decomposition_check(ko_model, None, 10.0, cfg),
+        lambda: si.decomposition_checks(ko_model, None, [10.0], cfg),
+        lambda: simulate_phat_value(ko_model, None, 10.0, cfg),
+        lambda: mc_bump_sensitivity(ko_model, None, 10.0, "mu", 1e-3, cfg),
+        lambda: si.mc_bump_sensitivities(ko_model, None, [10.0], "mu", 1e-3, cfg),
+    ]
+    for route in routes:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            route()
+        steps = [w for w in caught if "mean-reversion" in str(w.message)]
+        assert steps and all(w.filename == __file__ for w in steps)
 
 
 def test_sim_config_validation():
