@@ -439,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", default=None, type=int,
                        help="override the sim seed")
         p.add_argument("--workers", default=None, type=int,
-                       help="path-simulation workers: shares of the paths, run "
-                            "on at most os.cpu_count() threads; no output "
-                            "depends on it")
+                       help="path-simulation workers: shares of the paths, "
+                            "at most one per CPU; no output depends on it")
     return parser
 
 

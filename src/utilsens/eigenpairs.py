@@ -61,6 +61,7 @@ def ergodic_residual(model: Model, ep: Eigenpair, x: float) -> float:
     itself; the normalisation makes the tolerance parameter-set independent.
     """
     x = float(x)
+    model.spec.scales(x)  # refuses a non-finite x before phi's ratios read it
     r1, r2 = phi_ratios(ep, x)
     l_val, h_val, diff2 = model.spec.hjb_terms(model, x, r1)
     num = 0.5 * diff2 * r2 + h_val * r1 + l_val + ep.lam

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Callable
@@ -214,7 +215,10 @@ class ModelSpec:
 
     def scales(self, x):
         """(u, w) with diffusion sigma*u(x) and variance sigma^2*w(x): (1, 1),
-        or (sqrt(x), x) under sqrt(x) diffusion, where x must be >= 0."""
+        or (sqrt(x), x) under sqrt(x) diffusion, where x must be >= 0; a
+        non-finite x is refused."""
+        if not np.all(np.isfinite(x)):
+            raise DomainError(f"{self.kind} needs a finite x, got {x}")
         if not self.sqrt_x:
             return 1.0, 1.0
         if np.any(np.asarray(x) < 0):
@@ -701,15 +705,27 @@ def validate(params: Params, prefs: Preferences) -> Model:
 def initial_state(model: Model, chi: float | None = None) -> float:
     """Initial factor value (initial asset price for the complete-market model).
 
-    An explicit ``chi`` overrides the parameter set's value and must lie in
-    the model's domain (chi > 0 for heston).
+    An explicit ``chi`` overrides the parameter set's value and must be
+    finite and lie in the model's domain (chi > 0 for heston).
     """
     spec = model.spec
     if chi is None:
         return getattr(model.params, spec.state_field)
+    if not math.isfinite(chi):
+        raise DomainError(f"{model.kind} needs a finite {spec.state_field}, got {chi}")
     if spec.state_field in spec.positive and not chi > 0:
         raise DomainError(f"{model.kind} requires {spec.state_field} > 0")
     return chi
+
+
+def _check_horizons(*horizons) -> None:
+    """The one rule for a horizon or a time, applied to each of ``horizons``:
+    a real number, not a bool or an array, finite and >= 0."""
+    for T in horizons:
+        if isinstance(T, bool) or not isinstance(T, numbers.Real):
+            raise ValueError("T must be a real number")
+        if not (math.isfinite(T) and T >= 0):
+            raise ValueError("T must be finite and >= 0")
 
 
 def bump_params(params: Params, name: str, h: float) -> Params:

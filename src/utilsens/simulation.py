@@ -39,17 +39,14 @@ the step count alone, so its step dt = T / n_steps is its own.  Several
 horizons are always one pass: the decomposition and value runs of
 ``decomposition_checks`` and the bump legs of ``mc_bump_sensitivities``,
 whose one-horizon cases are ``decomposition_check``, ``simulate_phat_value``
-and ``mc_bump_sensitivity``; each route checks its horizons by
-``SimConfig``'s rule before any work.
-Blocks are sized by leg-paths: a pass of k main legs takes blocks of about
-_BLOCK / k paths.  With two or more workers, a pass of more than one such
-block takes instead the fewest blocks of at most 4 _BLOCK / k paths whose
-count is a multiple of the worker count, so each worker steps one long span
-of paths.  Every block but the last holds a multiple of 4 paths.  Each
-worker steps its blocks in place, in one workspace of its own made before
-the pass: the state, the integral and the integrand of its legs, and its
-stream's run of rows of normals.  The shares run on at most os.cpu_count()
-threads.  No result depends on the block layout or the worker count.
+and ``mc_bump_sensitivity``; each route checks its horizons by the one
+horizon rule (``models._check_horizons``) before any work.
+A pass runs on min(workers, os.cpu_count()) threads, and its paths are
+laid out in blocks by leg-paths and by that thread count (``_block_layout``).
+Each thread steps one span of blocks in place, in one workspace of its own
+made before the pass: the state, the integral and the integrand of its legs,
+and its stream's run of rows of normals.  No result depends on the block
+layout or the thread count.
 Each share runs under a ufunc buffer of _UFUNC_BUFFER elements, not numpy's
 default 8,192: numpy copies an op's rows through its buffer when they hold
 at most half of it, which under the default takes in every row of up to
@@ -94,16 +91,15 @@ from .eigenpairs import Eigenpair, eigenpair, phi_log
 from .models import (
     ConfigError,
     Model,
+    _check_horizons,
     bumped_models,
     initial_state,
     validate,
 )
 
 SCHEMES = ("exact_gaussian", "euler", "full_truncation_euler")
-_BLOCK = 16384  # leg-paths per block: a pass of k main legs takes blocks of
-# about _BLOCK / k paths, a multiple of 4, or with several workers spans of at
-# most 4 _BLOCK / k paths, as many per worker; the layout depends on workers,
-# no result does
+_BLOCK = 16384  # leg-paths per block of a pass of k main legs, which lays out
+# its paths by _BLOCK / k (see _block_layout); no result depends on it
 _UFUNC_BUFFER = 64  # numpy's ufunc buffer, in elements, while a pass steps:
 # numpy copies an op's operands through its buffer when their rows hold at
 # most half of it, which makes a (legs, 1) column broadcast over (legs, size)
@@ -135,15 +131,6 @@ class SimConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.scheme is not None and self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-
-
-def _check_horizons(*horizons) -> None:
-    """``SimConfig``'s rule for a horizon, applied to each of ``horizons``."""
-    for T in horizons:
-        if isinstance(T, bool) or not isinstance(T, numbers.Real):
-            raise ValueError("T must be a real number")
-        if not (math.isfinite(T) and T >= 0):
-            raise ValueError("T must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -262,16 +249,16 @@ class _Leg(NamedTuple):
     halving: bool = False
 
 
-def _block_layout(n_paths: int, block: int, workers: int) -> list[tuple[int, int]]:
-    """Evenly sized path blocks [lo, hi): as many as blocks of at most
-    ``block`` paths need, or, with two or more workers and more than one
-    such block, the fewest blocks of at most 4 ``block`` paths whose count is
-    a multiple of ``workers``, so each worker steps one long span of paths.
-    Every block but the last holds a multiple of 4 paths, so no antithetic
-    pair and no pair of pairs of the dt-halving leg straddles two blocks."""
-    count = -(-n_paths // block)
-    if workers > 1 and count > 1:
-        count = workers * -(-n_paths // (4 * block * workers))
+def _block_layout(n_paths: int, block: int, threads: int) -> list[tuple[int, int]]:
+    """Evenly sized path blocks [lo, hi) for a pass on ``threads`` threads: a
+    pass of at most ``block`` paths is one block, a larger one the fewest
+    blocks of at most 4 ``block`` paths whose count is a multiple of
+    ``threads``, so each thread steps one long span of paths.  Every block but
+    the last holds a multiple of 4 paths, so no antithetic pair and no pair of
+    pairs of the dt-halving leg straddles two blocks."""
+    count = 1
+    if n_paths > block:
+        count = threads * -(-n_paths // (4 * block * threads))
     block = 4 * -(-n_paths // (4 * count))
     return [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
 
@@ -286,13 +273,14 @@ def _interleave(out: np.ndarray, row: np.ndarray) -> None:
 
 def _run_blocks(kernel, workspace, n_paths: int, block: int,
                 workers: int | None) -> None:
-    """Step the blocks of ``_block_layout``: ``kernel(ws, lo, hi)`` steps
-    paths [lo, hi) in the workspace ``ws = workspace(size)``, made for blocks
-    of up to ``size`` paths.  Each worker steps one span of consecutive
-    blocks, one after another in one workspace.  The workspaces are made in
-    the calling thread, before any block is stepped, and each worker's share
-    runs in its own copy of the calling thread's context, so numpy's error
-    state (``np.errstate``) holds on every worker as it does on the caller.
+    """Step the blocks of ``_block_layout`` on min(workers, os.cpu_count())
+    threads: ``kernel(ws, lo, hi)`` steps paths [lo, hi) in the workspace
+    ``ws = workspace(size)``, made for blocks of up to ``size`` paths.  Each
+    thread steps one share, a span of consecutive blocks, one after another
+    in one workspace.  The workspaces are made in the calling thread, before
+    any block is stepped, and each share runs in its own copy of the calling
+    thread's context, so numpy's error state (``np.errstate``) holds on every
+    thread as it does on the caller.
 
     A share runs under numpy's ufunc buffer of _UFUNC_BUFFER elements, set
     inside ``np.errstate()``, the scope numpy ties it to, so the caller's
@@ -302,12 +290,11 @@ def _run_blocks(kernel, workspace, n_paths: int, block: int,
     ``np.negative`` would be copied through it; under this one every row of
     more than 32 paths runs in place.  Buffering only copies operands, the
     kernel takes no reduction and every table is float64, so no result
-    depends on the buffer.  The shares run on a pool of at most
-    ``os.cpu_count()`` threads, however many ``workers`` asks for.
+    depends on the buffer.
     """
-    workers = workers or 1
-    blocks = _block_layout(n_paths, block, workers)
-    per = -(-len(blocks) // workers)
+    threads = min(workers or 1, os.cpu_count() or 1)
+    blocks = _block_layout(n_paths, block, threads)
+    per = -(-len(blocks) // threads)
     shares = [blocks[i:i + per] for i in range(0, len(blocks), per)]
     spaces = [workspace(blocks[0][1]) for _ in shares]
 
@@ -321,7 +308,7 @@ def _run_blocks(kernel, workspace, n_paths: int, block: int,
         run(shares[0], spaces[0])
         return
     contexts = [contextvars.copy_context() for _ in shares]
-    with ThreadPoolExecutor(max_workers=min(len(shares), os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
         list(pool.map(lambda c, share, ws: c.run(run, share, ws),
                       contexts, shares, spaces))
 
@@ -514,17 +501,14 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     A last block with an odd pair or an unpaired path first cuts its rows to
     [+z, -z] of its whole pairs of pairs.
 
-    Blocks are sized by leg-paths: a pass of k stepped main legs takes
-    blocks of about _BLOCK / k paths, or with two or more workers spans of at
-    most 4 _BLOCK / k paths, a multiple of ``workers`` of them
-    (``_block_layout``), so a worker holds about as much state as one leg
-    does in a block of _BLOCK (of 4 _BLOCK with several workers).  Every
-    block but the last holds a multiple of 4 paths, an even number of pairs,
-    so no pair of pairs straddles two blocks.  Each worker steps its blocks
-    in one workspace made before the pass (``_run_blocks``): its stream,
-    whose buffer holds the run of rows of normals, and the buffers of the
-    main and the dt-halving steppers, reset at each block's start.  Results never
-    depend on the block layout or the worker count.
+    A pass of k stepped main legs lays out its paths by _BLOCK / k
+    (``_block_layout``), so a thread holds at most about as much state as
+    one leg does in a block of 4 _BLOCK paths, and no pair of pairs
+    straddles two blocks.  Each thread steps its blocks in one workspace
+    made before the pass (``_run_blocks``): its stream, whose buffer holds
+    the run of rows of normals, and the buffers of the main and the
+    dt-halving steppers, reset at each block's start.  Results never depend
+    on the block layout or the thread count.
     """
     scheme = cfg.scheme
     for leg in legs:
@@ -558,7 +542,7 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     x_T2, integral2 = np.empty((len(halving), n2)), np.empty((len(halving), n2))
 
     def worker_space(size: int):
-        # the stream's buffer holds one run of rows of the worker's first block
+        # the stream's buffer holds one run of rows of the thread's first block
         stream = BlockStream(cfg.seed, max(1, _BLOCK // size) * size)
         return (stream, workspace(size),
                 fine_workspace(2 * (size // 4)) if halving else None)

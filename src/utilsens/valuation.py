@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import coefficients as coeff
 from .eigenpairs import eigenpair, phi_ratios
-from .models import Model, initial_state
+from .models import Model, _check_horizons, initial_state
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,10 @@ class ValueResult:
 
 def _log_value_coefficients(model: Model, t: float) -> tuple[float, float, float]:
     """(a2, a1, a0) of ln v(x) = a0 - a2 x^2/2 - a1 x at time-to-go t; refuses
-    a kind without a closed path, then a negative or non-finite t."""
+    a kind without a closed path, then a t that breaks the horizon rule
+    (``models._check_horizons``)."""
     coeff._path_spec(model)
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"horizon T must be finite and >= 0, got {t}")
+    _check_horizons(t)
     return model.spec.log_value_coefficients(**coeff.closed_path(model, t))
 
 
@@ -70,9 +70,9 @@ def dual_value(model: Model, chi: float | None = None, T: float = 0.0) -> ValueR
 
 
 def _check_time_pair(t: float, T: float) -> None:
-    if not 0.0 <= t <= T < math.inf:
-        raise ValueError(
-            f"need 0 <= t <= T, horizon T must be finite, got t={t}, T={T}")
+    _check_horizons(t, T)
+    if not t <= T:
+        raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
 
 
 def control_hat_xi(model: Model, x: float, t: float, T: float) -> float:
@@ -86,8 +86,8 @@ def control_hat_xi(model: Model, x: float, t: float, T: float) -> float:
 def control_star_xi(model: Model, x: float) -> float:
     """Ergodic optimal control xi*(x) = -sigma2(x) phi'(x) / ((1-q) phi(x))."""
     coeff._path_spec(model)
-    r1, _ = phi_ratios(eigenpair(model), x)
     u, _ = model.spec.scales(x)
+    r1, _ = phi_ratios(eigenpair(model), x)
     return -model.constants.sigma2 * u * r1 / (1.0 - model.q)
 
 
@@ -124,9 +124,9 @@ def kappa_eval_generic(model: Model, x: float, t: float, T: float) -> float:
     + (phi'/phi)(sigma1^2 + sigma2^2).  Cross-route check of ``kappa_eval``."""
     _check_time_pair(t, T)
     q, pa, c = model.q, model.params, model.constants
+    u, w = model.spec.scales(x)
     r1, _ = phi_ratios(eigenpair(model), x)
     theta = model.spec.theta(model, x)
     xi_hat = control_hat_xi(model, x, t, T)
-    u, w = model.spec.scales(x)
     return (pa.k * (pa.m_bar - x) - q * theta * (c.sigma1 * u)
             - q * xi_hat * (c.sigma2 * u) + r1 * (pa.sigma**2 * w))

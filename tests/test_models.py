@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import utilsens as u
 from utilsens import (
     HestonParams,
     KimOmbergParams,
@@ -13,6 +14,7 @@ from utilsens import (
     ValidationError,
     validate,
 )
+from utilsens import valuation as va
 from utilsens.models import SPECS, ConfigError, bump_params, parse_model_block
 from utilsens.simulation import SimConfig
 
@@ -154,6 +156,37 @@ def test_market_price_of_risk_heston_domain(heston_model):
 
     with pytest.raises(DomainError):
         heston_model.spec.theta(heston_model, -0.01)
+
+
+_CFG = SimConfig(T=1.0, n_steps=20, n_paths=100, seed=1)
+_STATE_ROUTES = {
+    "dual_value": lambda m, x: u.dual_value(m, x, 1.0),
+    "initial_factor_sensitivity": lambda m, x: u.initial_factor_sensitivity(m, x, 1.0),
+    "decomposition_check": lambda m, x: u.decomposition_check(m, x, 1.0, _CFG),
+    "simulate_phat_value": lambda m, x: u.simulate_phat_value(m, x, 1.0, _CFG),
+    "mc_bump_sensitivity": lambda m, x: u.mc_bump_sensitivity(m, x, 1.0, "mu", 1e-3,
+                                                              _CFG),
+    "kappa_eval": lambda m, x: u.kappa_eval(m, x, 0.0, 1.0),
+    "control_hat_xi": lambda m, x: u.control_hat_xi(m, x, 0.0, 1.0),
+    "f_eval": lambda m, x: u.f_eval(m, x, 0.0, 1.0),
+    "f_eval_expanded": lambda m, x: va.f_eval_expanded(m, x, 0.0, 1.0),
+    "kappa_eval_generic": lambda m, x: va.kappa_eval_generic(m, x, 0.0, 1.0),
+    "theta": lambda m, x: m.spec.theta(m, x),
+    "ergodic_residual": lambda m, x: u.ergodic_residual(m, u.eigenpair(m), x),
+}
+_OU_ROUTES = ("simulate_phat_value", "mc_bump_sensitivity", "ergodic_residual")
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("route", sorted(_STATE_ROUTES))
+def test_non_finite_state_refused(ko_model, heston_model, ou_model, route, x):
+    # an explicit initial state goes through models.initial_state, a
+    # pointwise state through ModelSpec.scales: both refuse a non-finite one
+    # with a DomainError rather than return NaN or inf
+    models = (ko_model, heston_model) + ((ou_model,) if route in _OU_ROUTES else ())
+    for m in models:
+        with pytest.raises(u.DomainError, match="finite"):
+            _STATE_ROUTES[route](m, x)
 
 
 def test_accepted_params_pass_downstream_preconditions():

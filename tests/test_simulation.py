@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -207,10 +208,13 @@ def _single_leg_reference(model, chi, cfg, measure, paired=False):
     ("ko", "exact_gaussian", "rho", 500, 1),
     ("ko", "euler", "chi", 500, 1),
     ("heston", "full_truncation_euler", "sigma", 500, 1),
+    # one thread steps one block, longer than _BLOCK / 2
     ("ko", "exact_gaussian", "k", si._BLOCK + 700, 1),
+    # one thread steps three blocks in one workspace, the last smaller
+    ("ko", "exact_gaussian", "k", 4 * si._BLOCK + 700, 1),
     ("ko", "exact_gaussian", "k", si._BLOCK + 700, 2),
     ("heston", "full_truncation_euler", "m_bar", si._BLOCK + 700, 2),
-    # each of two workers steps three blocks in one workspace, the last smaller
+    # each of two threads steps three blocks in one workspace, the last smaller
     ("heston", "full_truncation_euler", "m_bar", 8 * si._BLOCK + 700, 2),
 ])
 def test_bump_legs_bit_identical_to_single_leg_runs(ko_model, heston_model, ou_model,
@@ -276,7 +280,7 @@ def test_bump_legs_share_one_draw(ko_model, monkeypatch):
     n = 8 * si._BLOCK + 700
     mc_bump_sensitivity(ko_model, None, 1.0, "mu", 1e-3, replace(cfg, n_paths=n),
                         workers=2)
-    blocks = si._block_layout(n, si._BLOCK // 2, 2)
+    blocks = si._block_layout(n, si._BLOCK // 2, min(2, os.cpu_count() or 1))
     assert len(blocks) > 2 and min(hi - lo for lo, hi in blocks) > si._BLOCK
     assert sum(sizes) == (n + 1) // 2 * 100 and len(sizes) == 100 * len(blocks)
 
@@ -306,10 +310,10 @@ def test_shared_dt_halving_leg_bit_identical_to_own_runs(ko_model, heston_model,
     # gives simulated on its own; the halving leg gives what the fine scheme
     # gives stepped on the normals of pairs of main pairs; the warnings are
     # those of the main and the fine step.  n_paths is odd, so the last main
-    # path has no partner; one worker steps it as three blocks in one
-    # workspace, the last smaller, and two workers one block each
+    # path has no partner; one thread steps it as two blocks in one
+    # workspace, the last smaller, and two threads one block each
     model = {"ko": ko_model, "heston": heston_model}[kind]
-    n = 2 * si._BLOCK + 701
+    n = 4 * si._BLOCK + 701
     cfg = SimConfig(T=2.0, n_steps=10, n_paths=n, seed=2**63 + 17, scheme=scheme)
     ep = eigenpair(model)
     chi = si.initial_state(model)
@@ -409,34 +413,37 @@ def test_one_pass_bit_identical_to_own_runs(ko_model, heston_model, kind, scheme
 
 
 def test_block_layout_gives_every_worker_an_equal_share():
-    # one worker, or a pass that fits one block of `block` paths, takes the
-    # fewest blocks of at most `block` paths; with two or more workers a pass
-    # of more takes the fewest blocks of at most 4 * block paths whose count
-    # is a multiple of `workers`, so each worker steps one long span.  Blocks
-    # are sized evenly, and every block but the last holds a multiple of 4
-    # paths, so no antithetic pair or dt-halving pair of pairs straddles two
+    # one rule for every thread count: a pass of at most `block` paths is one
+    # block, a larger one the fewest blocks of at most 4 * block paths whose
+    # count is a multiple of `threads`, so each thread steps one long span.
+    # Blocks are sized evenly, and every block but the last holds a multiple
+    # of 4 paths, so no antithetic pair or dt-halving pair of pairs straddles
+    # two
     for n_paths in (si._BLOCK + 701, 20_000, 100_000, 250_000, 2000, 150):
         for legs in (1, 2, 4, 6):
             block = 4 * max(1, si._BLOCK // (4 * legs))
-            needed = -(-n_paths // block)
-            for workers in (1, 2, 3, 4):
-                blocks = si._block_layout(n_paths, block, workers)
+            for threads in (1, 2, 3, 4):
+                blocks = si._block_layout(n_paths, block, threads)
                 sizes = [hi - lo for lo, hi in blocks]
                 assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
                 assert blocks[-1][1] == n_paths
                 assert all(size % 4 == 0 for size in sizes[:-1])
                 assert max(sizes) - min(sizes) < 4 * len(blocks)
-                if workers == 1 or needed == 1:
-                    assert len(blocks) == needed and max(sizes) <= block
+                if n_paths <= block:
+                    assert blocks == [(0, n_paths)]
                 else:
-                    assert len(blocks) % workers == 0 and max(sizes) <= 4 * block
-                    assert (len(blocks) - workers) * 4 * block < n_paths
-    # verify's 20,000 paths at 4 main legs, and a 100,000-path decomposition
-    # run at one main leg
-    assert si._block_layout(20_000, 4096, 2) == [(0, 10_000), (10_000, 20_000)]
-    assert si._block_layout(20_000, 4096, 1) == [(i, i + 4000)
-                                                 for i in range(0, 20_000, 4000)]
-    assert si._block_layout(100_000, si._BLOCK, 2) == [(0, 50_000), (50_000, 100_000)]
+                    assert len(blocks) % threads == 0 and max(sizes) <= 4 * block
+                    assert (len(blocks) - threads) * 4 * block < n_paths
+    # verify's 20,000 paths at 4 main legs, a 100,000-path decomposition run
+    # at one main leg, and a 2,000-path bump pass at 2 legs, on one thread
+    # and on two
+    for threads in (1, 2):
+        assert si._block_layout(20_000, 4096, threads) == [(0, 10_000), (10_000, 20_000)]
+        assert si._block_layout(100_000, si._BLOCK, threads) == \
+            [(0, 50_000), (50_000, 100_000)]
+        assert si._block_layout(2000, 8192, threads) == [(0, 2000)]
+    assert si._block_layout(20_000, 4096, 3) == [(i, i + 6668) for i in (0, 6668)] + \
+        [(13_336, 20_000)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -480,13 +487,15 @@ def test_shares_run_under_the_engine_ufunc_buffer(workers):
     with np.errstate(over="raise", under="warn"):
         np.setbufsize(1 << 14)
         state = np.geterr()
-        si._run_blocks(kernel, np.empty, 2 * si._BLOCK, si._BLOCK, workers)
+        si._run_blocks(kernel, np.empty, 8192, 1024, workers)
         assert np.getbufsize() == 1 << 14 and np.geterr() == state
         with pytest.raises(ZeroDivisionError):
-            si._run_blocks(failing, np.empty, 2 * si._BLOCK, si._BLOCK, workers)
+            si._run_blocks(failing, np.empty, 8192, 1024, workers)
         assert np.getbufsize() == 1 << 14 and np.geterr() == state
-    # two blocks, then the first block of a share, which raises (the pool
-    # may cancel the other share before it starts)
+    # two blocks of 4,096 paths at one thread or two, then the first block of
+    # a share, which raises (the pool may cancel the other share before it
+    # starts)
+    assert si._block_layout(8192, 1024, workers) == [(0, 4096), (4096, 8192)]
     assert len(seen) >= 3 and set(seen) == {si._UFUNC_BUFFER}
 
 
@@ -495,11 +504,10 @@ def test_outputs_do_not_depend_on_numpys_ufunc_buffer(ko_model, heston_model,
                                                       monkeypatch, kind):
     # buffering only copies operands: with the caller's and the engine's
     # buffer at numpy's default, at 65,536 and at 16 elements, a bump pass of
-    # 2 legs x 2,000 paths in one block and a 1-worker pass of 4 legs with
-    # dt-halving in 5 blocks of 4,000 paths give the same bytes
+    # 2 legs x 2,000 paths and a pass of 4 legs x 4,000 paths with
+    # dt-halving, each in one block, give the same bytes
     model = {"ko": ko_model, "heston": heston_model}[kind]
-    assert si._block_layout(20_000, 4 * (si._BLOCK // 16), 1) == \
-        [(i, i + 4000) for i in range(0, 20_000, 4000)]
+    assert si._block_layout(4000, 4 * (si._BLOCK // 16), 1) == [(0, 4000)]
     runs = []
     for size in (8192, 1 << 16, 16):
         monkeypatch.setattr(si, "_UFUNC_BUFFER", size)
@@ -511,20 +519,18 @@ def test_outputs_do_not_depend_on_numpys_ufunc_buffer(ko_model, heston_model,
                 SimConfig(T=1.0, n_steps=20, n_paths=2000, seed=3))
             checks, values = si.decomposition_checks(
                 model, None, (1.0, 5.0, 10.0),
-                SimConfig(T=1.0, n_steps=40, n_paths=20_000, seed=3), 1,
+                SimConfig(T=1.0, n_steps=40, n_paths=4000, seed=3), 1,
                 value_horizons=[2.0])
         runs.append(_bits([bump, checks, values]))
     assert runs[0] == runs[1] == runs[2]
 
 
 def test_pool_threads_capped_at_the_cpu_count(ko_model, monkeypatch):
-    # the layout depends on the worker count alone: verify's 20,000 paths at
-    # 4 main legs and 1,000 workers are 1,000 blocks of 20.  The shares run
-    # on at most os.cpu_count() threads, here on a stand-in pool that runs
-    # them inline, with the bits of a 1-worker run
-    assert si._block_layout(20_000, 4096, 1000) == [(i, i + 20)
-                                                    for i in range(0, 20_000, 20)]
-    pools = []
+    # a pass runs on min(workers, os.cpu_count()) threads and lays out its
+    # paths over them: with 3 CPUs, 100 workers are 3 shares of one block
+    # each on a pool of 3 threads, here a stand-in that runs them inline,
+    # with the bits of a 1-worker run
+    pools, shares = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -536,22 +542,24 @@ def test_pool_threads_capped_at_the_cpu_count(ko_model, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, contexts, share_list, spaces):
+            shares.extend(share_list)
+            return map(fn, contexts, share_list, spaces)
 
     cfg = SimConfig(T=1.0, n_steps=10, n_paths=si._BLOCK + 700, seed=7)
     one = _ens(ko_model, cfg, 1)
     monkeypatch.setattr(si, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(si.os, "cpu_count", lambda: 3)
-    assert len(si._block_layout(cfg.n_paths, si._BLOCK, 100)) == 100
     many = _ens(ko_model, cfg, 100)
     assert pools == [3]
+    assert shares == [[block] for block in si._block_layout(cfg.n_paths, si._BLOCK, 3)]
+    assert len(shares) == 3
     assert many.x_T.tobytes() == one.x_T.tobytes()
     assert many.integral.tobytes() == one.integral.tobytes()
 
 
 def test_pass_memory_does_not_grow_with_n_paths(ko_model, monkeypatch):
-    # each worker steps its blocks in place in one workspace made before the
+    # each thread steps its blocks in place in one workspace made before the
     # pass, so beyond its output arrays a 2-worker pass traces at most two
     # workspaces (blocks of at most 4 _BLOCK leg-paths), whatever n_paths:
     # one holds 4 main rows (x, acc and two integrand rows), the row of

@@ -241,17 +241,27 @@ def test_ko_dual_value_cost_flat_in_horizon(ko_model):
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("T", [math.inf, math.nan])
+@pytest.mark.parametrize("T", [math.inf, math.nan, True, np.array(1.0), -1.0],
+                         ids=["inf", "nan", "bool", "0d-array", "negative"])
 @pytest.mark.parametrize("route", [
     lambda m, T: dual_value(m, None, T),
     va._log_value_coefficients,
     lambda m, T: initial_factor_sensitivity(m, None, T),
     lambda m, T: kappa_eval(m, m.params.chi, 0.0, T),
+    lambda m, T: kappa_eval(m, m.params.chi, T, 2.0),
+    lambda m, T: control_hat_xi(m, m.params.chi, 0.0, T),
+    lambda m, T: f_eval(m, m.params.chi, T, 2.0),
+    lambda m, T: va.f_eval_expanded(m, m.params.chi, 0.0, T),
+    lambda m, T: va.kappa_eval_generic(m, m.params.chi, T, 2.0),
 ], ids=["dual_value", "log_value_coefficients", "initial_factor_sensitivity",
-        "kappa_eval"])
+        "kappa_eval", "kappa_eval_t", "control_hat_xi", "f_eval_t", "f_eval_expanded",
+        "kappa_eval_generic_t"])
 def test_non_finite_horizon_rejected(ko_model, heston_model, route, T):
+    # valuation keeps the one horizon rule of SimConfig and every Monte Carlo
+    # route, on a horizon T and a calendar time t alike: a bool or a 0-d
+    # array is not a real number
     for m in (ko_model, heston_model):
-        with pytest.raises(ValueError, match="T must be finite"):
+        with pytest.raises(ValueError, match="^T must be (a real number|finite and >= 0)$"):
             route(m, T)
 
 
