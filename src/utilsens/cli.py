@@ -79,9 +79,9 @@ def parse_run_config(cfg: dict) -> RunConfig:
         if missing:
             raise ConfigError(f"missing key '{missing[0]}' in sim block")
         scheme = block.get("scheme")
-        if scheme is not None and scheme not in model.spec.schemes:
-            raise ConfigError(f"sim.scheme must be one of {model.spec.schemes} "
-                              f"for {model.kind}")
+        if scheme not in (None, model.spec.scheme):
+            raise ConfigError(f"sim.scheme must be '{model.spec.scheme}' for "
+                              f"{model.kind}")
         try:
             sim_cfg = sim.SimConfig(
                 T=config_number(block["T"], "sim.T"),

@@ -13,9 +13,9 @@ exponent q = -p/(1-p) in (0, 1) shows up throughout the closed forms.
 Each kind has one description, a :class:`ModelSpec` in ``SPECS``, reached
 from a validated model as ``model.spec``.  It holds everything that differs
 between kinds: the parameter type and its fields, the initial-state field,
-the sensitivity parameters, the simulation schemes (the first one is the
-kind's default), whether the diffusion and the market price of risk scale
-with sqrt(x), the columns of the closed coefficient path (none for the
+the sensitivity parameters, the one scheme its Monte Carlo paths are
+stepped by, whether the diffusion and the market price of risk scale with
+sqrt(x), the columns of the closed coefficient path (none for the
 complete-market model), and the per-kind formulas, down to the published
 long-term sensitivity table.  The other modules are written once against
 the spec; no other module names a kind.
@@ -189,7 +189,7 @@ class ModelSpec:
     vol_field: str                   # parameter scaling the state's diffusion
     positive: tuple[str, ...]        # fields that must be > 0
     sensitivity_params: tuple[str, ...]
-    schemes: tuple[str, ...]         # simulation schemes; the first is the default
+    scheme: str                      # the kind's simulation scheme
     sqrt_x: bool                     # diffusion and theta scale with sqrt(x)
     path_fields: tuple[str, ...]     # closed coefficient path columns
     derive: Callable                 # (params, prefs) -> DerivedConstants
@@ -626,7 +626,7 @@ SPECS: dict[str, ModelSpec] = {
         kind=OU_COMPLETE, params_type=OUCompleteParams, state_field="s0",
         vol_field="varsigma", positive=("varsigma", "b"),
         sensitivity_params=("mu", "b", "varsigma"),
-        schemes=("exact_gaussian", "euler"), sqrt_x=False, path_fields=(),
+        scheme="exact_gaussian", sqrt_x=False, path_fields=(),
         derive=_ou_constants, admissible=lambda params, prefs, c: None,
         eigen=_ou_eigen, theta=_ou_theta, hjb_terms=_ou_hjb_terms,
         stationary_sd=lambda pa: pa.varsigma / math.sqrt(2.0 * pa.b),
@@ -636,7 +636,7 @@ SPECS: dict[str, ModelSpec] = {
         kind=KIM_OMBERG, params_type=KimOmbergParams, state_field="chi",
         vol_field="sigma", positive=("varsigma", "k", "sigma"),
         sensitivity_params=_FACTOR_SENSITIVITIES,
-        schemes=("exact_gaussian", "euler"), sqrt_x=False,
+        scheme="exact_gaussian", sqrt_x=False,
         path_fields=("beta", "gamma", "Lambda"),
         derive=_ko_constants, admissible=_ko_admissible, eigen=_ko_eigen,
         theta=_factor_theta, hjb_terms=_factor_hjb_terms,
@@ -650,7 +650,7 @@ SPECS: dict[str, ModelSpec] = {
         kind=HESTON, params_type=HestonParams, state_field="chi",
         vol_field="sigma", positive=("varsigma", "k", "sigma", "m_bar", "chi"),
         sensitivity_params=_FACTOR_SENSITIVITIES,
-        schemes=("full_truncation_euler",), sqrt_x=True,
+        scheme="full_truncation_euler", sqrt_x=True,
         path_fields=("beta", "gamma"),
         derive=_heston_constants, admissible=_heston_admissible,
         eigen=_heston_eigen, theta=_factor_theta, hjb_terms=_factor_hjb_terms,
@@ -702,27 +702,37 @@ def validate(params: Params, prefs: Preferences) -> Model:
     return Model(kind=spec.kind, params=params, prefs=prefs, constants=constants)
 
 
+def _real(value) -> bool:
+    """The type rule for a number from a caller: a real number, not a bool,
+    an array or a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def initial_state(model: Model, chi: float | None = None) -> float:
     """Initial factor value (initial asset price for the complete-market model).
 
-    An explicit ``chi`` overrides the parameter set's value and must be
-    finite and lie in the model's domain (chi > 0 for heston).
+    An explicit ``chi`` overrides the parameter set's value.  It must be a
+    real number (``_real``), finite and in the model's domain (chi > 0 for
+    heston); anything else is a DomainError.  It is returned as a float.
     """
     spec = model.spec
     if chi is None:
         return getattr(model.params, spec.state_field)
+    if not _real(chi):
+        raise DomainError(f"{model.kind} needs a real number {spec.state_field}, "
+                          f"got {chi!r}")
     if not math.isfinite(chi):
         raise DomainError(f"{model.kind} needs a finite {spec.state_field}, got {chi}")
     if spec.state_field in spec.positive and not chi > 0:
         raise DomainError(f"{model.kind} requires {spec.state_field} > 0")
-    return chi
+    return float(chi)
 
 
 def _check_horizons(*horizons) -> None:
     """The one rule for a horizon or a time, applied to each of ``horizons``:
-    a real number, not a bool or an array, finite and >= 0."""
+    a real number (``_real``), finite and >= 0."""
     for T in horizons:
-        if isinstance(T, bool) or not isinstance(T, numbers.Real):
+        if not _real(T):
             raise ValueError("T must be a real number")
         if not (math.isfinite(T) and T >= 0):
             raise ValueError("T must be finite and >= 0")
@@ -741,11 +751,15 @@ def bump_params(params: Params, name: str, h: float) -> Params:
 
 
 def bumped_models(model: Model, name: str, h: float) -> tuple[Model, Model, float]:
-    """Validated models at ``name`` +- h, as (up, down, h).
+    """Validated models at ``name`` +- h, as (up, down, h), for a step h that
+    is a real number (``_real``), finite and > 0; any other is a ValueError.
 
     If a leg is inadmissible the step shrinks once by 10x; a second failure
     propagates.
     """
+    if not (_real(h) and math.isfinite(h) and h > 0):
+        raise ValueError(f"bump step h must be finite and > 0, got {h!r}")
+
     def legs(step: float) -> tuple[Model, Model, float]:
         return (validate(bump_params(model.params, name, +step), model.prefs),
                 validate(bump_params(model.params, name, -step), model.prefs), step)

@@ -1,21 +1,20 @@
 """Monte Carlo simulation of the measure-changed factor dynamics.
 
-Two discretizations cover all supported runs:
+Each model kind is stepped by one scheme, its ``spec.scheme``:
 
-* affine-Gaussian: the decomposition and value-representation dynamics of the
-  Kim-Omberg factor (and the complete-market price) are linear SDEs with
-  time-dependent coefficients, so each step draws from the exact Gaussian
-  transition with the coefficients frozen at the step midpoint (scheme
-  ``exact_gaussian``), or does a plain Euler step (scheme ``euler``);
-* full-truncation Euler for the square-root Heston factor, which evaluates
-  drift and diffusion at the positive part of the state and so keeps the
-  reported path nonnegative (scheme ``full_truncation_euler``).  The
-  positive part is kept from the end of one step to the next, and Heston's
-  exponent integrand, linear in the state, is one product per step: 14
-  array passes per leg-step (see ``_stepper``).
+* ``exact_gaussian``: the decomposition and value-representation dynamics
+  of the Kim-Omberg factor (and the complete-market price) are linear SDEs
+  with time-dependent coefficients, so each step draws from the exact
+  Gaussian transition with the coefficients frozen at the step midpoint;
+* ``full_truncation_euler`` for the square-root Heston factor, which
+  evaluates drift and diffusion at the positive part of the state and so
+  keeps the reported path nonnegative.  The positive part is kept from the
+  end of one step to the next, and Heston's exponent integrand, linear in
+  the state, is one product per step: 14 array passes per leg-step (see
+  ``_stepper``).
 
-A ``SimConfig`` without a scheme runs the model's default, the first of
-its ``spec.schemes``.
+A ``SimConfig`` may name the scheme, as an assertion: a pass refuses any
+name but its model's.
 
 Noise is counter-based and antithetic.  Paths 2k and 2k + 1 form pair k <
 P = ceil(n_paths / 2); at step j the pair reads the Philox word j * P + k,
@@ -97,7 +96,6 @@ from .models import (
     validate,
 )
 
-SCHEMES = ("exact_gaussian", "euler", "full_truncation_euler")
 _BLOCK = 16384  # leg-paths per block of a pass of k main legs, which lays out
 # its paths by _BLOCK / k (see _block_layout); no result depends on it
 _UFUNC_BUFFER = 64  # numpy's ufunc buffer, in elements, while a pass steps:
@@ -115,7 +113,7 @@ class SimConfig:
     n_steps: int
     n_paths: int
     seed: int
-    scheme: str | None = None  # None: the model's default, spec.schemes[0]
+    scheme: str | None = None  # None, or the model's spec.scheme (checked per pass)
 
     def __post_init__(self) -> None:
         _check_horizons(self.T)
@@ -129,8 +127,6 @@ class SimConfig:
             raise ValueError("n_paths must be >= 100")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.scheme is not None and self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
 
 
 @dataclass(frozen=True)
@@ -353,15 +349,16 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def _tables(leg: _Leg, steps: int, scheme: str):
-    """The scheme's per-step tables and the per-node exponent tables
-    (t0, t1, t2, g2, g1, g0) of ``leg`` over ``steps`` steps of its horizon,
-    after its stability-floor check and step warning."""
+def _tables(leg: _Leg, steps: int):
+    """The per-step tables of the leg's scheme and the per-node exponent
+    tables (t0, t1, t2, g2, g1, g0) of ``leg`` over ``steps`` steps of its
+    horizon, after its stability-floor check and step warning."""
     model = leg.model
     c0, c1, g2, g1, g0 = _coefficients(model, leg.T, steps, leg.measure)
     sigma = getattr(model.params, model.spec.vol_field)
     max_rate = float(np.max(np.abs(c1)))
-    if scheme in ("euler", "full_truncation_euler"):
+    exact = model.spec.scheme == "exact_gaussian"
+    if not exact:
         floor = math.ceil(2.0 * leg.T * max_rate)
         if steps < floor:
             raise ConfigError(
@@ -374,19 +371,19 @@ def _tables(leg: _Leg, steps: int, scheme: str):
             f"(~{10.0 * leg.T * max_rate:.0f}); discretization bias may be visible",
             stacklevel=_outside_stacklevel(),
         )
-    if scheme == "exact_gaussian":
+    if exact:
         per_step = _affine_gaussian_tables(c0[1::2], c1[1::2], sigma, leg.T / steps)
     else:
         per_step = (c0[0:-1:2], c1[0:-1:2], np.full(steps, sigma))
     return (*per_step, g2, g1, g0)
 
 
-def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
-    """(workspace, start, step) of ``scheme`` for ``legs`` on their
-    ``tables`` (see ``_tables``) over ``steps`` steps of each horizon; the
-    state, the integral, the tables and the step columns dt, sqrt(dt) and
-    dt / 2 carry a leading leg axis, so each leg keeps its own horizon and
-    measure.
+def _stepper(legs: list[_Leg], tables: list[tuple], steps: int):
+    """(workspace, start, step) of the legs' scheme (every leg of a pass has
+    one kind) for ``legs`` on their ``tables`` (see ``_tables``) over
+    ``steps`` steps of each horizon; the state, the integral, the tables and
+    the step columns dt, sqrt(dt) and dt / 2 carry a leading leg axis, so
+    each leg keeps its own horizon and measure.
 
     ``workspace(size)`` holds the buffers of blocks of up to ``size`` paths
     per leg: the raw scheme state x, the exponent integral acc, two
@@ -409,7 +406,7 @@ def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
     the noise, 1 for xr and 4 for the integrand and its trapezoid.
     """
     # (decay, shift, sd) for exact_gaussian and (c0, c1, sigma) at the step's
-    # left end for the Euler schemes; t[j] is the (legs, 1) column of step j,
+    # left end for full truncation; t[j] is the (legs, 1) column of step j,
     # float64 even for an integer parameter, so no step casts an operand
     t0, t1, t2, g2, g1, g0 = (np.stack(col, axis=1, dtype=float)[:, :, None]
                               for col in zip(*tables))
@@ -419,11 +416,10 @@ def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
     half_dt = 0.5 * dt
     g_start = (g2[0] * chi + g1[0]) * chi + g0[0]
     linear = not (g2.any() or g0.any())
-    exact = scheme == "exact_gaussian"
-    truncate = scheme == "full_truncation_euler"
+    exact = legs[0].model.spec.scheme == "exact_gaussian"
 
     def workspace(size: int) -> np.ndarray:
-        return np.empty((5 if truncate else 4, len(legs) * size))
+        return np.empty((4 if exact else 5, len(legs) * size))
 
     def start(ws: np.ndarray, size: int):
         x, acc, g, h, *xr = (b[:len(legs) * size].reshape(len(legs), size)
@@ -431,7 +427,7 @@ def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
         x[...] = chi
         acc[...] = 0.0
         g[...] = g_start
-        return x, np.maximum(x, 0.0, out=xr[0]) if truncate else x, acc, g, h
+        return x, x if exact else np.maximum(x, 0.0, out=xr[0]), acc, g, h
 
     def step(j: int, state, z: np.ndarray):
         # full truncation keeps x unclamped but evaluates drift, diffusion and
@@ -449,16 +445,12 @@ def _stepper(legs: list[_Leg], tables: list[tuple], steps: int, scheme: str):
             np.subtract(t0[j], drift, out=drift)
             drift *= dt
             x += drift
-            if truncate:
-                noise = np.sqrt(xr, out=h)
-                noise *= t2[j]
-                noise *= sqdt
-                noise *= z
-            else:
-                noise = np.multiply(t2[j] * sqdt, z, out=h)
+            noise = np.sqrt(xr, out=h)
+            noise *= t2[j]
+            noise *= sqdt
+            noise *= z
             x += noise
-            if truncate:
-                np.maximum(x, 0.0, out=xr)
+            np.maximum(x, 0.0, out=xr)
         k = 2 * (j + 1)
         g_new = np.multiply(g1[k] if linear else g2[k], xr, out=h)
         if not linear:
@@ -479,8 +471,9 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     horizon, all legs on the same normals: (main ensembles, dt-halving
     ensembles), one of each per leg, the latter None for a leg without one.
 
-    ``cfg`` gives the paths, steps, seed and scheme (by default the first of
-    ``spec.schemes``: every leg of a pass has one kind); ``cfg.T`` is not
+    ``cfg`` gives the paths, steps and seed, and may name the scheme, which
+    must then be each leg's ``spec.scheme``; ``workers`` is None or an
+    integer >= 1.  Both are checked before any work.  ``cfg.T`` is not
     read, as each leg's tables come from the leg at n_steps (2 n_steps for
     its dt-halving leg).  Each step draws one row of normals per path block
     and moves every leg with it, so a leg's results are those of a run of
@@ -510,14 +503,13 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     dt-halving steppers, reset at each block's start.  Results never depend
     on the block layout or the thread count.
     """
-    scheme = cfg.scheme
+    if not (workers is None or isinstance(workers, numbers.Integral)
+            and not isinstance(workers, bool) and workers >= 1):
+        raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
     for leg in legs:
-        scheme = scheme or leg.model.spec.schemes[0]
-        if scheme not in leg.model.spec.schemes:
-            raise ValueError(
-                f"scheme '{scheme}' not supported for {leg.model.kind}; "
-                f"allowed: {leg.model.spec.schemes}"
-            )
+        if cfg.scheme not in (None, leg.model.spec.scheme):
+            raise ValueError(f"scheme {cfg.scheme!r} not supported for {leg.model.kind}"
+                             f"; its scheme is {leg.model.spec.scheme!r}")
     n, steps = cfg.n_paths, cfg.n_steps
     mains = [PathEnsemble(x_T=np.full(n, leg.chi), integral=np.zeros(n))
              if leg.T == 0.0 else None for leg in legs]
@@ -528,14 +520,13 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     halving = [i for i in moving if legs[i].halving]
     main_tables, fine_tables = [], []
     for i in moving:  # each leg's checks and warnings, main step then fine
-        main_tables.append(_tables(legs[i], steps, scheme))
+        main_tables.append(_tables(legs[i], steps))
         if legs[i].halving:
-            fine_tables.append(_tables(legs[i], 2 * steps, scheme))
-    workspace, start, step = _stepper([legs[i] for i in moving], main_tables,
-                                      steps, scheme)
+            fine_tables.append(_tables(legs[i], 2 * steps))
+    workspace, start, step = _stepper([legs[i] for i in moving], main_tables, steps)
     if halving:
         fine_workspace, fine_start, fine_step = _stepper(
-            [legs[i] for i in halving], fine_tables, 2 * steps, scheme)
+            [legs[i] for i in halving], fine_tables, 2 * steps)
     del main_tables, fine_tables  # the steppers hold stacked copies
     n2 = 2 * (n // 4)
     x_T, integral = np.empty((len(moving), n)), np.empty((len(moving), n))

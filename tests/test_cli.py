@@ -1,5 +1,6 @@
 """CLI integration: exit codes, schemas, formatting, determinism."""
 
+import contextlib
 import json
 import math
 import os
@@ -236,9 +237,15 @@ def test_riccati_csv(tmp_path):
     ("value", {"sweep": {"T_grid": []}}),
     ("simulate", {"sweep": {"T_grid": []}}),
     ("riccati", {"sweep": {"T_grid": []}}),
+    # the Gaussian kinds' one scheme is exact_gaussian: euler is no scheme
+    # (a patch's None drops the heston block)
+    ("simulate", {"heston": None, **KO_CFG,
+                  "sim": {**KO_CFG["sim"], "scheme": "euler"}}),
+    ("value", {"heston": None, **OU_CFG, "sim": {**OU_CFG["sim"], "scheme": "euler"}}),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, command, patch):
-    code, _ = _run([command, "--config", _write(tmp_path, {**HESTON_CFG, **patch})])
+    cfg = {k: v for k, v in {**HESTON_CFG, **patch}.items() if v is not None}
+    code, _ = _run([command, "--config", _write(tmp_path, cfg)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -419,18 +426,23 @@ def test_riccati_refusal_names_the_cli_route(capsys):
 
 
 @pytest.mark.parametrize("config", ["heston", "kim_omberg", "ou_complete"])
-def test_omitted_scheme_runs_the_kinds_first(tmp_path, config):
-    # sim.scheme is optional: a shipped config without it runs the first
-    # scheme its kind lists, byte for byte as the config that names it
-    # (at 2,000 paths, so that the test stays short)
+def test_omitted_scheme_runs_the_kinds_first(tmp_path, capsys, config):
+    # sim.scheme is optional: a shipped config without it runs the kind's one
+    # scheme, spec.scheme, byte for byte as the config that names it (at
+    # 2,000 paths, so that the test stays short); any other name, euler
+    # included, is exit 2 on an error line that names the kind's scheme
     with open(os.path.join(SHIPPED, f"{config}.json"), encoding="utf-8") as fh:
         cfg = json.load(fh)
     cfg["sim"] = {**cfg["sim"], "n_paths": 2000}
-    assert cfg["sim"]["scheme"] == SPECS[config].schemes[0]
+    assert cfg["sim"]["scheme"] == SPECS[config].scheme
     without = {**cfg, "sim": {k: v for k, v in cfg["sim"].items() if k != "scheme"}}
     named = _run(["simulate", "--config", _write(tmp_path, cfg, "named.json")])
     assert named[0] == 0
     assert _run(["simulate", "--config", _write(tmp_path, without)]) == named
+    euler = {**cfg, "sim": {**cfg["sim"], "scheme": "euler"}}
+    assert _run(["simulate", "--config", _write(tmp_path, euler)]) == (2, "")
+    assert capsys.readouterr().err == \
+        f"error: sim.scheme must be '{SPECS[config].scheme}' for {config}\n"
 
 
 def test_diagnose_requires_sweep(tmp_path, capsys):
@@ -746,7 +758,12 @@ def test_multi_horizon_simulate_byte_stable(tmp_path, command, config, workers):
     cfg["sweep"] = {"T_grid": [1, 5, 10]} if config != "ou_complete" else \
         {"parameter": "b", "T_grid": [0.5, 1, 2]}
     path = _write(tmp_path, cfg)
-    got, out = _run([command, "--config", path, "--workers", workers])
+    # 50 steps are coarse on purpose: a factor model's decomposition legs warn
+    # of visible discretization bias, the complete-market value legs do not
+    coarse = pytest.warns(UserWarning, match="^n_steps=") \
+        if config != "ou_complete" else contextlib.nullcontext()
+    with coarse:
+        got, out = _run([command, "--config", path, "--workers", workers])
     assert got == 0
     golden = os.path.join(GOLDEN, f"{command}_T_grid_{config}")
     with open(f"{golden}.out", "rb") as fh:

@@ -15,7 +15,13 @@ from utilsens import (
     validate,
 )
 from utilsens import valuation as va
-from utilsens.models import SPECS, ConfigError, bump_params, parse_model_block
+from utilsens.models import (
+    SPECS,
+    ConfigError,
+    bump_params,
+    bumped_models,
+    parse_model_block,
+)
 from utilsens.simulation import SimConfig
 
 from conftest import HESTON_SET, KO_SET, OU_SET, draw_heston, draw_ko
@@ -187,6 +193,39 @@ def test_non_finite_state_refused(ko_model, heston_model, ou_model, route, x):
     for m in models:
         with pytest.raises(u.DomainError, match="finite"):
             _STATE_ROUTES[route](m, x)
+
+
+_INITIAL_STATE_ROUTES = ("dual_value", "initial_factor_sensitivity",
+                         "decomposition_check", "simulate_phat_value",
+                         "mc_bump_sensitivity")
+
+
+@pytest.mark.parametrize("x", [True, np.array(0.3), np.array([0.2]), "0.2"],
+                         ids=["bool", "0d-array", "1d-array", "str"])
+@pytest.mark.parametrize("route", _INITIAL_STATE_ROUTES)
+def test_explicit_state_must_be_a_real_number(ko_model, heston_model, ou_model, route,
+                                              x):
+    # models.initial_state applies the horizon's type rule to an explicit
+    # state: a bool is no state at 1, and an array or a string is refused by
+    # name rather than answered with numpy fields or a bare TypeError
+    models = (ko_model, heston_model) + ((ou_model,) if route in _OU_ROUTES else ())
+    for m in models:
+        with pytest.raises(u.DomainError, match="needs a real number"):
+            _STATE_ROUTES[route](m, x)
+    # a numpy scalar is a real number, and answers with float fields
+    result = u.dual_value(ko_model, np.float64(0.3), 1.0)
+    assert result == u.dual_value(ko_model, 0.3, 1.0)
+    assert all(type(v) is float for v in vars(result).values())
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, True, "1e-3"])
+def test_bump_step_must_be_finite_and_positive(ko_model, h):
+    # a zero step would divide by zero and a negative one swap the legs into
+    # a negative SE: each is refused, on the library's Monte Carlo route too
+    with pytest.raises(ValueError, match="bump step h must be finite and > 0"):
+        bumped_models(ko_model, "mu", h)
+    with pytest.raises(ValueError, match="bump step h must be finite and > 0"):
+        u.mc_bump_sensitivity(ko_model, None, 1.0, "mu", h, _CFG)
 
 
 def test_accepted_params_pass_downstream_preconditions():

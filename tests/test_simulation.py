@@ -187,10 +187,8 @@ def _single_leg_reference(model, chi, cfg, measure, paired=False):
         else:
             z[0::2] = normals[j]
         z[1::2] = -z[0:size - 1:2]
-        if cfg.scheme == "exact_gaussian":
+        if model.spec.scheme == "exact_gaussian":
             x = xr = decay[j] * x + shift[j] + sd[j] * z
-        elif cfg.scheme == "euler":
-            x = xr = x + (c0[2 * j] - c1[2 * j] * x) * dt + sigma * math.sqrt(dt) * z
         else:
             xp = np.maximum(x, 0.0)
             x = x + (c0[2 * j] - c1[2 * j] * xp) * dt \
@@ -204,9 +202,9 @@ def _single_leg_reference(model, chi, cfg, measure, paired=False):
 
 @pytest.mark.parametrize("kind, scheme, parameter, n_paths, workers", [
     ("ou", "exact_gaussian", "mu", 500, 1),
-    ("ou", "euler", "s0", 500, 1),
+    ("ou", "exact_gaussian", "s0", 500, 1),
     ("ko", "exact_gaussian", "rho", 500, 1),
-    ("ko", "euler", "chi", 500, 1),
+    ("ko", "exact_gaussian", "chi", 500, 1),
     ("heston", "full_truncation_euler", "sigma", 500, 1),
     # one thread steps one block, longer than _BLOCK / 2
     ("ko", "exact_gaussian", "k", si._BLOCK + 700, 1),
@@ -299,8 +297,6 @@ def test_dt_halving_leg_draws_no_normals(ko_model, monkeypatch, n_paths):
 @pytest.mark.parametrize("kind, scheme, workers", [
     ("ko", "exact_gaussian", 1),
     ("ko", "exact_gaussian", 2),
-    ("ko", "euler", 1),
-    ("ko", "euler", 2),
     ("heston", "full_truncation_euler", 1),
     ("heston", "full_truncation_euler", 2),
 ])
@@ -323,7 +319,7 @@ def test_shared_dt_halving_leg_bit_identical_to_own_runs(ko_model, heston_model,
     with warnings.catch_warnings(record=True) as own:
         warnings.simplefilter("always")
         mc, se = _error_term(_ens(model, cfg, workers=workers), ep)
-        si._tables(si._Leg(model, chi, 2.0, "q"), 20, cfg.scheme)
+        si._tables(si._Leg(model, chi, 2.0, "q"), 20)
     x_T, integral = _single_leg_reference(model, chi, cfg, "q", paired=True)
     assert x_T.size == 2 * (n // 4)
     halved, _ = _error_term(si.PathEnsemble(x_T=x_T, integral=integral), ep)
@@ -336,8 +332,9 @@ def test_shared_dt_halving_leg_bit_identical_to_own_runs(ko_model, heston_model,
 @pytest.mark.parametrize("workers", [1, 2])
 def test_dt_halving_leg_keeps_the_variance_of_the_main_leg(ko_model, monkeypatch,
                                                            workers):
-    # detector for the halving leg's pairing: on a zero-drift Euler leg both
-    # legs end at chi + sigma W_T, so E[(X_T - chi)^2] = sigma^2 T on each.
+    # detector for the halving leg's pairing: on a zero-drift leg (decay 1,
+    # shift 0 and sd sigma sqrt(dt) per exact Gaussian step) both legs end at
+    # chi + sigma W_T, so E[(X_T - chi)^2] = sigma^2 T on each.
     # A fine path that took a pair's +z and its own mirror's -z would end at
     # chi (variance 0); one that took a pair's +z twice would double it
     def zero_drift(model, T, steps, measure):
@@ -347,7 +344,7 @@ def test_dt_halving_leg_keeps_the_variance_of_the_main_leg(ko_model, monkeypatch
     monkeypatch.setattr(si, "_coefficients", zero_drift)
     T, sigma = 0.5, ko_model.params.sigma
     cfg = SimConfig(T=T, n_steps=4, n_paths=4 * si._BLOCK + 2003, seed=41,
-                    scheme="euler")
+                    scheme="exact_gaussian")
     mains, fines = si._ensemble([si._Leg(ko_model, 0.0, T, "q", True)], cfg, workers)
     (m, se), (m2, se2) = (si._mean_se(e.x_T ** 2) for e in (mains[0], fines[0]))
     assert fines[0].x_T.size == 2 * (cfg.n_paths // 4)
@@ -390,7 +387,6 @@ def test_shared_dt_halving_leg_keeps_the_stability_floor(heston_model):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind, scheme", [
     ("ko", "exact_gaussian"),
-    ("ko", "euler"),
     ("heston", "full_truncation_euler"),
 ])
 def test_one_pass_bit_identical_to_own_runs(ko_model, heston_model, kind, scheme,
@@ -464,9 +460,28 @@ def test_workers_keep_the_callers_error_state(ko_model, monkeypatch, workers):
 
     monkeypatch.setattr(si, "_coefficients", huge_integrand)
     cfg = SimConfig(T=1.0, n_steps=2, n_paths=2 * si._BLOCK + 701, seed=1,
-                    scheme="euler")
+                    scheme="exact_gaussian")
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         si._ensemble([si._Leg(ko_model, 0.0, 1.0, "q")], cfg, workers)
+
+
+@pytest.mark.parametrize("workers", [-1, 0, 0.5, 2.5, "2", True, False])
+def test_mc_routes_refuse_a_bad_workers_count(ko_model, ou_model, workers):
+    # every Monte Carlo pass starts in _ensemble, which takes None or an
+    # integer >= 1 (a bool is no count) and refuses any other by name, at a
+    # pass of T = 0 legs only too, which steps nothing
+    cfg = SimConfig(T=1.0, n_steps=20, n_paths=200, seed=1)
+    refused = pytest.raises(ValueError,
+                            match=r"^workers must be None or an integer >= 1, got ")
+    for T in (0.0, 1.0):
+        with refused:
+            decomposition_check(ko_model, None, T, cfg, workers)
+        with refused:
+            simulate_phat_value(ou_model, None, T, cfg, workers)
+        with refused:
+            mc_bump_sensitivity(ko_model, None, T, "mu", 1e-3, cfg, workers)
+    assert simulate_phat_value(ou_model, None, 1.0, cfg, np.int64(2)) == \
+        simulate_phat_value(ou_model, None, 1.0, cfg, 2)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -637,7 +652,7 @@ def test_bump_horizons_bit_identical_to_own_runs(ko_model, heston_model, ou_mode
     # two
     model = {"ko": ko_model, "heston": heston_model, "ou": ou_model}[kind]
     cfg = SimConfig(T=1.0, n_steps=20, n_paths=si._BLOCK + 701, seed=2**63 + 29,
-                    scheme=model.spec.schemes[0])
+                    scheme=model.spec.scheme)
     horizons = [0.0, 0.5, 1.0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -752,7 +767,7 @@ def test_engine_coefficients_match_pointwise_routes(request, name, xs):
     m = request.getfixturevalue(name)
     T, n_steps = 5.0, 50
     cfg = SimConfig(T=T, n_steps=n_steps, n_paths=100, seed=1,
-                    scheme=m.spec.schemes[0])
+                    scheme=m.spec.scheme)
     c0, c1, g2, g1, g0 = si._coefficients(m, T, n_steps, "q")
     times = np.linspace(0.0, T, 2 * n_steps + 1)
     half = 0.5 * m.q * (1.0 - m.q)
@@ -767,16 +782,6 @@ def test_engine_coefficients_match_pointwise_routes(request, name, xs):
                               + abs(va.control_hat_xi(m, x, t, T))) ** 2
             assert abs((g2[k] * x + g1[k]) * x + g0[k] - f) <= 1e-10 * f_scale, \
                 (k, x)
-
-
-def test_euler_scheme_agrees_with_exact_gaussian(ko_model):
-    T = 1.0
-    base = SimConfig(T=T, n_steps=1000, n_paths=30000, seed=29,
-                     scheme="exact_gaussian")
-    eul = replace(base, scheme="euler")
-    m1, s1 = _error_term(_ens(ko_model, base), eigenpair(ko_model))
-    m2, s2 = _error_term(_ens(ko_model, eul), eigenpair(ko_model))
-    assert abs(m1 - m2) < 3.0 * math.sqrt(s1**2 + s2**2) + 1e-3 * abs(m1)
 
 
 def test_decomposition_identity_small_runs():
@@ -862,7 +867,9 @@ def test_ou_complete_growth_trend(ou_model):
     assert abs(growth - lam) < 0.10 * lam
 
 
-def test_scheme_model_mismatch_rejected(ko_model, heston_model):
+def test_scheme_model_mismatch_rejected(ko_model, heston_model, ou_model):
+    # a named scheme must be the kind's one scheme: another kind's, or a name
+    # no kind has (euler, milstein), is refused, at a pass of T = 0 legs too
     cfg = SimConfig(T=1.0, n_steps=100, n_paths=200, seed=1,
                     scheme="full_truncation_euler")
     with pytest.raises(ValueError, match="scheme"):
@@ -873,15 +880,25 @@ def test_scheme_model_mismatch_rejected(ko_model, heston_model):
         _ens(heston_model, cfg2)
     with pytest.raises(ValueError, match="scheme"):
         simulate_phat_value(heston_model, None, 1.0, cfg2)
+    for name in ("euler", "milstein"):
+        other = replace(cfg, scheme=name)
+        for model in (ko_model, heston_model):
+            with pytest.raises(ValueError, match="scheme"):
+                _ens(model, other)
+        with pytest.raises(ValueError, match="scheme"):
+            decomposition_check(ko_model, None, 0.0, other)
+        with pytest.raises(ValueError, match="scheme"):
+            simulate_phat_value(ou_model, None, 1.0, other)
 
 
 @pytest.mark.parametrize("name", ["ko_model", "heston_model", "ou_model"])
 def test_default_scheme_is_the_models_first(request, name):
-    # a SimConfig without a scheme runs spec.schemes[0], field for field as
-    # the config that names it; Heston's is full_truncation_euler
+    # a SimConfig without a scheme runs the kind's one scheme, spec.scheme,
+    # field for field as the config that names it; Heston's is
+    # full_truncation_euler, the Gaussian kinds' exact_gaussian
     model = request.getfixturevalue(name)
     cfg = SimConfig(T=1.0, n_steps=50, n_paths=1000, seed=1)
-    named = replace(cfg, scheme=model.spec.schemes[0])
+    named = replace(cfg, scheme=model.spec.scheme)
     parameter = model.spec.sensitivity_params[0]
     assert mc_bump_sensitivity(model, None, 1.0, parameter, 1e-3, cfg) == \
         mc_bump_sensitivity(model, None, 1.0, parameter, 1e-3, named)
@@ -926,8 +943,6 @@ def test_sim_config_validation():
         SimConfig(T=1.0, n_steps=100, n_paths=50, seed=1)
     with pytest.raises(ValueError):
         SimConfig(T=1.0, n_steps=0, n_paths=200, seed=1)
-    with pytest.raises(ValueError):
-        SimConfig(T=1.0, n_steps=10, n_paths=200, seed=1, scheme="milstein")
     with pytest.raises(ValueError):
         SimConfig(T=-1.0, n_steps=10, n_paths=200, seed=1)
     cfg = SimConfig(T=1.0, n_steps=10, n_paths=200, seed=1)
