@@ -13,11 +13,12 @@ cross-check that the closed forms are typed consistently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Model, initial_state
+from .models import DomainError, Model, initial_state
 
 
 @dataclass(frozen=True)
@@ -72,5 +73,9 @@ def residual_grid(model: Model) -> np.ndarray:
     """The 101-point grid chi +- 4 stationary sd (positive part if sqrt(x))."""
     chi = initial_state(model)
     sd = model.spec.stationary_sd(model.params)
-    grid = np.linspace(chi - 4.0 * sd, chi + 4.0 * sd, 101)
+    lo, hi = chi - 4.0 * sd, chi + 4.0 * sd
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"{model.kind} residual grid chi +- 4 sd leaves "
+                          f"floating-point range (stationary sd {sd:.6g})")
+    grid = np.linspace(lo, hi, 101)
     return grid[grid > 0.0] if model.spec.sqrt_x else grid

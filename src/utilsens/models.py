@@ -833,7 +833,7 @@ def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be a JSON object")

@@ -363,12 +363,12 @@ def _tables(leg: _Leg, steps: int):
         if steps < floor:
             raise ConfigError(
                 f"n_steps={steps} below the explicit-scheme stability floor "
-                f"{floor} (= ceil(2 T max drift rate))"
+                f"{floor:.6g} (= ceil(2 T max drift rate))"
             )
     if steps < 10.0 * leg.T * max_rate:
         warnings.warn(
             f"n_steps={steps} is below 10 * T * max mean-reversion rate "
-            f"(~{10.0 * leg.T * max_rate:.0f}); discretization bias may be visible",
+            f"(~{10.0 * leg.T * max_rate:.6g}); discretization bias may be visible",
             stacklevel=_outside_stacklevel(),
         )
     if exact:

@@ -242,12 +242,26 @@ def test_riccati_csv(tmp_path):
     ("simulate", {"heston": None, **KO_CFG,
                   "sim": {**KO_CFG["sim"], "scheme": "euler"}}),
     ("value", {"heston": None, **OU_CFG, "sim": {**OU_CFG["sim"], "scheme": "euler"}}),
+    # the model validates, but its residual grid, chi +- 4 stationary sd
+    # with sd = 5e307, leaves floating-point range
+    pytest.param("verify", {"heston": None, **KO_CFG, "kim_omberg": {
+        **KO_CFG["kim_omberg"], "k": 2e-316, "sigma": 1e150, "rho": 0.0}},
+        id="verify-residual-grid-overflow"),
+    # bytes are the whole file: not UTF-8, and nested past the parser's depth
+    pytest.param("verify", b"\xff\xfe{}", id="verify-not-utf8"),
+    pytest.param("verify", b"[" * 100000 + b"]" * 100000, id="verify-deep-nesting"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, command, patch):
-    cfg = {k: v for k, v in {**HESTON_CFG, **patch}.items() if v is not None}
-    code, _ = _run([command, "--config", _write(tmp_path, cfg)])
+    if isinstance(patch, bytes):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(patch)
+    else:
+        cfg = {k: v for k, v in {**HESTON_CFG, **patch}.items() if v is not None}
+        path = _write(tmp_path, cfg)
+    code, _ = _run([command, "--config", str(path)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["value", "diagnose"])
@@ -275,7 +289,29 @@ def test_bad_argv_or_output_exit_2(tmp_path, capsys, argv, patch):
     args = [a.format(cfg=cfg, dir=tmp_path) for a in argv]
     code, _ = _run(args)
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_every_library_refusal_exits_2(tmp_path, capsys, monkeypatch):
+    # the library refuses every bad input with a ValueError, so the CLI maps
+    # the whole family to exit 2, not a list of its members
+    exported = sorted(n for n in dir(utilsens) if n.endswith("Error"))
+    assert exported == ["ConfigError", "DomainError", "UnsupportedModelError",
+                        "ValidationError"]
+    refusals = [getattr(utilsens, n)("refused") for n in exported
+                if n != "ValidationError"]
+    refusals += [utilsens.ValidationError("finite", "refused"), ValueError("refused")]
+    cfg = _write(tmp_path, HESTON_CFG)
+    for exc in refusals:
+        assert isinstance(exc, ValueError)
+
+        def refuse(rc, workers, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(utilsens.cli._COMMANDS, "eigenpair", refuse)
+        assert _run(["eigenpair", "--config", cfg]) == (2, "")
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 @pytest.mark.parametrize("command, cfg, kind, field, value", [
