@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -176,12 +177,12 @@ def _dp5_pass(rhs, n_cols: int, grid: np.ndarray, tol: float):
             hs = min(h, g - t)
             ks = [k1]
             for row in _DP_ROWS:
-                ys = tuple(yj + hs * sum(a * kj for a, kj in zip(row, col))
+                ys = tuple(yj + hs * sum(map(mul, row, col))
                            for yj, col in zip(y, zip(*ks)))
                 ks.append(f(ys))
             err = 0.0
             for yj, zj, col in zip(y, ys, zip(*ks)):
-                e = hs * sum(a * kj for a, kj in zip(_DP_ERR, col))
+                e = hs * sum(map(mul, _DP_ERR, col))
                 e /= tol * (1.0 + max(abs(yj), abs(zj)))
                 err += e * e
             err = math.sqrt(err / n_cols)

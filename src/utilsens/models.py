@@ -30,7 +30,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable
 
@@ -421,16 +422,21 @@ def _ko_path(model: Model, t: np.ndarray) -> tuple:
     c = model.constants
     n = _riccati_source(model)
     A = c.alpha4 + c.alpha1
-    e = np.exp(-2.0 * c.alpha4 * t)
-    om = -np.expm1(-c.alpha4 * t)
+    # t capped at max / (2 x the largest decay rate, 2 alpha4) keeps every
+    # decaying exponent in float range: past the cap each exp below is
+    # exactly 0 and each expm1 -1, at t and at the cap alike; up to the cap
+    # t is unchanged
+    td = np.minimum(t, sys.float_info.max / (4.0 * c.alpha4))
+    e = np.exp(-2.0 * c.alpha4 * td)
+    om = -np.expm1(-c.alpha4 * td)
+    s = np.exp(-c.alpha4 * td)
+    om2 = -np.expm1(-2.0 * c.alpha4 * td)
     den = A + (c.alpha4 - c.alpha1) * e
     beta = n * (1.0 - e) / den
     gamma = c.alpha3 * n * om * om / (c.alpha4 * den)
     B = _radical_minus_linear(c.alpha1, c.alpha2 * n)
     K = c.alpha3 * n / c.alpha4
     K_B = c.alpha3 * A / (c.alpha2 * c.alpha4)
-    s = np.exp(-c.alpha4 * t)
-    om2 = -np.expm1(-2.0 * c.alpha4 * t)
     D = A + B * s * s
     E = A + B * s
     dI1 = om2 / (2.0 * D) * _ratio_near_zero(np.log1p, B * om2 / D, -0.5)
@@ -510,10 +516,12 @@ def _heston_path(model: Model, t: np.ndarray) -> tuple:
     beta = 2 u' / (a2h u), written with expm1/log1p of decaying terms."""
     n, b1, a2h, km = _heston_ode_constants(model)
     b2 = model.constants.beta2
-    e = np.exp(-b2 * t)
+    td = np.minimum(t, sys.float_info.max / (2.0 * b2))  # capped as in _ko_path
+    e = np.exp(-b2 * td)
+    em1 = np.expm1(-b2 * td)
     beta = n * (1.0 - e) / (b2 * (1.0 + e) + b1 * (1.0 - e))
     d = _radical_minus_linear(b1, a2h * n)  # beta2 - beta1 without cancellation
-    gamma = 2.0 * km / a2h * (0.5 * d * t + np.log1p(d * np.expm1(-b2 * t) / (2.0 * b2)))
+    gamma = 2.0 * km / a2h * (0.5 * d * t + np.log1p(d * em1 / (2.0 * b2)))
     return beta, gamma
 
 
@@ -728,14 +736,24 @@ def initial_state(model: Model, chi: float | None = None) -> float:
     return float(chi)
 
 
-def _check_horizons(*horizons) -> None:
+def _check_horizons(*horizons) -> list[float]:
     """The one rule for a horizon or a time, applied to each of ``horizons``:
-    a real number (``_real``), finite and >= 0."""
+    a real number (``_real``), finite and >= 0.  Returns them as floats, so
+    a Python int past int64 reaches numpy as the float it stands for; an
+    int past float range is compared exactly and refused, not converted."""
     for T in horizons:
         if not _real(T):
             raise ValueError("T must be a real number")
-        if not (math.isfinite(T) and T >= 0):
+        if not 0 <= T <= sys.float_info.max:
             raise ValueError("T must be finite and >= 0")
+    return [float(T) for T in horizons]
+
+
+def _check_parameter(name) -> None:
+    """The one rule for a parameter name from a caller: a string, checked
+    before the name is compared or looked up; any other is a ConfigError."""
+    if not isinstance(name, str):
+        raise ConfigError(f"parameter name must be a string, got {name!r}")
 
 
 def bump_params(params: Params, name: str, h: float) -> Params:
@@ -743,11 +761,13 @@ def bump_params(params: Params, name: str, h: float) -> Params:
 
     ``chi`` is accepted as an alias for the complete-market initial price.
     """
+    _check_parameter(name)
+    spec = _SPEC_BY_TYPE[type(params)]
     if name == "chi":
-        name = _SPEC_BY_TYPE[type(params)].state_field
-    if name not in {f.name for f in fields(params)}:
+        name = spec.state_field
+    if name not in spec.fields:
         raise ConfigError(f"unknown parameter '{name}' for {type(params).__name__}")
-    return replace(params, **{name: getattr(params, name) + h})
+    return spec.params_type(**{**vars(params), name: getattr(params, name) + h})
 
 
 def bumped_models(model: Model, name: str, h: float) -> tuple[Model, Model, float]:

@@ -31,6 +31,7 @@ from .models import (
     ConfigError,
     Model,
     UnsupportedModelError,
+    _check_parameter,
     bumped_models,
     initial_state,
 )
@@ -67,6 +68,7 @@ class SensitivityReport:
 
 def _step(model: Model, parameter: str) -> float:
     """The step FD_SCALE * max(|theta|, 1) for ``parameter``."""
+    _check_parameter(parameter)
     theta = getattr(model.params, parameter, None)
     if theta is None:
         raise ConfigError(f"unknown parameter '{parameter}' for {model.kind}")

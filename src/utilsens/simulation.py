@@ -91,6 +91,7 @@ from .models import (
     ConfigError,
     Model,
     _check_horizons,
+    _check_parameter,
     bumped_models,
     initial_state,
     validate,
@@ -506,6 +507,8 @@ def _ensemble(legs: list[_Leg], cfg: SimConfig, workers: int | None
     if not (workers is None or isinstance(workers, numbers.Integral)
             and not isinstance(workers, bool) and workers >= 1):
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
+    if not isinstance(cfg, SimConfig):
+        raise ValueError(f"cfg must be a SimConfig, got {type(cfg).__name__}")
     for leg in legs:
         if cfg.scheme not in (None, leg.model.spec.scheme):
             raise ValueError(f"scheme {cfg.scheme!r} not supported for {leg.model.kind}"
@@ -650,7 +653,8 @@ def decomposition_checks(model: Model, chi: float | None, horizons, cfg: SimConf
     same ``cfg``: the runs read the same Philox words, so computing each
     normal once changes no per-path number.
     """
-    _check_horizons(*horizons, *value_horizons)
+    horizons = _check_horizons(*horizons)
+    value_horizons = _check_horizons(*value_horizons)
     chi = initial_state(model, chi)
     ep = eigenpair(model)
     lphi = float(phi_log(ep, chi))
@@ -748,7 +752,8 @@ def mc_bump_sensitivities(model: Model, chi: float | None, horizons, parameter: 
     ``chi``, so a leg outside the state's domain shrinks the step once by
     10x or raises, as an inadmissible parameter bump does.
     """
-    _check_horizons(*horizons)
+    horizons = _check_horizons(*horizons)
+    _check_parameter(parameter)
     chi = initial_state(model, chi)
     state = model.spec.state_field
     if parameter in ("chi", state):

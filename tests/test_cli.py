@@ -185,6 +185,24 @@ def test_ko_value_at_horizon_1e6(tmp_path):
     assert math.isfinite(json.loads(out)["log_abs_utility"])
 
 
+def test_value_at_horizon_1e308_exits_0_and_a_true_overflow_exits_2(tmp_path, capsys):
+    # the shipped config at T = 1e308: -2 alpha4 T leaves float range, and its
+    # decaying exponential is exactly 0 under the CLI's over="raise"; at
+    # k = 3, alpha4 T itself overflows and the value is refused
+    shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "kim_omberg.json")
+    with open(shipped, encoding="utf-8") as fh:
+        cfg = {**json.load(fh), "sweep": {"T_grid": [1e308]}}
+    code, out = _run(["value", "--config", _write(tmp_path, cfg)])
+    assert code == 0
+    row = json.loads(out)
+    assert row["v"] == 0.0 and math.isfinite(row["log_abs_utility"])
+    cfg["kim_omberg"] = {**cfg["kim_omberg"], "k": 3.0}
+    path = _write(tmp_path, cfg)
+    assert _run(["value", "--config", path]) == (2, "")
+    assert capsys.readouterr().err.startswith(
+        f"error: value {path}: FloatingPointError: overflow")
+
+
 def test_ou_value_and_simulate_finite_where_value_underflows(tmp_path):
     # the Monte Carlo value underflows to 0 at T = 1e4; ln v comes from a
     # log-mean-exp of the per-path exponents, so both commands exit 0

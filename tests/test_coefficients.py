@@ -22,7 +22,7 @@ from utilsens import (
     validate,
 )
 from utilsens import coefficients as co
-from utilsens.cli import _closed_and_oracle_gap
+from utilsens.cli import VERIFY_ORACLE_GRID, _closed_and_oracle_gap
 from utilsens.models import SPECS, load_config, model_from_config
 
 from conftest import HESTON_SET, KO_SET, draw_heston, draw_ko, draw_model
@@ -169,6 +169,29 @@ def test_heston_gamma_growth_rate(heston_model):
     lam = eigenpair(heston_model).lam
     g = co.closed_path(heston_model, np.array([0.0, 50.0]))["gamma"]
     assert abs(g[-1] / 50.0 - lam) < lam * 0.05
+
+
+def test_closed_path_at_1e308_decays_without_overflow(ko_model, heston_model):
+    # -2 alpha4 t (alpha4 = 0.95) and -beta2 t (beta2 = 1.83) leave float
+    # range at t = 1e308: each decaying exponential is exactly 0 there, with
+    # no overflow, on either side of the cap max / (2 x the largest decay
+    # rate) that keeps them in range.  So beta and the Kim-Omberg gamma
+    # hold, bit for bit, their values at t = 1e4, where the decay is done,
+    # and the growing columns read the long-horizon rate
+    for m, rate in ((ko_model, 2.0 * ko_model.constants.alpha4),
+                    (heston_model, heston_model.constants.beta2)):
+        cap = np.finfo(float).max / (2.0 * rate)
+        t = np.array([1e4, cap / 2, np.nextafter(cap, 0), cap, np.nextafter(cap, 2 * cap),
+                      2 * cap, 1e308])
+        ep = eigenpair(m)
+        with np.errstate(over="raise"):
+            path = co.closed_path(m, t)
+        assert np.all(path["beta"] == path["beta"][0])
+        if m is ko_model:
+            assert np.all(path["gamma"] == path["gamma"][0])
+            assert path["Lambda"][-1] / 1e308 == pytest.approx(-ep.lam, rel=1e-14)
+        else:
+            assert path["gamma"][-1] / 1e308 == pytest.approx(ep.lam, rel=1e-14)
 
 
 def test_closed_gamma_finite_at_large_horizon(ko_model, heston_model):
@@ -417,6 +440,68 @@ def test_riccati_oracle_steps_on_shipped_config(config, monkeypatch):
     assert calls[0] == meta["rhs_evals"] <= 2 * co.MAX_RHS_EVALS
     assert meta["richardson_disagreement"] <= co.TOL_ODE
     assert 0.0 < meta["h_ode"] < 50.0
+
+
+def _generator_dp5_pass(rhs, n_cols, grid, tol):
+    """``coefficients._dp5_pass`` with each stage sum written as a generator
+    of products, sum(a * kj for a, kj in zip(row, col)): the reference the
+    library's sum(map(mul, row, col)) must match bit for bit."""
+    f = co._counted(rhs, co.MAX_RHS_EVALS)
+    y = (0.0,) * n_cols
+    rows, k1 = [y], f(y)
+    t, h, steps, settled = 0.0, co._H_START, 0, None
+    for g in grid[1:].tolist():
+        while settled is None and t < g:
+            hs = min(h, g - t)
+            ks = [k1]
+            for row in co._DP_ROWS:
+                ys = tuple(yj + hs * sum(a * kj for a, kj in zip(row, col))
+                           for yj, col in zip(y, zip(*ks)))
+                ks.append(f(ys))
+            err = 0.0
+            for yj, zj, col in zip(y, ys, zip(*ks)):
+                e = hs * sum(a * kj for a, kj in zip(co._DP_ERR, col))
+                e /= tol * (1.0 + max(abs(yj), abs(zj)))
+                err += e * e
+            err = math.sqrt(err / n_cols)
+            factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.2))
+            if err <= 1.0:
+                steps += 1
+                t = g if hs == g - t else t + hs
+                still = all(abs(b - a) <= tol * (1.0 + abs(b))
+                            for a, b in zip(y[:-1], ys[:-1]))
+                y, k1 = ys, ks[-1]
+                h = max(h, hs * factor) if hs < h else hs * factor
+                root = co._fixed_point(f, y, tol) if still else None
+                if root is not None:
+                    slope = f(root + y[-1:])[-1]
+                    settled = (root, t, y[-1], slope)
+            else:
+                h = hs * min(1.0, factor)
+            if not t + h > t:
+                raise UnsupportedModelError(
+                    f"ODE oracle step underflow at t={t:g} (tol={tol:g})")
+        if settled is None:
+            rows.append(y)
+        else:
+            root, ts, tail, slope = settled
+            rows.append(root + (tail + slope * (g - ts),))
+    span = grid[-1] if settled is None else settled[1]
+    return np.array(rows), f.evals, steps, float(span)
+
+
+@pytest.mark.parametrize("config", ["kim_omberg", "heston"])
+def test_riccati_oracle_bit_identical_to_generator_stage_sums(config, monkeypatch):
+    # builtin sum takes the same products in the same order from a map over
+    # operator.mul as from a generator, so every column and every meta entry
+    # on verify's oracle grid equals the reference pass's
+    model = model_from_config(load_config(os.path.join(SHIPPED, f"{config}.json")))
+    fast = co.riccati_oracle(model, VERIFY_ORACLE_GRID)
+    monkeypatch.setattr(co, "_dp5_pass", _generator_dp5_pass)
+    ref = co.riccati_oracle(model, VERIFY_ORACLE_GRID)
+    assert fast.meta == ref.meta
+    for f in model.spec.path_fields:
+        assert getattr(fast, f).tobytes() == getattr(ref, f).tobytes()
 
 
 @pytest.mark.parametrize("kind, field", [("kim_omberg", "Lambda"), ("heston", "gamma")])

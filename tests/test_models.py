@@ -1,5 +1,6 @@
 """Parameter containers, derived constants and admissibility."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -255,6 +256,36 @@ def test_bump_params_chi_alias_and_unknown():
     assert bump_params(p, "chi", 0.1).s0 == pytest.approx(0.6)
     with pytest.raises(ConfigError):
         bump_params(p, "k", 0.1)
+
+
+@pytest.mark.parametrize("kind", sorted(_SETS))
+def test_bump_params_bit_identical_to_dataclasses_replace(kind):
+    # the reference is the copy dataclasses.replace makes: on every field the
+    # bumped set holds the same bits, and every other field is passed
+    # through untouched, so a -0.0 stays -0.0
+    spec = SPECS[kind]
+    base = spec.params_type(**_SETS[kind])
+    zeros = spec.params_type(**{f: -0.0 for f in spec.fields})
+    for params in (base, zeros):
+        for name in spec.fields:
+            for h in (1e-6, -3e-7, 0.1):
+                ref = dataclasses.replace(params, **{name: getattr(params, name) + h})
+                got = bump_params(params, name, h)
+                assert type(got) is spec.params_type
+                assert [x.hex() for x in dataclasses.astuple(got)] == \
+                    [x.hex() for x in dataclasses.astuple(ref)]
+    # the state alias, and an unknown name refused by name
+    assert bump_params(zeros, "chi", 0.5) == bump_params(zeros, spec.state_field, 0.5)
+    with pytest.raises(ConfigError, match="unknown parameter 'nope'"):
+        bump_params(base, "nope", 0.1)
+
+
+@pytest.mark.parametrize("name", [1.5, None, np.array(["k"]), ("k",), b"k"])
+def test_bump_params_refuses_a_name_that_is_not_a_string(name):
+    # before the name is compared or looked up: a float has no attribute
+    # name and an array no hash
+    with pytest.raises(ConfigError, match="parameter name must be a string"):
+        bump_params(KimOmbergParams(**KO_SET), name, 0.1)
 
 
 def test_parse_model_block_unknown_key_named():

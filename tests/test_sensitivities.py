@@ -86,6 +86,17 @@ def test_lambda_fd_unknown_parameter(ko_model, ou_model):
         lambda_fd(ou_model, "chi")
 
 
+@pytest.mark.parametrize("name", [1.5, None, np.array(["k"])])
+def test_fd_routes_refuse_a_name_that_is_not_a_string(ko_model, name):
+    # refused by the one models-level rule before getattr sees it ("attribute
+    # name must be string") or a set is asked to hash it
+    refused = pytest.raises(ConfigError, match="parameter name must be a string")
+    with refused:
+        lambda_fd(ko_model, name)
+    with refused:
+        se.convergence_diagnostic(ko_model, name, [1.0])
+
+
 def test_one_validated_pair_per_derivative(ko_model, heston_model, monkeypatch):
     # lambda_fd and convergence_diagnostic each validate exactly one pair of
     # bumped models, through models.bumped_models

@@ -484,6 +484,41 @@ def test_mc_routes_refuse_a_bad_workers_count(ko_model, ou_model, workers):
         simulate_phat_value(ou_model, None, 1.0, cfg, 2)
 
 
+def test_mc_routes_refuse_a_cfg_that_is_not_a_sim_config(ko_model, ou_model):
+    # refused in _ensemble, next to the workers rule, by name: not an
+    # AttributeError from the first field read
+    cfg = {"T": 1.0, "n_steps": 20, "n_paths": 200, "seed": 1}
+    refused = pytest.raises(ValueError, match=r"^cfg must be a SimConfig, got dict$")
+    for T in (0.0, 1.0):
+        with refused:
+            decomposition_check(ko_model, None, T, cfg)
+        with refused:
+            simulate_phat_value(ou_model, None, T, cfg)
+        with refused:
+            mc_bump_sensitivity(ko_model, None, T, "mu", 1e-3, cfg)
+
+
+def test_mc_bump_refuses_a_name_that_is_not_a_string(ko_model):
+    # an array has no hash, and a float no attribute name
+    cfg = SimConfig(T=1.0, n_steps=20, n_paths=200, seed=1)
+    for name in (np.array(["k"]), 1.5):
+        with pytest.raises(ConfigError, match="parameter name must be a string"):
+            mc_bump_sensitivity(ko_model, None, 1.0, name, 1e-3, cfg)
+
+
+def test_mc_routes_take_a_python_int_horizon_past_int64(ko_model, ou_model):
+    # the horizon rule hands each route its horizons as floats, so 2**70 is
+    # the float it stands for, not an object array in np.linspace
+    cfg = SimConfig(T=1.0, n_steps=20, n_paths=200, seed=1)
+    routes = (lambda T: simulate_phat_value(ou_model, None, T, cfg),
+              lambda T: decomposition_check(ko_model, None, T, cfg),
+              lambda T: mc_bump_sensitivity(ko_model, None, T, "mu", 1e-3, cfg))
+    for route in routes:
+        with pytest.warns(UserWarning, match="^n_steps="):
+            at_int, at_float = route(2**70), route(float(2**70))
+        assert _bits(at_int) == _bits(at_float)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_shares_run_under_the_engine_ufunc_buffer(workers):
     # numpy copies a row of at most half its ufunc buffer through it, so each
@@ -664,7 +699,7 @@ def test_bump_horizons_bit_identical_to_own_runs(ko_model, heston_model, ou_mode
     assert shared[0] == (0.0, 0.0) and all(se > 0.0 for _, se in shared[1:])
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, 10**400])
 def test_multi_horizon_routes_refuse_a_bad_horizon_before_any_work(ko_model, monkeypatch,
                                                                    bad):
     # both routes check every horizon by SimConfig's rule at entry, so a bad

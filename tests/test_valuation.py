@@ -241,8 +241,21 @@ def test_ko_dual_value_cost_flat_in_horizon(ko_model):
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("T", [math.inf, math.nan, True, np.array(1.0), -1.0],
-                         ids=["inf", "nan", "bool", "0d-array", "negative"])
+def test_value_routes_finite_and_quiet_at_horizon_1e308(ko_model, heston_model):
+    # the decaying exponentials' exponents leave float range at T = 1e308;
+    # they give exactly 0 with no overflow warning (an error in this suite)
+    for m in (ko_model, heston_model):
+        ep = eigenpair(m)
+        res = dual_value(m, None, 1e308)
+        ifs = initial_factor_sensitivity(m, None, 1e308)
+        assert res.v == 0.0 and math.isfinite(res.log_abs_utility)
+        assert res.growth_rate_estimate == pytest.approx(ep.lam, rel=1e-14)
+        assert ifs.finite_horizon == pytest.approx(ifs.long_term_limit, rel=1e-14)
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, True, np.array(1.0), -1.0, 10**400],
+                         ids=["inf", "nan", "bool", "0d-array", "negative",
+                              "int-past-float-range"])
 @pytest.mark.parametrize("route", [
     lambda m, T: dual_value(m, None, T),
     va._log_value_coefficients,
