@@ -171,6 +171,12 @@ class Model:
     def p(self) -> float:
         return self.prefs.p
 
+    @cached_property
+    def _fd_memo(self) -> dict:
+        """This instance's eigenvalue-FD legs by parameter (``sensitivities``);
+        not a field, so a model equal by value never reads them."""
+        return {}
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -217,7 +223,10 @@ class ModelSpec:
     def scales(self, x):
         """(u, w) with diffusion sigma*u(x) and variance sigma^2*w(x): (1, 1),
         or (sqrt(x), x) under sqrt(x) diffusion, where x must be >= 0; a
-        non-finite x is refused."""
+        non-finite x, and one that is not a real number or a real numeric
+        array (a bool, a string), are refused."""
+        if np.asarray(x).dtype.kind not in "iuf":
+            raise DomainError(f"{self.kind} needs a real number x, got {x!r}")
         if not np.all(np.isfinite(x)):
             raise DomainError(f"{self.kind} needs a finite x, got {x}")
         if not self.sqrt_x:

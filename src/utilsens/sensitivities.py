@@ -6,7 +6,9 @@ This module evaluates the published closed-form limit table of each model,
 ``model.spec.sensitivity_rows`` (the tables themselves live with the other
 per-kind formulas in ``models``), next to an independent
 central-finite-difference derivative of the eigenvalue, and reports the
-disagreement per row.
+disagreement per row.  The FD depends on the model alone, not on a horizon,
+so it is computed once per model instance and parameter and shared by
+``lambda_fd``, ``long_term_sensitivities`` and ``convergence_diagnostic``.
 
 Disagreement policy: rows whose closed form misses the FD oracle beyond
 1e-6 * (1 + |limit|) are flagged, never silently patched; the oracle is the
@@ -75,8 +77,16 @@ def _step(model: Model, parameter: str) -> float:
     return FD_SCALE * max(abs(theta), 1.0)
 
 
-def _central(up: Model, dn: Model, h: float) -> float:
-    return (eigenpair(up).lam - eigenpair(dn).lam) / (2.0 * h)
+def _fd_legs(model: Model, parameter: str) -> tuple[Model, Model, float, float]:
+    """(up, down, h, dlambda/dtheta) at ``_step``, kept in the model's own
+    memo after the first success; a refusal is never stored."""
+    step = _step(model, parameter)
+    legs = model._fd_memo.get(parameter)
+    if legs is None:
+        up, dn, h = bumped_models(model, parameter, step)
+        legs = model._fd_memo[parameter] = (
+            up, dn, h, (eigenpair(up).lam - eigenpair(dn).lam) / (2.0 * h))
+    return legs
 
 
 def lambda_fd(model: Model, parameter: str) -> FDEstimate:
@@ -85,10 +95,12 @@ def lambda_fd(model: Model, parameter: str) -> FDEstimate:
 
     The two legs come from ``models.bumped_models``: both bumped parameter
     sets must be admissible, and if one is not the step shrinks once by 10x
-    before giving up; ``FDEstimate.h`` is the step taken.
+    before giving up; ``FDEstimate.h`` is the step taken.  The legs are
+    computed once per model instance and parameter; a later call on the
+    same instance returns the same bits without validating again.
     """
-    up, dn, h = bumped_models(model, parameter, _step(model, parameter))
-    return FDEstimate(value=_central(up, dn, h), h=h)
+    _, _, h, slope = _fd_legs(model, parameter)
+    return FDEstimate(value=slope, h=h)
 
 
 def long_term_sensitivities(model: Model) -> SensitivityReport:
@@ -157,16 +169,18 @@ def convergence_diagnostic(model: Model, parameter: str, T_grid,
     ``-lambda_fd(model, parameter).value``, and the slopes, from the pair's
     closed-form log values or, for the complete-market model, which has no
     closed value, from the Monte Carlo bump route given a sim config, run
-    on ``workers`` threads.
+    on ``workers`` threads.  The pair is the one ``lambda_fd`` computes once
+    per model instance and parameter, so no horizon grid repeats it.
     """
+    _check_parameter(parameter)
     if parameter in ("chi", model.spec.state_field):
         raise ConfigError("use initial_factor_sensitivity for the chi derivative")
     T_grid = np.asarray(T_grid, dtype=float)
     if T_grid.ndim != 1 or T_grid.size == 0 or np.any(np.diff(T_grid) <= 0) \
             or T_grid[0] <= 0:
         raise ValueError("T grid must be positive and strictly increasing")
-    up, dn, h = bumped_models(model, parameter, _step(model, parameter))
-    limit = -_central(up, dn, h)
+    up, dn, h, slope = _fd_legs(model, parameter)
+    limit = -slope
     if model.spec.has_path:
         chi = model.params.chi
         slopes = [(valuation.log_dual_value(up, chi, float(T))

@@ -175,6 +175,7 @@ _STATE_ROUTES = {
                                                               _CFG),
     "kappa_eval": lambda m, x: u.kappa_eval(m, x, 0.0, 1.0),
     "control_hat_xi": lambda m, x: u.control_hat_xi(m, x, 0.0, 1.0),
+    "control_star_xi": lambda m, x: u.control_star_xi(m, x),
     "f_eval": lambda m, x: u.f_eval(m, x, 0.0, 1.0),
     "f_eval_expanded": lambda m, x: va.f_eval_expanded(m, x, 0.0, 1.0),
     "kappa_eval_generic": lambda m, x: va.kappa_eval_generic(m, x, 0.0, 1.0),
@@ -217,6 +218,25 @@ def test_explicit_state_must_be_a_real_number(ko_model, heston_model, ou_model, 
     result = u.dual_value(ko_model, np.float64(0.3), 1.0)
     assert result == u.dual_value(ko_model, 0.3, 1.0)
     assert all(type(v) is float for v in vars(result).values())
+
+
+_POINTWISE_ROUTES = ("control_hat_xi", "control_star_xi", "f_eval", "f_eval_expanded",
+                     "kappa_eval", "kappa_eval_generic")
+
+
+@pytest.mark.parametrize("x", ["0.2", True], ids=["str", "bool"])
+@pytest.mark.parametrize("route", _POINTWISE_ROUTES)
+def test_pointwise_state_must_be_real(ko_model, heston_model, route, x):
+    # ModelSpec.scales, which every pointwise route hands its state to
+    # unconverted, refuses a string or a bool by name rather than with
+    # numpy's TypeError or an answer at x = 1
+    for m in (ko_model, heston_model):
+        with pytest.raises(u.DomainError, match="needs a real number x"):
+            _STATE_ROUTES[route](m, x)
+        # a float array stays a state, answered pointwise
+        xs = np.array([0.05, 0.2])
+        assert np.array_equal(_STATE_ROUTES[route](m, xs),
+                              [_STATE_ROUTES[route](m, float(v)) for v in xs])
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, True, "1e-3"])

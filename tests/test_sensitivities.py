@@ -1,5 +1,8 @@
 """Long-term sensitivity tables, the FD-of-lambda oracle, and diagnostics."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from utilsens import models
 from utilsens import sensitivities as se
 from utilsens.models import ConfigError
 
-from conftest import HESTON_SET, draw_heston, draw_ko
+from conftest import HESTON_SET, KO_SET, draw_heston, draw_ko
 
 
 def _rows(report):
@@ -86,7 +89,7 @@ def test_lambda_fd_unknown_parameter(ko_model, ou_model):
         lambda_fd(ou_model, "chi")
 
 
-@pytest.mark.parametrize("name", [1.5, None, np.array(["k"])])
+@pytest.mark.parametrize("name", [1.5, None, np.array(["k"]), np.array(["k", "mu"])])
 def test_fd_routes_refuse_a_name_that_is_not_a_string(ko_model, name):
     # refused by the one models-level rule before getattr sees it ("attribute
     # name must be string") or a set is asked to hash it
@@ -97,9 +100,9 @@ def test_fd_routes_refuse_a_name_that_is_not_a_string(ko_model, name):
         se.convergence_diagnostic(ko_model, name, [1.0])
 
 
-def test_one_validated_pair_per_derivative(ko_model, heston_model, monkeypatch):
-    # lambda_fd and convergence_diagnostic each validate exactly one pair of
-    # bumped models, through models.bumped_models
+def _counted_validate(monkeypatch) -> list:
+    """The calls to ``models.validate`` from here on, which is where
+    ``models.bumped_models`` validates each leg."""
     calls = []
     validate_model = models.validate
 
@@ -110,13 +113,117 @@ def test_one_validated_pair_per_derivative(ko_model, heston_model, monkeypatch):
     monkeypatch.setattr(models, "validate", counted)
     # and any direct validation from this module, were one to come back
     monkeypatch.setattr(se, "validate", counted, raising=False)
-    for m, name in ((ko_model, "k"), (heston_model, "m_bar")):
+    return calls
+
+
+def test_one_validated_pair_per_derivative(ko_model, heston_model, monkeypatch):
+    # one validated pair of bumped models per model instance and parameter,
+    # whichever of lambda_fd, convergence_diagnostic and
+    # long_term_sensitivities asks first
+    fresh = [validate(m.params, m.prefs) for m in (ko_model, heston_model)
+             for _ in range(3)]
+    calls = _counted_validate(monkeypatch)
+    for i, name in enumerate(("k", "m_bar")):
+        m, alone_fd, alone_diag = fresh[3 * i:3 * i + 3]
+        calls.clear()
+        lambda_fd(alone_fd, name)
+        assert len(calls) == 2
+        calls.clear()
+        se.convergence_diagnostic(alone_diag, name, [1.0, 10.0])
+        assert len(calls) == 2
         calls.clear()
         lambda_fd(m, name)
-        assert len(calls) == 2
-        calls.clear()
         se.convergence_diagnostic(m, name, [1.0, 10.0])
+        long_term_sensitivities(m)
+        assert len(calls) == 2 * len(m.spec.sensitivity_params)
+        # each route reads the pair the other computed on the same instance
+        calls.clear()
+        lambda_fd(alone_diag, name)
+        se.convergence_diagnostic(alone_fd, name, [1.0])
+        assert len(calls) == 0
+        # and a model equal by value validates its own
+        twin = validate(m.params, m.prefs)
+        assert twin == m
+        lambda_fd(twin, name)
         assert len(calls) == 2
+
+
+def _fd_bits(m, name: str) -> tuple:
+    """lambda_fd, one diagnostic row and the report's row for ``name``, as
+    hex strings."""
+    fd = lambda_fd(m, name)
+    row = se.convergence_diagnostic(m, name, [2.0])[0]
+    entry = _rows(long_term_sensitivities(m))[name]
+    return tuple(map(float.hex, (fd.value, fd.h, row.T, row.value, row.limit, row.gap,
+                                 entry.closed_form, entry.fd_lambda_check,
+                                 entry.abs_disagreement)))
+
+
+@pytest.mark.parametrize("kind", ["kim_omberg", "heston"])
+def test_memoized_fd_bit_identical_to_a_first_call(kind, ko_model, heston_model):
+    # a memo hit returns exactly the bits a fresh validation of the same
+    # parameters gives on its first call, for every route and parameter
+    rng = np.random.default_rng(32)
+    draw = draw_ko if kind == "kim_omberg" else draw_heston
+    ref = ko_model if kind == "kim_omberg" else heston_model
+    for m in [ref] + [draw(rng) for _ in range(3)]:
+        long_term_sensitivities(m)
+        for name in m.spec.sensitivity_params:
+            se.convergence_diagnostic(m, name, [2.0])
+            assert name in m._fd_memo
+            memoized = _fd_bits(m, name)
+            assert memoized == _fd_bits(validate(m.params, m.prefs), name)
+            # and a route that is the first to ask gives the same bits
+            fd = lambda_fd(validate(m.params, m.prefs), name)
+            row = se.convergence_diagnostic(validate(m.params, m.prefs), name,
+                                            [2.0])[0]
+            assert (fd.value.hex(), fd.h.hex()) == memoized[:2]
+            assert row.limit.hex() == memoized[4]
+
+
+@pytest.mark.parametrize("kind", ["kim_omberg", "heston"])
+def test_models_equal_by_value_keep_their_own_fd_legs(kind, monkeypatch):
+    # rho = 0.0 and rho = -0.0 make models that are == and hash alike; each
+    # must compute and keep its own legs, so the -0.0 survives in its legs
+    params_type, base = ((models.KimOmbergParams, KO_SET) if kind == "kim_omberg"
+                         else (HestonParams, HESTON_SET))
+    pos, neg = (validate(params_type(**{**base, "rho": r}), Preferences(p=-1.0))
+                for r in (0.0, -0.0))
+    assert pos == neg and hash(pos) == hash(neg)
+    calls = _counted_validate(monkeypatch)
+    for name in ("k", "m_bar", "mu"):
+        for m, sign in ((pos, 1.0), (neg, -1.0)):
+            calls.clear()
+            lambda_fd(m, name)
+            assert len(calls) == 2
+            up, dn, _, _ = m._fd_memo[name]
+            assert math.copysign(1.0, up.params.rho) == sign
+            assert math.copysign(1.0, dn.params.rho) == sign
+        assert pos._fd_memo[name][0] is not neg._fd_memo[name][0]
+
+
+def test_filling_the_memo_changes_no_model_identity(ko_model):
+    twin = validate(ko_model.params, ko_model.prefs)
+    before = (repr(ko_model), hash(ko_model), dataclasses.asdict(ko_model))
+    long_term_sensitivities(ko_model)
+    assert set(ko_model._fd_memo) == set(ko_model.spec.sensitivity_params)
+    assert ko_model == twin and hash(ko_model) == hash(twin)
+    assert (repr(ko_model), hash(ko_model), dataclasses.asdict(ko_model)) == before
+    assert set(dataclasses.asdict(ko_model)) == {
+        f.name for f in dataclasses.fields(models.Model)}
+    # a replaced model starts with an empty memo
+    assert not dataclasses.replace(ko_model)._fd_memo
+
+
+def test_fd_work_is_independent_of_the_horizon(heston_model, monkeypatch):
+    # sweeping 13 horizons on one model validates one pair per sensitivity
+    # parameter (k, m_bar, mu, varsigma, rho, sigma), not one per horizon
+    calls = _counted_validate(monkeypatch)
+    for T in np.geomspace(1.0, 1e3, 13):
+        long_term_sensitivities(heston_model)
+        se.convergence_diagnostic(heston_model, "m_bar", [float(T)])
+    assert len(heston_model.spec.sensitivity_params) == 6
+    assert len(calls) == 12
 
 
 def test_diagnostic_limit_is_the_lambda_fd(ko_model, heston_model):
@@ -133,9 +240,12 @@ def test_lambda_fd_shrinks_near_admissibility_boundary():
     m = validate(params, Preferences(p=-1.0))
     _, _, h = models.bumped_models(m, "m_bar", 2e-9)
     assert h == pytest.approx(2e-10)
-    # lambda_fd's own step, 1e-6, is too wide even after the shrink
-    with pytest.raises(models.ValidationError):
-        lambda_fd(m, "m_bar")
+    # lambda_fd's own step, 1e-6, is too wide even after the shrink, and a
+    # refusal is not memoized: every call is refused
+    for _ in range(2):
+        with pytest.raises(models.ValidationError):
+            lambda_fd(m, "m_bar")
+    assert "m_bar" not in m._fd_memo
 
 
 def test_audit_flags_exactly_the_inconsistent_ko_rows():
